@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from operator import add, sub
 
 
 class AutomatonError(ValueError):
@@ -26,10 +27,11 @@ class Dfa:
 
     States are 0..n_states-1, the alphabet is an ordered tuple of distinct
     integers (negative symbols are allowed), transitions must cover every
-    (state, symbol) pair.
+    (state, symbol) pair.  They are stored as one row of targets per state,
+    in alphabet order.
     """
 
-    __slots__ = ("n_states", "alphabet", "start", "accepting", "_delta")
+    __slots__ = ("n_states", "alphabet", "start", "accepting", "_col", "_rows")
 
     def __init__(self, n_states, alphabet, transitions, start, accepting):
         alphabet = tuple(alphabet)
@@ -42,24 +44,38 @@ class Dfa:
         accepting = frozenset(accepting)
         if not all(0 <= q < n_states for q in accepting):
             raise AutomatonError("accepting state out of range")
-        delta = {}
-        for (q, v), q2 in dict(transitions).items():
+        col = {v: j for j, v in enumerate(alphabet)}
+        rows = [[None] * len(alphabet) for _ in range(n_states)]
+        transitions = dict(transitions)
+        for (q, v), q2 in transitions.items():
             if not (0 <= q < n_states and 0 <= q2 < n_states):
                 raise AutomatonError(f"transition ({q},{v})->{q2} out of range")
-            if v not in alphabet:
+            if v not in col:
                 raise AutomatonError(f"transition on unknown symbol {v}")
-            delta[(q, v)] = q2
-        missing = n_states * len(alphabet) - len(delta)
+            rows[q][col[v]] = q2
+        missing = n_states * len(alphabet) - len(transitions)
         if missing:
             raise AutomatonError(
                 f"transition table not total ({missing} pairs missing); "
                 "use Dfa.from_partial to add an explicit sink"
             )
-        self.n_states = n_states
+        self._set(alphabet, [tuple(row) for row in rows], start, accepting)
+
+    def _set(self, alphabet, rows, start, accepting):
+        self.n_states = len(rows)
         self.alphabet = alphabet
         self.start = start
-        self.accepting = accepting
-        self._delta = delta
+        self.accepting = frozenset(accepting)
+        self._col = {v: j for j, v in enumerate(alphabet)}
+        self._rows = rows
+
+    @classmethod
+    def _from_rows(cls, alphabet, rows, start, accepting):
+        """Trusted constructor: rows[q] holds the targets of q in alphabet
+        order, already total and in range."""
+        dfa = object.__new__(cls)
+        dfa._set(alphabet, rows, start, accepting)
+        return dfa
 
     @classmethod
     def from_partial(cls, n_states, alphabet, transitions, start, accepting):
@@ -78,16 +94,20 @@ class Dfa:
         return cls(n_states, alphabet, transitions, start, accepting)
 
     def step(self, q, v):
-        return self._delta[(q, v)]
+        return self._rows[q][self._col[v]]
 
     def transitions(self):
         """All transitions as sorted (state, symbol, target) triples."""
-        return sorted((q, v, q2) for (q, v), q2 in self._delta.items())
+        return sorted(
+            (q, v, q2)
+            for q, row in enumerate(self._rows)
+            for v, q2 in zip(self.alphabet, row)
+        )
 
     def accepts(self, word):
         q = self.start
         for v in word:
-            q = self._delta[(q, v)]
+            q = self.step(q, v)
         return q in self.accepting
 
     def _suffix_table(self, length, allowed=None):
@@ -101,7 +121,7 @@ class Dfa:
             ok[i] = {
                 q
                 for q in range(self.n_states)
-                if any(self._delta[(q, v)] in nxt for v in syms)
+                if any(self.step(q, v) in nxt for v in syms)
             }
         return ok
 
@@ -126,13 +146,28 @@ class Dfa:
                 return
             syms = self.alphabet if allowed is None else allowed[i]
             for v in sorted(syms):
-                q2 = self._delta[(q, v)]
+                q2 = self.step(q, v)
                 if q2 in ok[i + 1]:
                     word.append(v)
                     yield from rec(q2, i + 1)
                     word.pop()
 
         yield from rec(self.start, 0)
+
+    def _live_states(self):
+        """States from which some accepting state can be reached."""
+        preds = [[] for _ in range(self.n_states)]
+        for q, row in enumerate(self._rows):
+            for q2 in row:
+                preds[q2].append(q)
+        live = set(self.accepting)
+        todo = list(live)
+        while todo:
+            for q in preds[todo.pop()]:
+                if q not in live:
+                    live.add(q)
+                    todo.append(q)
+        return live
 
 
 class CostMatrices:
@@ -141,6 +176,10 @@ class CostMatrices:
     ``base`` maps (resource, state, symbol) to a cost; ``positional`` maps
     (resource, state, symbol, position) to an extra cost added on top of the
     base entry.  Missing entries cost 0.
+
+    Construction turns them into cost vectors (one entry per resource):
+    ``self.base[(q, v)]`` and ``self.positional[(q, v)][i]``.  Only nonzero
+    vectors are kept, and equal vectors are one shared tuple.
     """
 
     __slots__ = ("n_resources", "base", "positional")
@@ -148,31 +187,63 @@ class CostMatrices:
     def __init__(self, n_resources, base=None, positional=None):
         if n_resources < 0:
             raise AutomatonError("resource count must be nonnegative")
-        self.n_resources = n_resources
-        self.base = dict(base or {})
-        self.positional = dict(positional or {})
-        for key in self.base:
+        vectors = {}
+        for key, c in dict(base or {}).items():
             if not 0 <= key[0] < n_resources:
                 raise AutomatonError(f"cost entry {key} names an unknown resource")
-        for key in self.positional:
+            r, q, v = key
+            vectors.setdefault((q, v), [0] * n_resources)[r] = c
+        extras = {}
+        for key, c in dict(positional or {}).items():
             if not 0 <= key[0] < n_resources:
                 raise AutomatonError(f"cost entry {key} names an unknown resource")
+            r, q, v, i = key
+            per = extras.setdefault((q, v), {})
+            per.setdefault(i, [0] * n_resources)[r] = c
+        self._set(
+            n_resources,
+            {key: tuple(vec) for key, vec in vectors.items()},
+            {key: {i: tuple(vec) for i, vec in per.items()} for key, per in extras.items()},
+        )
 
-    @property
-    def is_positional(self):
-        return bool(self.positional)
+    def _set(self, n_resources, base, positional):
+        # base and positional hold cost vectors as tuples.
+        shared = {}
+        self.n_resources = n_resources
+        self.base = {
+            key: shared.setdefault(vec, vec) for key, vec in base.items() if any(vec)
+        }
+        self.positional = {}
+        for key, per in positional.items():
+            per = {i: shared.setdefault(vec, vec) for i, vec in per.items() if any(vec)}
+            if per:
+                self.positional[key] = per
+
+    @classmethod
+    def _from_vectors(cls, n_resources, base, positional):
+        """Build from per-(state, symbol) cost vectors in the stored layout."""
+        costs = object.__new__(cls)
+        costs._set(n_resources, base, positional)
+        return costs
 
     def cost(self, r, q, v, i=None):
-        c = self.base.get((r, q, v), 0)
+        vec = self.base.get((q, v))
+        c = vec[r] if vec else 0
         if i is not None and self.positional:
-            c += self.positional.get((r, q, v, i), 0)
+            extra = self.positional.get((q, v), {}).get(i)
+            if extra:
+                c += extra[r]
         return c
 
 
 class WeightedDfa:
-    """A Dfa plus cost matrices and per-resource interval bounds on totals."""
+    """A Dfa plus cost matrices and per-resource interval bounds on totals.
 
-    __slots__ = ("dfa", "costs", "resource_bounds")
+    The automaton also owns the compiled arc tables of its runs (see
+    ``arc_table``), built on first use for each run length and freed with it.
+    """
+
+    __slots__ = ("dfa", "costs", "resource_bounds", "_tables")
 
     def __init__(self, dfa, costs=None, resource_bounds=()):
         resource_bounds = tuple((int(lo), int(hi)) for lo, hi in resource_bounds)
@@ -189,6 +260,7 @@ class WeightedDfa:
         self.dfa = dfa
         self.costs = costs
         self.resource_bounds = resource_bounds
+        self._tables = {}
 
     @classmethod
     def plain(cls, dfa):
@@ -217,13 +289,62 @@ class WeightedDfa:
             lo <= t <= hi for t, (lo, hi) in zip(totals, self.resource_bounds)
         )
 
-    def product(self, other, shared_resources=False):
+    def arc_table(self, n):
+        """Compiled arcs of the runs of length n, cached on the automaton.
+
+        ``table[i][q]`` is a tuple of arcs ``(q, v, q2, cost)`` leaving state
+        q at position i, one per symbol v whose target q2 can still reach an
+        accepting state.  ``cost`` is None for a zero cost vector, else the
+        packed envelope step ``(c_0.., -c_0..)`` (see ``envelopes``).  Layers
+        without positional costs share one per-state list.
+        """
+        table = self._tables.get(n)
+        if table is None:
+            table = self._tables[n] = self._compile(n)
+        return table
+
+    def _compile(self, n):
+        d = self.dfa
+        live = d._live_states()
+        base = self.costs.base
+        packed = {}
+
+        def arcs(q, extra):
+            out = []
+            for v, q2 in zip(d.alphabet, d._rows[q]):
+                if q2 not in live:
+                    continue
+                vec = base.get((q, v))
+                if v in extra:
+                    vec = extra[v] if vec is None else tuple(map(add, vec, extra[v]))
+                cost = None
+                if vec is not None and any(vec):
+                    cost = vec + tuple(-c for c in vec)
+                    cost = packed.setdefault(cost, cost)
+                out.append((q, v, q2, cost))
+            return tuple(out)
+
+        shared = [arcs(q, {}) for q in range(d.n_states)]
+        layers = [shared] * n
+        extras = {}
+        for (q, v), per in self.costs.positional.items():
+            for i, vec in per.items():
+                if 0 <= i < n and 0 <= q < d.n_states:
+                    extras.setdefault((i, q), {})[v] = vec
+        for (i, q), extra in extras.items():
+            if layers[i] is shared:
+                layers[i] = list(shared)
+            layers[i][q] = arcs(q, extra)
+        return layers
+
+    def product(self, other, shared_resources=False, max_states=None):
         """Synchronous product: language intersection, costs combined.
 
         With ``shared_resources`` both operands must expose the same resource
         vector and costs are added per resource; otherwise resource vectors are
         concatenated (self's resources first).  Only forward-reachable pair
-        states are kept.
+        states are kept.  With ``max_states`` the breadth-first build stops
+        with ProductTooLarge as soon as the product needs more states.
         """
         a, b = self.dfa, other.dfa
         if set(a.alphabet) != set(b.alphabet):
@@ -231,82 +352,164 @@ class WeightedDfa:
         if shared_resources and self.n_resources != other.n_resources:
             raise AutomatonError("shared-resource product needs equal resource counts")
         alphabet = a.alphabet
+        b_col = [b._col[v] for v in alphabet]
         index = {(a.start, b.start): 0}
         order = [(a.start, b.start)]
-        trans = {}
-        i = 0
-        while i < len(order):
-            qa, qb = order[i]
-            for v in alphabet:
-                pair = (a.step(qa, v), b.step(qb, v))
-                if pair not in index:
-                    index[pair] = len(order)
+        rows = []
+        for qa, qb in order:  # order grows while it is walked
+            row_a, row_b = a._rows[qa], b._rows[qb]
+            row = []
+            for ja, jb in enumerate(b_col):
+                pair = (row_a[ja], row_b[jb])
+                q = index.get(pair)
+                if q is None:
+                    q = index[pair] = len(order)
+                    if max_states is not None and q >= max_states:
+                        raise ProductTooLarge(
+                            f"product needs more than {max_states} states"
+                        )
                     order.append(pair)
-                trans[(i, v)] = index[pair]
-            i += 1
-        accepting = {
+                row.append(q)
+            rows.append(tuple(row))
+        accepting = [
             i for i, (qa, qb) in enumerate(order)
             if qa in a.accepting and qb in b.accepting
-        }
-        dfa = Dfa(len(order), alphabet, trans, 0, accepting)
+        ]
+        dfa = Dfa._from_rows(alphabet, rows, 0, accepting)
 
+        zero_a = (0,) * self.n_resources
+        zero_b = (0,) * other.n_resources
         if shared_resources:
             n_res = self.n_resources
             bounds = [
                 (l1 + l2, h1 + h2)
                 for (l1, h1), (l2, h2) in zip(self.resource_bounds, other.resource_bounds)
             ]
+
+            def combine(x, y):
+                return tuple(map(add, x, y))
         else:
             n_res = self.n_resources + other.n_resources
             bounds = list(self.resource_bounds) + list(other.resource_bounds)
+            combine = tuple.__add__
+        ca, cb = self.costs, other.costs
         base = {}
         positional = {}
         for i, (qa, qb) in enumerate(order):
             for v in alphabet:
-                for r in range(self.n_resources):
-                    c = self.costs.base.get((r, qa, v), 0)
-                    if shared_resources:
-                        c += other.costs.base.get((r, qb, v), 0)
-                    if c:
-                        base[(r, i, v)] = c
-                if not shared_resources:
-                    off = self.n_resources
-                    for r in range(other.n_resources):
-                        c = other.costs.base.get((r, qb, v), 0)
-                        if c:
-                            base[(off + r, i, v)] = c
-        for (r, q, v, pos), c in self.costs.positional.items():
-            for i, (qa, qb) in enumerate(order):
-                if qa == q:
-                    positional[(r, i, v, pos)] = positional.get((r, i, v, pos), 0) + c
-        off = 0 if shared_resources else self.n_resources
-        for (r, q, v, pos), c in other.costs.positional.items():
-            for i, (qa, qb) in enumerate(order):
-                if qb == q:
-                    key = (off + r if not shared_resources else r, i, v, pos)
-                    positional[key] = positional.get(key, 0) + c
-        return WeightedDfa(dfa, CostMatrices(n_res, base, positional), bounds)
+                x, y = ca.base.get((qa, v)), cb.base.get((qb, v))
+                if x or y:
+                    base[(i, v)] = combine(x or zero_a, y or zero_b)
+                px, py = ca.positional.get((qa, v), {}), cb.positional.get((qb, v), {})
+                if px or py:
+                    positional[(i, v)] = {
+                        pos: combine(px.get(pos, zero_a), py.get(pos, zero_b))
+                        for pos in px.keys() | py.keys()
+                    }
+        costs = CostMatrices._from_vectors(n_res, base, positional)
+        return WeightedDfa(dfa, costs, bounds)
 
     def with_resources(self, keep, bounds=None):
         """Project onto the resources listed in ``keep`` (in that order)."""
         keep = list(keep)
-        remap = {old: new for new, old in enumerate(keep)}
-        base = {
-            (remap[r], q, v): c
-            for (r, q, v), c in self.costs.base.items()
-            if r in remap
-        }
+        picked = {}
+
+        def pick(vec):
+            # Vectors are shared tuples, so each distinct one is projected once.
+            out = picked.get(vec)
+            if out is None:
+                out = picked[vec] = tuple(vec[r] for r in keep)
+            return out
+
+        base = {key: pick(vec) for key, vec in self.costs.base.items()}
         positional = {
-            (remap[r], q, v, i): c
-            for (r, q, v, i), c in self.costs.positional.items()
-            if r in remap
+            key: {i: pick(vec) for i, vec in per.items()}
+            for key, per in self.costs.positional.items()
         }
         if bounds is None:
             bounds = [self.resource_bounds[r] for r in keep]
-        return WeightedDfa(self.dfa, CostMatrices(len(keep), base, positional), bounds)
+        costs = CostMatrices._from_vectors(len(keep), base, positional)
+        return WeightedDfa(self.dfa, costs, bounds)
 
-    def with_bounds(self, bounds):
-        return WeightedDfa(self.dfa, self.costs, bounds)
+
+class ProductTooLarge(AutomatonError):
+    """A product build passed its ``max_states`` limit."""
+
+
+# -- layered graph of runs ------------------------------------------------------
+#
+# The graph of the runs of length n has one layer per position; its arcs are
+# the compiled ``(q, v, q2, cost)`` tuples of ``WeightedDfa.arc_table``, held
+# in one list per layer.  ``Mcr`` and ``achievable_totals`` both run on it.
+
+
+def layered_arcs(wdfa, n, doms=None):
+    """Arcs reachable from the start state, using only symbols in doms[i] at
+    position i (every symbol when doms is None).  Returns the per-layer arc
+    lists and the set of states reached after the last layer."""
+    reach = (wdfa.dfa.start,)
+    arcs = []
+    for i, table in enumerate(wdfa.arc_table(n)):
+        if doms is None:
+            layer = [a for q in reach for a in table[q]]
+        else:
+            dom = doms[i]
+            layer = [a for q in reach for a in table[q] if a[1] in dom]
+        arcs.append(layer)
+        reach = {a[2] for a in layer}
+    return arcs, set(reach)
+
+
+def trim_forward(arcs, start):
+    """Drop, in place, arcs whose source is no longer reachable from start;
+    returns the states reached after the last layer."""
+    reach = {start}
+    for i, layer in enumerate(arcs):
+        arcs[i] = layer = [a for a in layer if a[0] in reach]
+        reach = {a[2] for a in layer}
+    return reach
+
+
+def trim_backward(arcs, finals):
+    """Drop, in place, arcs whose target cannot reach a state of finals at
+    the end; returns the states that still start a run (the start state
+    alone, or nothing, when the arcs came from a forward pass)."""
+    live = finals
+    for i in range(len(arcs) - 1, -1, -1):
+        arcs[i] = layer = [a for a in arcs[i] if a[2] in live]
+        live = {a[0] for a in layer}
+    return live
+
+
+def envelopes(arcs, seeds, n_resources, backward=False):
+    """Per-layer cost envelopes of the paths from the seed states.
+
+    An envelope packs the per-resource minimum and negated maximum path cost
+    as ``(min_0.., -max_0..)``, so adding a packed arc cost moves both bounds
+    and one elementwise ``min`` merges two envelopes.  Forward, ``out[i][q]``
+    covers the paths from the seeds at layer 0 to q at layer i; backward, the
+    paths from q at layer i to the seeds at the last layer.
+    """
+    zero = (0,) * (2 * n_resources)
+    cur = dict.fromkeys(seeds, zero)
+    out = [cur]
+    for layer in reversed(arcs) if backward else arcs:
+        nxt = {}
+        for q, _, q2, cost in layer:
+            if backward:
+                q, q2 = q2, q
+            env = cur[q]
+            if cost is not None:
+                env = tuple(map(add, env, cost))
+            old = nxt.get(q2)
+            if old is not None and old is not env:
+                env = tuple(map(min, old, env))
+            nxt[q2] = env
+        out.append(nxt)
+        cur = nxt
+    if backward:
+        out.reverse()
+    return out
 
 
 @dataclass(frozen=True)
@@ -386,10 +589,7 @@ def unfold_counters(cdfa):
                 index[key] = len(order)
                 order.append(key)
             trans[(i, v)] = index[key]
-            for r in range(m):
-                delta = d2[r] - d[r]
-                if delta:
-                    base[(r, i, v)] = delta
+            base[(i, v)] = tuple(map(sub, d2, d))
         i += 1
 
     if any(init):
@@ -399,10 +599,7 @@ def unfold_counters(cdfa):
         fresh = len(order)
         for v in alphabet:
             trans[(fresh, v)] = trans[(0, v)]
-            for r in range(m):
-                c = base.get((r, 0, v), 0) + init[r]
-                if c:
-                    base[(r, fresh, v)] = c
+            base[(fresh, v)] = tuple(map(add, base[(0, v)], init))
         accepting = {
             i for i, (q, _) in enumerate(order) if q in dfa.accepting
         }
@@ -413,7 +610,7 @@ def unfold_counters(cdfa):
         accepting = {i for i, (q, _) in enumerate(order) if q in dfa.accepting}
         out = Dfa(len(order), alphabet, trans, 0, accepting)
     bounds = [(0, c.size - 1) for c in cdfa.counters]
-    return WeightedDfa(out, CostMatrices(m, base), bounds)
+    return WeightedDfa(out, CostMatrices._from_vectors(m, base, {}), bounds)
 
 
 def universal_dfa(alphabet):
@@ -711,13 +908,17 @@ def dump_automaton(wdfa):
     for r, (lo, hi) in enumerate(wdfa.resource_bounds):
         lines.append(f"bound {r} {lo} {hi}")
     for q, v, q2 in d.transitions():
-        costs = []
-        for r in range(wdfa.n_resources):
-            c = wdfa.costs.base.get((r, q, v), 0)
-            if c:
-                costs.append(f"{r}:{c}")
+        vec = wdfa.costs.base.get((q, v), ())
+        costs = [f"{r}:{c}" for r, c in enumerate(vec) if c]
         lines.append(f"trans {q} {v} {q2}" + ("" if not costs else " " + " ".join(costs)))
-    for (r, q, v, i), c in sorted(wdfa.costs.positional.items()):
+    extras = sorted(
+        (r, q, v, i, c)
+        for (q, v), per in wdfa.costs.positional.items()
+        for i, vec in per.items()
+        for r, c in enumerate(vec)
+        if c
+    )
+    for r, q, v, i, c in extras:
         lines.append(f"poscost {q} {v} {i} {r}:{c}")
     return "\n".join(lines) + "\n"
 

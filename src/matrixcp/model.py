@@ -17,10 +17,14 @@ them to external integers (used by column sums and all I/O).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .automata import (
+    ProductTooLarge,
     WeightedDfa,
+    envelopes,
+    layered_arcs,
     build_sliding_word_counter,
     build_stretch_count,
     build_stretch_length_bounds,
@@ -158,37 +162,16 @@ class MatrixModel:
 def achievable_totals(wdfa, n):
     """Per-resource (lo, hi) of totals over accepted length-n words,
     intersected with the declared resource bounds; None when infeasible."""
-    d = wdfa.dfa
     nres = wdfa.n_resources
-    cost = wdfa.costs.cost
-    cur = {d.start: ([0] * nres, [0] * nres)}
-    for i in range(n):
-        nxt = {}
-        for q, (lo, hi) in cur.items():
-            for v in d.alphabet:
-                q2 = d.step(q, v)
-                cs = [cost(r, q, v, i) for r in range(nres)]
-                entry = nxt.get(q2)
-                if entry is None:
-                    nxt[q2] = (
-                        [lo[r] + cs[r] for r in range(nres)],
-                        [hi[r] + cs[r] for r in range(nres)],
-                    )
-                else:
-                    nlo, nhi = entry
-                    for r in range(nres):
-                        if lo[r] + cs[r] < nlo[r]:
-                            nlo[r] = lo[r] + cs[r]
-                        if hi[r] + cs[r] > nhi[r]:
-                            nhi[r] = hi[r] + cs[r]
-        cur = nxt
-    acc = [entry for q, entry in cur.items() if q in d.accepting]
-    if not acc:
+    arcs, reach = layered_arcs(wdfa, n)
+    finals = reach & wdfa.dfa.accepting
+    if not finals:
         return None
+    last = envelopes(arcs, (wdfa.dfa.start,), nres)[n]
     out = []
     for r in range(nres):
-        lo = min(e[0][r] for e in acc)
-        hi = max(e[1][r] for e in acc)
+        lo = min(last[q][r] for q in finals)
+        hi = -min(last[q][nres + r] for q in finals)
         blo, bhi = wdfa.resource_bounds[r]
         lo, hi = max(lo, blo), min(hi, bhi)
         if lo > hi:
@@ -316,9 +299,10 @@ def _post_measuring_rows(b, model, mode, wdfa, cross_cap):
     rows = []
     crossed = None
     if mode == "cwa":
-        candidate = model.row_rule.product(wdfa)
-        if candidate.dfa.n_states <= cross_cap:
-            crossed = candidate
+        try:
+            crossed = model.row_rule.product(wdfa, max_states=cross_cap)
+        except ProductTooLarge:
+            pass
     for i in range(R):
         zs = [
             store.new_var(range(lo, hi + 1), bc=True) for (lo, hi) in ranges
@@ -453,6 +437,9 @@ def root_prune(model, mode, aggregate_words=False):
 
 
 class SolveOutcome:
+    """Result of ``solve``; ``elapsed`` is the wall time from the start of
+    ``solve``, so it includes building the model."""
+
     __slots__ = ("status", "grid", "stats", "elapsed", "built")
 
     def __init__(self, status, grid, stats, elapsed, built):
@@ -468,16 +455,17 @@ def solve(model, mode="decomp", time_limit=None, aggregate_words=False,
     """Build and search; returns a SolveOutcome with the external-value grid."""
     from .engine import SearchStats
 
+    t0 = time.monotonic()
     b = build(model, mode, aggregate_words=aggregate_words)
     if b.root_infeasible:
         stats = SearchStats()
         stats.failures = 1
         stats.root_failure = True
-        return SolveOutcome("unsat", None, stats, 0.0, b)
+        return SolveOutcome("unsat", None, stats, time.monotonic() - t0, b)
     wrapped = None
     if on_solution is not None:
         wrapped = lambda sol: on_solution(b.grid_of(sol))
     res = search(b.store, b.branch_vars, time_limit=time_limit,
                  on_solution=wrapped)
     grid = b.grid_of(res.solution) if res.solution is not None else None
-    return SolveOutcome(res.status, grid, res.stats, res.elapsed, b)
+    return SolveOutcome(res.status, grid, res.stats, time.monotonic() - t0, b)

@@ -7,6 +7,15 @@ does not reschedule the propagator that is currently running.
 
 from __future__ import annotations
 
+from operator import add, gt
+
+from .automata import (
+    WeightedDfa,
+    envelopes,
+    layered_arcs,
+    trim_backward,
+    trim_forward,
+)
 from .engine import Inconsistent, Propagator
 
 
@@ -17,11 +26,16 @@ def _ceil_div(a, b):
 class Mcr(Propagator):
     """Weighted-automaton row propagator.
 
-    Maintains the layered graph of automaton runs over the row variables,
-    trims arcs whose per-resource through-cost interval misses the resource
-    variable bounds, tightens the resource variables to the surviving path
-    cost range, and finally restricts each row variable to the symbols used by
-    some surviving arc.  With zero resources this is exact domain consistency
+    Runs on the layered graph of automaton runs over the row variables
+    (Pesant's regular, with the multi-resource envelopes of multicost-regular).
+    The arcs come from the automaton's compiled arc table
+    (``WeightedDfa.arc_table``), which the automaton owns and every row posted
+    with it shares.  Each run gathers the arcs reachable through the current
+    domains once, then trims those lists until a fixpoint: arcs off every
+    accepting run go, the resource variables are tightened to the path cost
+    envelope, and arcs whose per-resource through-cost interval misses the
+    resource bounds are cut.  Each row variable finally keeps the symbols of
+    its surviving arcs.  With zero resources this is exact domain consistency
     for the plain automaton membership constraint.
     """
 
@@ -41,124 +55,58 @@ class Mcr(Propagator):
         n = len(self.xs)
         d = self.wdfa.dfa
         nres = self.wdfa.n_resources
-        cost = self.wdfa.costs.cost
-        removed = set()
+        zs = self.zs
+        arcs, reach = layered_arcs(self.wdfa, n, [store.dom(x) for x in self.xs])
 
         while True:
-            doms = [store.dom(x) for x in self.xs]
-            fwd = [set() for _ in range(n + 1)]
-            fwd[0].add(d.start)
-            for i in range(n):
-                nxt = fwd[i + 1]
-                for q in fwd[i]:
-                    for v in doms[i]:
-                        if (i, q, v) not in removed:
-                            nxt.add(d.step(q, v))
-            node = [set() for _ in range(n + 1)]
-            node[n] = fwd[n] & d.accepting
-            if not node[n]:
+            finals = reach & d.accepting
+            if d.start not in trim_backward(arcs, finals):
                 raise Inconsistent("row automaton has no accepting run")
-            arcs = [[] for _ in range(n)]
-            for i in range(n - 1, -1, -1):
-                keep = node[i + 1]
-                grow = node[i]
-                for q in fwd[i]:
-                    for v in doms[i]:
-                        if (i, q, v) in removed:
-                            continue
-                        q2 = d.step(q, v)
-                        if q2 in keep:
-                            arcs[i].append((q, v, q2))
-                            grow.add(q)
-            if d.start not in node[0]:
-                raise Inconsistent("row automaton has no accepting run")
-
             if nres == 0:
                 break
 
-            # Forward / backward per-resource cost envelopes over the trimmed
-            # graph.  Every node in node[] lies on some start-accept path, so
-            # both tables are total on it.
-            fmin = [{} for _ in range(n + 1)]
-            fmax = [{} for _ in range(n + 1)]
-            fmin[0][d.start] = [0] * nres
-            fmax[0][d.start] = [0] * nres
-            for i in range(n):
-                for q, v, q2 in arcs[i]:
-                    lo = fmin[i].get(q)
-                    if lo is None:
-                        continue
-                    hi = fmax[i][q]
-                    cs = [cost(r, q, v, i) for r in range(nres)]
-                    nlo = fmin[i + 1].get(q2)
-                    if nlo is None:
-                        fmin[i + 1][q2] = [lo[r] + cs[r] for r in range(nres)]
-                        fmax[i + 1][q2] = [hi[r] + cs[r] for r in range(nres)]
-                    else:
-                        nhi = fmax[i + 1][q2]
-                        for r in range(nres):
-                            if lo[r] + cs[r] < nlo[r]:
-                                nlo[r] = lo[r] + cs[r]
-                            if hi[r] + cs[r] > nhi[r]:
-                                nhi[r] = hi[r] + cs[r]
-            bmin = [{} for _ in range(n + 1)]
-            bmax = [{} for _ in range(n + 1)]
-            for q in node[n]:
-                bmin[n][q] = [0] * nres
-                bmax[n][q] = [0] * nres
-            for i in range(n - 1, -1, -1):
-                for q, v, q2 in arcs[i]:
-                    lo = bmin[i + 1].get(q2)
-                    if lo is None:
-                        continue
-                    hi = bmax[i + 1][q2]
-                    cs = [cost(r, q, v, i) for r in range(nres)]
-                    nlo = bmin[i].get(q)
-                    if nlo is None:
-                        bmin[i][q] = [lo[r] + cs[r] for r in range(nres)]
-                        bmax[i][q] = [hi[r] + cs[r] for r in range(nres)]
-                    else:
-                        nhi = bmax[i][q]
-                        for r in range(nres):
-                            if lo[r] + cs[r] < nlo[r]:
-                                nlo[r] = lo[r] + cs[r]
-                            if hi[r] + cs[r] > nhi[r]:
-                                nhi[r] = hi[r] + cs[r]
-
-            for r in range(nres):
-                lo = min(fmin[n][q][r] for q in node[n])
-                hi = max(fmax[n][q][r] for q in node[n])
-                store.set_min(self.zs[r], lo)
-                store.set_max(self.zs[r], hi)
-
-            zb = [(store.vmin(z), store.vmax(z)) for z in self.zs]
-            new_kill = []
-            for i in range(n):
-                for q, v, q2 in arcs[i]:
-                    f_lo, f_hi = fmin[i][q], fmax[i][q]
-                    b_lo, b_hi = bmin[i + 1][q2], bmax[i + 1][q2]
-                    for r in range(nres):
-                        c = cost(r, q, v, i)
-                        if (
-                            f_hi[r] + c + b_hi[r] < zb[r][0]
-                            or f_lo[r] + c + b_lo[r] > zb[r][1]
-                        ):
-                            new_kill.append((i, q, v))
-                            break
-            if not new_kill:
+            fwd = envelopes(arcs, (d.start,), nres)
+            env = None
+            for q in finals:
+                e = fwd[n][q]
+                env = e if env is None else tuple(map(min, env, e))
+            for r, z in enumerate(zs):
+                store.set_min(z, env[r])
+                store.set_max(z, -env[nres + r])
+            lo = [store.vmin(z) for z in zs]
+            hi = [store.vmax(z) for z in zs]
+            if lo == list(env[:nres]) and hi == [-e for e in env[nres:]]:
+                # Every arc lies on a path whose total is within the bounds.
                 break
-            removed.update(new_kill)
 
-        for i in range(n):
-            store.keep_values(self.xs[i], {v for (_, v, _) in arcs[i]})
+            bwd = envelopes(arcs, finals, nres, backward=True)
+            # An arc's packed through-cost (min_r.., -max_r..) exceeds this in
+            # some slot exactly when min_r > zmax_r or max_r < zmin_r.
+            limit = hi + [-x for x in lo]
+            cut = False
+            for i, layer in enumerate(arcs):
+                f, b = fwd[i], bwd[i + 1]
+                kept = []
+                for a in layer:
+                    through = map(add, f[a[0]], b[a[2]])
+                    if a[3] is not None:
+                        through = map(add, through, a[3])
+                    if any(map(gt, through, limit)):
+                        cut = True
+                    else:
+                        kept.append(a)
+                arcs[i] = kept
+            if not cut:
+                break
+            reach = trim_forward(arcs, d.start)
+
+        for x, layer in zip(self.xs, arcs):
+            store.keep_values(x, {a[1] for a in layer})
 
 
-def regular_dc(xs, dfa, weighted=None):
+def regular_dc(xs, dfa):
     """Domain-consistency propagator for plain automaton membership."""
-    from .automata import WeightedDfa
-
-    w = weighted if weighted is not None else WeightedDfa.plain(dfa)
-    return Mcr(xs, [], w.with_resources([]))
+    return Mcr(xs, [], WeightedDfa.plain(dfa))
 
 
 class GccColumn(Propagator):

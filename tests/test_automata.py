@@ -7,6 +7,7 @@ from matrixcp.automata import (
     AutomatonError,
     CostMatrices,
     Dfa,
+    ProductTooLarge,
     WeightedDfa,
     build_gcc_weights,
     build_sliding_word_counter,
@@ -277,6 +278,20 @@ class TestProduct:
             assert okp == (oka and okb)
             if okp:
                 assert cp == tuple(x + y for x, y in zip(ca, cb))
+
+    def test_max_states_stops_build(self):
+        def counter(sym, size=300):
+            """Counts sym modulo size; accepts at count 0."""
+            trans = {(q, v): (q + (v == sym)) % size
+                     for q in range(size) for v in (0, 1)}
+            return WeightedDfa.plain(Dfa(size, (0, 1), trans, 0, {0}))
+
+        # The full product has 90,000 reachable states; the build stops at 51.
+        with pytest.raises(ProductTooLarge):
+            counter(0).product(counter(1), max_states=50)
+        # Equal counters cross to the 300-state diagonal, which fits exactly.
+        same = counter(0).product(counter(0), max_states=300)
+        assert same.dfa.n_states == 300
 
 
 class TestCounterUnfolding:

@@ -1,8 +1,11 @@
 import random
+import time
 
 import pytest
 
+import matrixcp.model
 from matrixcp.automata import (
+    WeightedDfa,
     build_gcc_weights,
     build_sliding_word_counter,
     stretch_length_dfa,
@@ -21,6 +24,7 @@ from matrixcp.model import (
     solve,
 )
 from matrixcp.oracle import brute_solutions, brute_solve, check_solution
+from matrixcp.propagators import Mcr
 
 
 def permutation_model(n):
@@ -113,6 +117,24 @@ class TestSolve:
         solve(ordered, mode="decomp",
               on_solution=lambda g: (seen.append(tuple(map(tuple, g))), False)[1])
         assert len(seen) == 3  # the two mirrored unequal-row grids collapse
+
+    def test_elapsed_includes_build(self, monkeypatch):
+        build_s = []
+
+        def timed_build(*args, **kwargs):
+            t0 = time.monotonic()
+            b = build(*args, **kwargs)
+            build_s.append(time.monotonic() - t0)
+            return b
+
+        monkeypatch.setattr(matrixcp.model, "build", timed_build)
+        out = solve(permutation_model(4), mode="cwa")
+        assert out.status == "sat"
+        assert out.elapsed >= build_s[-1] > 0
+        rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(5, 9)])
+        out = solve(MatrixModel(2, 3, (0, 1), rule), mode="cwa")
+        assert out.stats.root_failure
+        assert out.elapsed >= build_s[-1] > 0
 
     def test_time_limit_reports_timeout(self):
         m = gen_random(321, 6, 6, 3)
@@ -234,6 +256,35 @@ class TestBuilt:
         m = permutation_model(2)
         b = build(m, "decomp")
         assert len(b.branch_vars) == 4
+
+    def test_cwa_over_cross_cap_falls_back_uncrossed(self, monkeypatch):
+        caps = []
+        product = WeightedDfa.product
+
+        def spy(self, other, *args, **kwargs):
+            caps.append(kwargs.get("max_states"))
+            return product(self, other, *args, **kwargs)
+
+        monkeypatch.setattr(WeightedDfa, "product", spy)
+        prop = StretchCountProp({1})
+        rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(1, 2)])
+        m = MatrixModel(2, 3, (0, 1), rule, properties=[prop])
+
+        def measuring_mcr(b):
+            z = b.prop_z[prop][0][0]
+            (p,) = [p for p in b.store._watchers[z] if isinstance(p, Mcr)]
+            return p
+
+        crossed = build(m, "cwa", cross_cap=2)
+        p = measuring_mcr(crossed)
+        assert p.zs == crossed.rule_z[0] + crossed.prop_z[prop][0]
+        # The product has 2 states; a cap of 1 stops its build at the
+        # second and posts the measuring automaton alone.
+        fallback = build(m, "cwa", cross_cap=1)
+        p = measuring_mcr(fallback)
+        assert p.zs == fallback.prop_z[prop][0]
+        assert p.wdfa.n_resources == 1 and p.wdfa.dfa.n_states == 2
+        assert caps == [2, 1]
 
     def test_root_infeasible_shortcut(self):
         # a rule whose bounds admit no length-K word at all
