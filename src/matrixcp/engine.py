@@ -3,7 +3,8 @@
 Variables hold small integer domains.  Propagators subscribe to variables and
 are woken on any domain change; a two-priority FIFO queue (cheap counting
 propagators first) runs them to a fixpoint.  Changes are trailed so search can
-backtrack without copying the store.
+backtrack without copying the store.  The store also owns a memo of
+propagator filter results, trailed with the domains (see ``Store.memo``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ class Inconsistent(Exception):
 class Domain:
     """Set of candidate integers, optionally bounds-consistency only.
 
+    ``values`` is a frozenset that every change replaces, never mutates: the
+    trail keeps the replaced set, and a memo key can hold the current one.
+
     A bc domain ignores removals strictly inside its hull: only updates that
     move a bound (or empty the domain) take effect.  This mirrors solvers that
     treat some variables (counters, totals) as intervals.
@@ -27,7 +31,7 @@ class Domain:
     __slots__ = ("values", "bc")
 
     def __init__(self, values, bc=False):
-        self.values = set(values)
+        self.values = frozenset(values)
         self.bc = bc
         if not self.values:
             raise Inconsistent("empty initial domain")
@@ -53,14 +57,23 @@ class Domain:
 
 
 class Store:
-    """Variable store with trailing and two-priority propagation queues."""
+    """Variable store with trailing and two-priority propagation queues.
+
+    ``memo`` maps the full input of a pure propagator filter to its result,
+    so a propagator that sees an input again on the current search path
+    replays the result instead of filtering again.  It is trailed like the
+    domains: ``mark`` records its size and ``undo`` drops the entries made
+    since, so it holds at most the results made along the current path and
+    nothing outlives the store.
+    """
 
     def __init__(self):
         self.domains: list[Domain] = []
         self.names: list[str] = []
+        self.memo: dict = {}
         self._watchers: list[list] = []
         self._trail: list[tuple[int, frozenset]] = []
-        self._marks: list[int] = []
+        self._marks: list[tuple[int, int]] = []
         self._queue = [deque(), deque()]
         self._queued = set()
         self._running = None
@@ -96,13 +109,14 @@ class Store:
     # -- domain operations (trail + wake) ------------------------------------
 
     def _commit(self, vid, new_values):
+        # new_values is always a subset of the domain, so an equal size
+        # means no change.
         dom = self.domains[vid]
-        removed = dom.values - new_values
-        if not removed:
+        if len(new_values) == len(dom.values):
             return False
         if not new_values:
             raise Inconsistent(self.names[vid])
-        self._trail.append((vid, frozenset(removed)))
+        self._trail.append((vid, dom.values))
         dom.values = new_values
         for prop in self._watchers[vid]:
             if prop is not self._running:
@@ -112,10 +126,10 @@ class Store:
     def keep_values(self, vid, allowed):
         """Restrict a variable to the given value set."""
         dom = self.domains[vid]
-        new_values = dom.values & set(allowed)
+        new_values = dom.values.intersection(allowed)
         if dom.bc and new_values:
             lo, hi = min(new_values), max(new_values)
-            new_values = {v for v in dom.values if lo <= v <= hi}
+            new_values = frozenset([v for v in dom.values if lo <= v <= hi])
         return self._commit(vid, new_values)
 
     def remove_value(self, vid, v):
@@ -129,30 +143,37 @@ class Store:
     def assign(self, vid, v):
         if v not in self.domains[vid].values:
             raise Inconsistent(self.names[vid])
-        return self._commit(vid, {v})
+        return self._commit(vid, frozenset((v,)))
 
     def set_min(self, vid, lo):
         dom = self.domains[vid]
         if lo <= dom.min():
             return False
-        return self._commit(vid, {v for v in dom.values if v >= lo})
+        return self._commit(vid, frozenset([v for v in dom.values
+                                            if v >= lo]))
 
     def set_max(self, vid, hi):
         dom = self.domains[vid]
         if hi >= dom.max():
             return False
-        return self._commit(vid, {v for v in dom.values if v <= hi})
+        return self._commit(vid, frozenset([v for v in dom.values
+                                            if v <= hi]))
 
     # -- trail ---------------------------------------------------------------
 
     def mark(self):
-        self._marks.append(len(self._trail))
+        self._marks.append((len(self._trail), len(self.memo)))
 
     def undo(self):
-        back_to = self._marks.pop()
+        back_to, memo_size = self._marks.pop()
         while len(self._trail) > back_to:
-            vid, removed = self._trail.pop()
-            self.domains[vid].values |= removed
+            vid, values = self._trail.pop()
+            self.domains[vid].values = values
+        # Entries are only ever added, so the newest ones (which popitem
+        # removes first) are exactly those made since the mark.
+        memo = self.memo
+        for _ in range(len(memo) - memo_size):
+            memo.popitem()
 
     # -- propagation ---------------------------------------------------------
 

@@ -452,7 +452,12 @@ class SolveOutcome:
 
 def solve(model, mode="decomp", time_limit=None, aggregate_words=False,
           on_solution=None):
-    """Build and search; returns a SolveOutcome with the external-value grid."""
+    """Build and search; returns a SolveOutcome with the external-value grid.
+
+    ``time_limit`` counts from the start of ``build``: search gets what the
+    build left, and a build that uses it all up ends in "timeout" unless it
+    already proved the model unsat.
+    """
     from .engine import SearchStats
 
     t0 = time.monotonic()
@@ -462,10 +467,16 @@ def solve(model, mode="decomp", time_limit=None, aggregate_words=False,
         stats.failures = 1
         stats.root_failure = True
         return SolveOutcome("unsat", None, stats, time.monotonic() - t0, b)
+    remaining = None
+    if time_limit is not None:
+        remaining = time_limit - (time.monotonic() - t0)
+        if remaining <= 0:
+            return SolveOutcome("timeout", None, SearchStats(),
+                                time.monotonic() - t0, b)
     wrapped = None
     if on_solution is not None:
         wrapped = lambda sol: on_solution(b.grid_of(sol))
-    res = search(b.store, b.branch_vars, time_limit=time_limit,
+    res = search(b.store, b.branch_vars, time_limit=remaining,
                  on_solution=wrapped)
     grid = b.grid_of(res.solution) if res.solution is not None else None
     return SolveOutcome(res.status, grid, res.stats, time.monotonic() - t0, b)

@@ -16,7 +16,7 @@ from .automata import (
     trim_backward,
     trim_forward,
 )
-from .engine import Inconsistent, Propagator
+from .engine import Inconsistent, Propagator, Store
 
 
 def _ceil_div(a, b):
@@ -30,13 +30,21 @@ class Mcr(Propagator):
     (Pesant's regular, with the multi-resource envelopes of multicost-regular).
     The arcs come from the automaton's compiled arc table
     (``WeightedDfa.arc_table``), which the automaton owns and every row posted
-    with it shares.  Each run gathers the arcs reachable through the current
+    with it shares.  The filter gathers the arcs reachable through the cell
     domains once, then trims those lists until a fixpoint: arcs off every
-    accepting run go, the resource variables are tightened to the path cost
+    accepting run go, the resource bounds are tightened to the path cost
     envelope, and arcs whose per-resource through-cost interval misses the
     resource bounds are cut.  Each row variable finally keeps the symbols of
     its surviving arcs.  With zero resources this is exact domain consistency
     for the plain automaton membership constraint.
+
+    The filter (``filter``) is a pure function of the automaton, the cell
+    domains and the resource bounds: resource variables are read only by
+    their bounds, as intervals.  It returns the store operations to make, by
+    position in the row, and whether the row fails after them.  ``run`` keys
+    that result by its input in the store's trailed ``memo``, so every row
+    posted with the same automaton that sees the same input on the current
+    search path replays the result on its own variables without filtering.
     """
 
     priority = 1
@@ -47,21 +55,48 @@ class Mcr(Propagator):
         self.wdfa = wdfa
         if len(self.zs) != wdfa.n_resources:
             raise ValueError("one resource variable per cost matrix required")
+        self._vars = self.xs + self.zs
 
     def variables(self):
-        return self.xs + self.zs
+        return self._vars
 
     def run(self, store):
-        n = len(self.xs)
+        cells = [store.dom(x) for x in self.xs]
+        lo = [store.vmin(z) for z in self.zs]
+        hi = [store.vmax(z) for z in self.zs]
+        key = (self.wdfa, *cells, *lo, *hi)
+        result = store.memo.get(key)
+        if result is None:
+            result = store.memo[key] = self.filter(cells, lo, hi)
+        ops, failed = result
+        vs = self._vars
+        for op, pos, arg in ops:
+            op(store, vs[pos], arg)
+        if failed:
+            raise Inconsistent("row automaton has no accepting run")
+
+    def filter(self, cells, lo, hi):
+        """Filter cell domains ``cells`` and resource bounds ``lo``/``hi``.
+
+        Returns ``(ops, failed)``: ``ops`` lists ``(Store method, position,
+        argument)`` in the order they are to be applied, positions counting
+        the cells first and then the resources; ``failed`` says that the row
+        has no accepting run within the bounds once they are applied.  An
+        operation that empties a resource ends the list with ``failed``
+        set, so a replay makes the same bound changes before it fails.
+        """
+        n = len(cells)
         d = self.wdfa.dfa
         nres = self.wdfa.n_resources
-        zs = self.zs
-        arcs, reach = layered_arcs(self.wdfa, n, [store.dom(x) for x in self.xs])
+        lo = list(lo)
+        hi = list(hi)
+        ops = []
+        arcs, reach = layered_arcs(self.wdfa, n, cells)
 
         while True:
             finals = reach & d.accepting
             if d.start not in trim_backward(arcs, finals):
-                raise Inconsistent("row automaton has no accepting run")
+                return ops, True
             if nres == 0:
                 break
 
@@ -70,11 +105,19 @@ class Mcr(Propagator):
             for q in finals:
                 e = fwd[n][q]
                 env = e if env is None else tuple(map(min, env, e))
-            for r, z in enumerate(zs):
-                store.set_min(z, env[r])
-                store.set_max(z, -env[nres + r])
-            lo = [store.vmin(z) for z in zs]
-            hi = [store.vmax(z) for z in zs]
+            for r in range(nres):
+                v = env[r]
+                if v > lo[r]:
+                    ops.append((Store.set_min, n + r, v))
+                    if v > hi[r]:
+                        return ops, True
+                    lo[r] = v
+                v = -env[nres + r]
+                if v < hi[r]:
+                    ops.append((Store.set_max, n + r, v))
+                    if v < lo[r]:
+                        return ops, True
+                    hi[r] = v
             if lo == list(env[:nres]) and hi == [-e for e in env[nres:]]:
                 # Every arc lies on a path whose total is within the bounds.
                 break
@@ -100,8 +143,11 @@ class Mcr(Propagator):
                 break
             reach = trim_forward(arcs, d.start)
 
-        for x, layer in zip(self.xs, arcs):
-            store.keep_values(x, {a[1] for a in layer})
+        for i, layer in enumerate(arcs):
+            symbols = frozenset(a[1] for a in layer)
+            if len(symbols) < len(cells[i]):
+                ops.append((Store.keep_values, i, symbols))
+        return ops, False
 
 
 def regular_dc(xs, dfa):
@@ -280,20 +326,24 @@ class SumE(Expr):
             hi += chi
         return lo, hi
 
+    # Each child's bounds are read once, before any child is pushed.  Pushes
+    # only tighten bounds, so limits derived from the earlier reads stay
+    # sound; the caller iterates to a fixpoint.
+
     def push_le(self, store, hi):
-        lo_sum = sum(ch.bounds(store)[0] for ch in self.children)
+        los = [ch.bounds(store)[0] for ch in self.children]
+        slack = hi - sum(los)
         changed = False
-        for ch in self.children:
-            clo = ch.bounds(store)[0]
-            changed |= ch.push_le(store, hi - (lo_sum - clo))
+        for ch, clo in zip(self.children, los):
+            changed |= ch.push_le(store, slack + clo)
         return changed
 
     def push_ge(self, store, lo):
-        hi_sum = sum(ch.bounds(store)[1] for ch in self.children)
+        his = [ch.bounds(store)[1] for ch in self.children]
+        slack = lo - sum(his)
         changed = False
-        for ch in self.children:
-            chi = ch.bounds(store)[1]
-            changed |= ch.push_ge(store, lo - (hi_sum - chi))
+        for ch, chi in zip(self.children, his):
+            changed |= ch.push_ge(store, slack + chi)
         return changed
 
 
@@ -536,8 +586,8 @@ class StretchLengthWindows(Propagator):
     cards[k] is an expression for the number of tracked symbols in column k;
     zmin/zmax are shared stretch-length extremes over all rows.  The windows
     are instantiated at the weakest sound point of the current zmin/zmax box
-    (zmin at its lower bound, zmax at its upper bound) and re-derived on every
-    run, so they tighten as the length bounds tighten.
+    (zmin at its lower bound, zmax at its upper bound) and re-derived whenever
+    that point moves, so they tighten as the length bounds tighten.
     """
 
     priority = 0
@@ -552,6 +602,8 @@ class StretchLengthWindows(Propagator):
                 [v for c in self.cards for v in c.vids()] + [zmin, zmax]
             )
         )
+        self._box = None
+        self._rels = []
 
     def variables(self):
         return self._vids
@@ -564,10 +616,8 @@ class StretchLengthWindows(Propagator):
         nxt = ConstE(0) if k == len(self.cards) - 1 else self.cards[k + 1]
         return MaxE([ConstE(0), SumE([self.cards[k], ScaleE(-1, nxt)])])
 
-    def _build(self, store):
+    def _build(self, a, b):
         K = len(self.cards)
-        a = store.vmin(self.zmin)
-        b = store.vmax(self.zmax)
         rels = []
         for k in range(K):
             j0 = max(0, k - a + 1)
@@ -615,7 +665,13 @@ class StretchLengthWindows(Propagator):
         return rels
 
     def run(self, store):
-        rels = self._build(store)
+        # The windows depend only on this point, so they are rebuilt only
+        # when it moves (including back, on backtracking).
+        box = (store.vmin(self.zmin), store.vmax(self.zmax))
+        if box != self._box:
+            self._box = box
+            self._rels = self._build(*box)
+        rels = self._rels
         changed = True
         while changed:
             changed = False

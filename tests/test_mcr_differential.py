@@ -49,17 +49,28 @@ def random_case(rng):
     return wa, doms, zb
 
 
+def post_row(st, wa, doms, zb):
+    """Post one Mcr on fresh variables; returns its (cells, resources)."""
+    xs = [st.new_var(dm) for dm in doms]
+    zs = [st.new_var(range(lo, hi + 1), bc=True) for lo, hi in zb]
+    st.register(Mcr(xs, zs, wa))
+    return xs, zs
+
+
+def snapshot(st, row):
+    xs, zs = row
+    return (tuple(tuple(sorted(st.dom(x))) for x in xs),
+            tuple((st.vmin(z), st.vmax(z)) for z in zs))
+
+
 def propagate(wa, doms, zb):
     """Post one Mcr and propagate; None on failure, else the cell domains
     and resource bounds."""
     st = Store()
-    xs = [st.new_var(dm) for dm in doms]
-    zs = [st.new_var(range(lo, hi + 1), bc=True) for lo, hi in zb]
-    st.register(Mcr(xs, zs, wa))
+    row = post_row(st, wa, doms, zb)
     if st.propagate() == "failed":
         return None
-    return (tuple(tuple(sorted(st.dom(x))) for x in xs),
-            tuple((st.vmin(z), st.vmax(z)) for z in zs))
+    return snapshot(st, row)
 
 
 # Results of the propagator before its arcs were compiled (per-call layered
@@ -197,3 +208,73 @@ def test_achievable_totals_with_positional_costs():
                     break
                 want.append((lo, hi))
         assert achievable_totals(wa, n) == want, f"trial {trial}"
+
+
+def warm_and_cold(wa, doms, zb):
+    """Propagate a row on a fresh store, then a second row with the same
+    input (new variables) on the same store, whose memo now holds the first
+    row's result.  Returns both outcomes, each the status and the domains
+    left (after a failure too), and the memo sizes after each propagation."""
+    st = Store()
+    cold_row = post_row(st, wa, doms, zb)
+    cold = st.propagate(), snapshot(st, cold_row)
+    size = len(st.memo)
+    warm_row = post_row(st, wa, doms, zb)
+    warm = st.propagate(), snapshot(st, warm_row)
+    return cold, warm, size, len(st.memo)
+
+
+def test_warm_memo_replays_cold_result():
+    rng = random.Random(4201)
+    partial_failures = 0
+    for trial, want in enumerate(SEED_RESULTS):
+        wa, doms, zb = random_case(rng)
+        cold, warm, size, warm_size = warm_and_cold(wa, doms, zb)
+        assert size == warm_size == 1, f"trial {trial}: memo not reused"
+        assert warm == cold, f"trial {trial}"
+        if want is not None:
+            assert cold == ("stable", want), f"trial {trial}"
+        elif cold[1][1] != tuple(zb):
+            partial_failures += 1
+    # Failing inputs that move resource bounds before they fail: the replay
+    # must make the same partial changes, then fail again.
+    assert partial_failures >= 5
+
+
+def test_memo_replay_is_positional():
+    # Two rows on one automaton, the second with its variables created in
+    # reverse order: a replay by variable id would prune the wrong cells.
+    wa = WeightedDfa(Dfa(2, (0, 1), {(0, 0): 0, (0, 1): 1, (1, 0): 0,
+                                     (1, 1): 1}, 0, {0, 1}),
+                     CostMatrices(1, {(0, 1, 1): 1}), [(0, 5)])
+    # z counts adjacent 1-1 pairs: two of them force the word 0,1,1,1.
+    doms = [(0, 1), (1,), (0, 1), (1,)]
+    st = Store()
+    a = post_row(st, wa, doms, [(2, 2)])
+    zb = st.new_var(range(2, 3), bc=True)
+    xb = [st.new_var(dm) for dm in reversed(doms)][::-1]
+    st.register(Mcr(xb, [zb], wa))
+    assert st.propagate() == "stable"
+    assert len(st.memo) == 1
+    assert snapshot(st, a) == snapshot(st, (xb, [zb]))
+    assert snapshot(st, a)[0] == ((0,), (1,), (1,), (1,))
+
+
+def test_undo_returns_memo_to_size_at_mark():
+    rng = random.Random(4203)
+    wa = random_weighted(rng, 4)
+    st = Store()
+    rows = [post_row(st, wa, [ALPHABET] * 4, [(-50, 50)] * wa.n_resources)
+            for _ in range(3)]
+    assert st.propagate() == "stable"
+    sizes = [len(st.memo)]
+    for i, (xs, _) in enumerate(rows):
+        st.mark()
+        st.keep_values(xs[i], {st.vmin(xs[i])})
+        st.propagate()
+        sizes.append(len(st.memo))
+    assert sizes[-1] > sizes[0]
+    while len(sizes) > 1:
+        sizes.pop()
+        st.undo()
+        assert len(st.memo) == sizes[-1]

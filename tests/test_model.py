@@ -136,6 +136,28 @@ class TestSolve:
         assert out.stats.root_failure
         assert out.elapsed >= build_s[-1] > 0
 
+    def test_time_limit_counts_build(self, monkeypatch):
+        def slow_build(*args, **kwargs):
+            b = build(*args, **kwargs)
+            time.sleep(0.05)
+            return b
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran after the build used the limit")
+
+        monkeypatch.setattr(matrixcp.model, "build", slow_build)
+        monkeypatch.setattr(matrixcp.model, "search", no_search)
+        out = solve(permutation_model(4), mode="cwa", time_limit=0.02)
+        assert out.status == "timeout" and out.grid is None
+        assert out.elapsed >= 0.05
+        out = solve(permutation_model(4), mode="decomp", time_limit=0.0)
+        assert out.status == "timeout"
+        # A build that proves the model unsat still answers unsat.
+        rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(5, 9)])
+        out = solve(MatrixModel(2, 3, (0, 1), rule), mode="cwa",
+                    time_limit=0.0)
+        assert out.status == "unsat" and out.stats.root_failure
+
     def test_time_limit_reports_timeout(self):
         m = gen_random(321, 6, 6, 3)
         out = solve(m, mode="decomp", time_limit=0.0)
