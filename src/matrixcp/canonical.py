@@ -46,6 +46,16 @@ from .model import (
     StretchLengthProp,
     WordProp,
 )
+from .roster import (
+    RULE_FIELDS,
+    CaseRules,
+    NspInstance,
+    ShiftRule,
+    clean_lines,
+    dump_case,
+    parse_rule_line,
+    roster_model,
+)
 
 
 class FormatError(ValueError):
@@ -98,86 +108,48 @@ def dump_model(model):
 
 
 def dump_roster(inst, rules):
-    def tok(x):
-        return "-" if x is None else str(x)
-
     lines = [f"ROSTER {inst.n_nurses} {inst.n_days} {inst.n_shifts}"]
     if inst.name:
         lines.append(f"NAME {inst.name}")
     for day in inst.cover:
         lines.append("COVER " + " ".join(str(x) for x in day))
-    w = rules.work
-    lines.append(f"WORK {w.occ_lo} {w.occ_hi} {w.stretch_lo} {tok(w.stretch_hi)}")
-    for s, r in enumerate(rules.shifts, start=1):
-        lines.append(
-            f"SHIFT {s} {r.occ_lo} {r.occ_hi} {r.stretch_lo} {tok(r.stretch_hi)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _clean_lines(text):
-    out = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.split("#", 1)[0].strip()
-        if ln:
-            out.append((no, ln))
-    return out
+    return "\n".join(lines) + "\n" + dump_case(rules)
 
 
 def _parse_roster(lines):
-    from .roster import CaseRules, NspInstance, ShiftRule, roster_model
-
-    def num(tok):
-        return None if tok == "-" else int(tok)
-
-    header = None
+    rules = None
     name = ""
     cover = []
-    work = None
-    shifts = {}
     for no, ln in lines:
         parts = ln.split()
         tag = parts[0]
         try:
-            if tag == "ROSTER":
-                header = (int(parts[1]), int(parts[2]), int(parts[3]))
+            if tag == "ROSTER" and rules is None:
+                if len(parts) != 4:
+                    raise ValueError(f"ROSTER needs fields nurses days shifts: {ln}")
+                n, d, s = (int(x) for x in parts[1:])
+                rules = CaseRules(shifts=[ShiftRule() for _ in range(s)])
             elif tag == "NAME":
                 name = " ".join(parts[1:])
             elif tag == "COVER":
                 cover.append([int(x) for x in parts[1:]])
-            elif tag == "WORK":
-                work = ShiftRule(
-                    int(parts[1]), int(parts[2]), int(parts[3]), num(parts[4])
-                )
-            elif tag == "SHIFT":
-                shifts[int(parts[1])] = ShiftRule(
-                    int(parts[2]), int(parts[3]), int(parts[4]), num(parts[5])
-                )
+            elif tag in RULE_FIELDS:
+                parse_rule_line(parts, rules)
             else:
-                raise FormatError(f"line {no}: unknown roster line: {ln}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
+                raise ValueError(f"unknown roster line: {ln}")
+        except ValueError as exc:
             raise FormatError(f"line {no}: {exc}") from exc
-    n, d, s = header
     if len(cover) != d:
         raise FormatError(f"expected {d} COVER lines, found {len(cover)}")
     if any(len(day) != s for day in cover):
         raise FormatError("every COVER line needs one bound per shift")
-    rules = CaseRules(shifts=[ShiftRule() for _ in range(s)])
-    if work is not None:
-        rules.work = work
-    for idx, rule in shifts.items():
-        if not 1 <= idx <= s:
-            raise FormatError(f"SHIFT {idx} out of range 1..{s}")
-        rules.shifts[idx - 1] = rule
     inst = NspInstance(n, d, s, cover, name=name)
     return roster_model(inst, rules)
 
 
 def parse_model(text):
     """Parse canonical text; roster files are compiled to their matrix model."""
-    lines = _clean_lines(text)
+    lines = clean_lines(text)
     if not lines:
         raise FormatError("empty model text")
     if lines[0][1].split()[0] == "ROSTER":
@@ -185,9 +157,9 @@ def parse_model(text):
     header = None
     values = None
     name = ""
-    doms = {}
-    gcc = {}
-    sums = {}
+    doms = []
+    gcc = []
+    sums = []
     lex = False
     groups = []
     props = []
@@ -206,16 +178,16 @@ def parse_model(text):
                 name = " ".join(parts[1:])
             elif tag == "DOMAIN":
                 r, k = int(parts[1]), int(parts[2])
-                doms[(r, k)] = [int(x) for x in parts[3:]]
+                doms.append((no, r, k, [int(x) for x in parts[3:]]))
             elif tag == "COL_GCC":
                 k, v = int(parts[1]), int(parts[2])
-                gcc.setdefault(k, {})[v] = (int(parts[3]), int(parts[4]))
+                gcc.append((no, k, v, (int(parts[3]), int(parts[4]))))
             elif tag == "COL_SUM":
-                sums[int(parts[1])] = (int(parts[2]), int(parts[3]))
+                sums.append((no, int(parts[1]), (int(parts[2]), int(parts[3]))))
             elif tag == "LEX":
                 lex = bool(int(parts[1]))
             elif tag == "COUNTGROUP":
-                groups.append((int(parts[1]), [int(x) for x in parts[2:]]))
+                groups.append((no, int(parts[1]), [int(x) for x in parts[2:]]))
             elif tag == "PROPERTY":
                 props.append((no, parts[1], parts[2:]))
             elif tag == "ROW_DFA":
@@ -242,48 +214,59 @@ def parse_model(text):
         raise FormatError("MATRIX value count disagrees with the VALUES table")
     idx = {v: j for j, v in enumerate(values)}
 
-    def to_idx(ext):
+    def to_idx(no, ext):
         if ext not in idx:
-            raise FormatError(f"value {ext} not in the VALUES table")
+            raise FormatError(f"line {no}: value {ext} not in the VALUES table")
         return idx[ext]
+
+    def in_range(no, what, i, n):
+        if not 0 <= i < n:
+            raise FormatError(f"line {no}: {what} {i} out of range 0..{n - 1}")
+        return i
 
     cell_domains = None
     if doms:
-        cell_domains = [
-            [frozenset(range(len(values))) for _ in range(K)] for _ in range(R)
-        ]
-        for (r, k), ext in doms.items():
-            cell_domains[r][k] = frozenset(to_idx(e) for e in ext)
-    col_gcc = [
-        {to_idx(v): b for v, b in gcc.get(k, {}).items()} for k in range(K)
-    ]
-    col_sums = [sums.get(k) for k in range(K)]
+        cell_domains = [[frozenset(range(V)) for _ in range(K)] for _ in range(R)]
+        for no, r, k, ext in doms:
+            r, k = in_range(no, "row", r, R), in_range(no, "column", k, K)
+            cell_domains[r][k] = frozenset(to_idx(no, e) for e in ext)
+    col_gcc = [{} for _ in range(K)]
+    for no, k, v, b in gcc:
+        col_gcc[in_range(no, "column", k, K)][to_idx(no, v)] = b
+    col_sums = [None] * K
+    for no, k, b in sums:
+        col_sums[in_range(no, "column", k, K)] = b
     rule_count_groups = [
-        (frozenset(to_idx(e) for e in ext), r) for r, ext in groups
+        (frozenset(to_idx(no, e) for e in ext),
+         in_range(no, "rule resource", r, rule.n_resources))
+        for no, r, ext in groups
     ]
 
-    def parse_set(tok):
-        return frozenset(to_idx(int(x)) for x in tok.split(","))
+    def parse_set(no, tok):
+        return frozenset(to_idx(no, int(x)) for x in tok.split(","))
 
     properties = None
     if props:
         properties = []
         for no, kind, args in props:
             if kind == "word":
-                properties.append(WordProp(tuple(parse_set(a) for a in args)))
+                properties.append(WordProp(tuple(parse_set(no, a) for a in args)))
             elif kind == "stretchcount":
-                properties.append(StretchCountProp(parse_set(args[0])))
+                properties.append(StretchCountProp(parse_set(no, args[0])))
             elif kind == "stretchlen":
-                properties.append(StretchLengthProp(parse_set(args[0])))
+                properties.append(StretchLengthProp(parse_set(no, args[0])))
             else:
                 raise FormatError(f"line {no}: unknown property kind {kind!r}")
-    return MatrixModel(
-        R, K, values, rule,
-        col_gcc=col_gcc,
-        col_sums=col_sums,
-        cell_domains=cell_domains,
-        properties=properties,
-        rule_count_groups=rule_count_groups,
-        lex_rows=lex,
-        name=name,
-    )
+    try:
+        return MatrixModel(
+            R, K, values, rule,
+            col_gcc=col_gcc,
+            col_sums=col_sums,
+            cell_domains=cell_domains,
+            properties=properties,
+            rule_count_groups=rule_count_groups,
+            lex_rows=lex,
+            name=name,
+        )
+    except ValueError as exc:
+        raise FormatError(f"invalid model: {exc}") from exc

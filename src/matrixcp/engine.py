@@ -1,6 +1,7 @@
 """Finite-domain store, propagation loop, and depth-first search.
 
-Variables hold small integer domains.  Propagators subscribe to variables and
+Value variables hold small integer sets; interval variables hold a ``range``
+and are reasoned on by their bounds.  Propagators subscribe to variables and
 are woken on any domain change; a two-priority FIFO queue (cheap counting
 propagators first) runs them to a fixpoint.  Changes are trailed so search can
 backtrack without copying the store.  The store also owns a memo of
@@ -18,42 +19,21 @@ class Inconsistent(Exception):
 
 
 class Domain:
-    """Set of candidate integers, optionally bounds-consistency only.
+    """A variable's candidate integers: ``values`` is a frozenset for a value
+    variable and a ``range`` for an interval variable (counters, totals).
 
-    ``values`` is a frozenset that every change replaces, never mutates: the
-    trail keeps the replaced set, and a memo key can hold the current one.
-
-    A bc domain ignores removals strictly inside its hull: only updates that
-    move a bound (or empty the domain) take effect.  This mirrors solvers that
-    treat some variables (counters, totals) as intervals.
+    Every change replaces ``values``, never mutates it: the trail keeps the
+    replaced values, and a memo key can hold the current ones.  An interval
+    variable is reasoned on by its bounds only: a removal strictly inside it
+    is ignored, and a restriction keeps the hull of what survives.
     """
 
-    __slots__ = ("values", "bc")
+    __slots__ = ("values",)
 
-    def __init__(self, values, bc=False):
-        self.values = frozenset(values)
-        self.bc = bc
-        if not self.values:
+    def __init__(self, values):
+        if not values:
             raise Inconsistent("empty initial domain")
-
-    def __len__(self):
-        return len(self.values)
-
-    def __contains__(self, v):
-        return v in self.values
-
-    def min(self):
-        return min(self.values)
-
-    def max(self):
-        return max(self.values)
-
-    def is_fixed(self):
-        return len(self.values) == 1
-
-    def value(self):
-        (v,) = self.values
-        return v
+        self.values = values
 
 
 class Store:
@@ -72,7 +52,7 @@ class Store:
         self.names: list[str] = []
         self.memo: dict = {}
         self._watchers: list[list] = []
-        self._trail: list[tuple[int, frozenset]] = []
+        self._trail: list[tuple[int, frozenset | range]] = []
         self._marks: list[tuple[int, int]] = []
         self._queue = [deque(), deque()]
         self._queued = set()
@@ -81,9 +61,17 @@ class Store:
 
     # -- variables ---------------------------------------------------------
 
-    def new_var(self, values, name="", bc=False):
+    def new_var(self, values, name=""):
+        """A value variable over the given finite set of integers."""
+        return self._new(frozenset(values), name)
+
+    def new_interval(self, lo, hi, name=""):
+        """An interval variable over ``lo..hi``, reasoned on by its bounds."""
+        return self._new(range(lo, hi + 1), name)
+
+    def _new(self, values, name):
         vid = len(self.domains)
-        self.domains.append(Domain(values, bc=bc))
+        self.domains.append(Domain(values))
         self.names.append(name or f"v{vid}")
         self._watchers.append([])
         return vid
@@ -92,16 +80,19 @@ class Store:
         return self.domains[vid].values
 
     def vmin(self, vid):
-        return self.domains[vid].min()
+        values = self.domains[vid].values
+        return values[0] if type(values) is range else min(values)
 
     def vmax(self, vid):
-        return self.domains[vid].max()
+        values = self.domains[vid].values
+        return values[-1] if type(values) is range else max(values)
 
     def is_fixed(self, vid):
-        return self.domains[vid].is_fixed()
+        return len(self.domains[vid].values) == 1
 
     def value(self, vid):
-        return self.domains[vid].value()
+        (v,) = self.domains[vid].values
+        return v
 
     def watch(self, vid, prop):
         self._watchers[vid].append(prop)
@@ -124,40 +115,46 @@ class Store:
         return True
 
     def keep_values(self, vid, allowed):
-        """Restrict a variable to the given value set."""
-        dom = self.domains[vid]
-        new_values = dom.values.intersection(allowed)
-        if dom.bc and new_values:
-            lo, hi = min(new_values), max(new_values)
-            new_values = frozenset([v for v in dom.values if lo <= v <= hi])
-        return self._commit(vid, new_values)
+        """Restrict a variable to the given values (an interval variable to
+        the hull of those it keeps)."""
+        values = self.domains[vid].values
+        if type(values) is not range:
+            return self._commit(vid, values.intersection(allowed))
+        kept = [v for v in allowed if v in values]
+        if not kept:
+            raise Inconsistent(self.names[vid])
+        return self._commit(vid, range(min(kept), max(kept) + 1))
 
     def remove_value(self, vid, v):
-        dom = self.domains[vid]
-        if v not in dom.values:
+        values = self.domains[vid].values
+        if v not in values:
             return False
-        if dom.bc and dom.min() < v < dom.max():
-            return False
-        return self._commit(vid, dom.values - {v})
+        if type(values) is not range:
+            return self._commit(vid, values - {v})
+        if v == values[0]:
+            return self._commit(vid, values[1:])
+        if v == values[-1]:
+            return self._commit(vid, values[:-1])
+        return False
 
     def assign(self, vid, v):
-        if v not in self.domains[vid].values:
-            raise Inconsistent(self.names[vid])
-        return self._commit(vid, frozenset((v,)))
+        return self.keep_values(vid, (v,))
 
     def set_min(self, vid, lo):
-        dom = self.domains[vid]
-        if lo <= dom.min():
+        if lo <= self.vmin(vid):
             return False
-        return self._commit(vid, frozenset([v for v in dom.values
-                                            if v >= lo]))
+        values = self.domains[vid].values
+        if type(values) is range:
+            return self._commit(vid, range(lo, values.stop))
+        return self._commit(vid, frozenset([v for v in values if v >= lo]))
 
     def set_max(self, vid, hi):
-        dom = self.domains[vid]
-        if hi >= dom.max():
+        if hi >= self.vmax(vid):
             return False
-        return self._commit(vid, frozenset([v for v in dom.values
-                                            if v <= hi]))
+        values = self.domains[vid].values
+        if type(values) is range:
+            return self._commit(vid, range(values.start, hi + 1))
+        return self._commit(vid, frozenset([v for v in values if v <= hi]))
 
     # -- trail ---------------------------------------------------------------
 
@@ -215,14 +212,6 @@ class Store:
             self._queue[1].clear()
             self._queued.clear()
             return "failed"
-
-    def wake_all(self):
-        seen = set()
-        for watchers in self._watchers:
-            for prop in watchers:
-                if id(prop) not in seen:
-                    seen.add(id(prop))
-                    self.enqueue(prop)
 
 
 class Propagator:
@@ -296,7 +285,7 @@ def search(store, branch_vars, time_limit=None, on_solution=None):
         best = None
         best_size = None
         for vid in branch_vars:
-            size = len(store.domains[vid])
+            size = len(store.domains[vid].values)
             if size > 1 and (best_size is None or size < best_size):
                 best, best_size = vid, size
         return best

@@ -129,19 +129,29 @@ class MatrixModel:
             self.row_rule = WeightedDfa.plain(row_rule)
         if set(self.row_rule.dfa.alphabet) != set(range(nv)):
             raise ValueError("row rule must run over value indices 0..V-1")
+        for what, per_col in (("col_gcc", col_gcc), ("col_sums", col_sums)):
+            if per_col and len(per_col) != n_cols:
+                raise ValueError(f"{what} needs one entry per column")
         self.col_gcc = [dict(col_gcc[k]) if col_gcc else {} for k in range(n_cols)]
         self.col_sums = list(col_sums) if col_sums else [None] * n_cols
-        if cell_domains is None:
-            self.cell_domains = None
-        else:
-            self.cell_domains = [
-                [frozenset(cell_domains[i][k]) for k in range(n_cols)]
-                for i in range(n_rows)
-            ]
+        self.cell_domains = None
+        if cell_domains is not None:
+            if [len(row) for row in cell_domains] != [n_cols] * n_rows:
+                raise ValueError(f"cell_domains must be {n_rows} x {n_cols}")
+            self.cell_domains = [[frozenset(d) for d in row]
+                                 for row in cell_domains]
         self.properties = None if properties is None else list(properties)
         self.rule_count_groups = [
             (frozenset(g), r) for g, r in (rule_count_groups or [])
         ]
+        for g, r in self.rule_count_groups:
+            if not 0 <= r < self.row_rule.n_resources:
+                raise ValueError(f"count group names no rule resource: {r}")
+        used = self.col_gcc + [g for g, _ in self.rule_count_groups]
+        used += [d for row in self.cell_domains or () for d in row]
+        if not all(map(frozenset(range(nv)).issuperset, used)):
+            raise ValueError(f"a cell domain, col_gcc entry or count group "
+                             f"holds a value index outside 0..{nv - 1}")
         self.lex_rows = lex_rows
         self.name = name
 
@@ -237,9 +247,7 @@ def _build_inner(b, model, mode, aggregate_words, cross_cap):
         col = []
         for v in range(V):
             lo, hi = model.card_bounds(k, v)
-            if lo > hi:
-                raise Inconsistent("empty cardinality bound")
-            col.append(store.new_var(range(lo, hi + 1), f"n[{v}@{k}]", bc=True))
+            col.append(store.new_interval(lo, hi, f"n[{v}@{k}]"))
         b.cards.append(col)
         column_cells = [b.cells[i][k] for i in range(R)]
         store.register(GccColumn(column_cells, col, list(range(V))))
@@ -253,7 +261,7 @@ def _build_inner(b, model, mode, aggregate_words, cross_cap):
         raise Inconsistent("row rule admits no word within resource bounds")
     b.rule_z = [
         [
-            store.new_var(range(lo, hi + 1), f"z[{i},{r}]", bc=True)
+            store.new_interval(lo, hi, f"z[{i},{r}]")
             for r, (lo, hi) in enumerate(totals)
         ]
         for i in range(R)
@@ -304,9 +312,7 @@ def _post_measuring_rows(b, model, mode, wdfa, cross_cap):
         except ProductTooLarge:
             pass
     for i in range(R):
-        zs = [
-            store.new_var(range(lo, hi + 1), bc=True) for (lo, hi) in ranges
-        ]
+        zs = [store.new_interval(lo, hi) for (lo, hi) in ranges]
         rows.append(zs)
         if crossed is not None:
             store.register(Mcr(b.cells[i], b.rule_z[i] + zs, crossed))
@@ -406,8 +412,8 @@ def _post_property(b, model, mode, prop, aggregate_words, cross_cap):
         wd = build_stretch_length_bounds(vhat, range(model.n_values), K)
         rows = _post_measuring_rows(b, model, mode, wd, cross_cap)
         b.prop_z[prop] = rows
-        zmin = store.new_var(range(0, K + 2), bc=True)
-        zmax = store.new_var(range(0, K + 1), bc=True)
+        zmin = store.new_interval(0, K + 1)
+        zmax = store.new_interval(0, K)
         b.length_vars[prop] = (zmin, zmax)
         store.register(
             Relation("eq", VarE(zmin), MinE([VarE(rows[i][0]) for i in range(R)]))

@@ -43,15 +43,21 @@ class NspInstance:
     name: str = ""
 
 
+def clean_lines(text):
+    """Numbered non-blank lines of ``text`` with '#' comments stripped."""
+    out = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.split("#", 1)[0].strip()
+        if ln:
+            out.append((no, ln))
+    return out
+
+
 def parse_nsp(text, name=""):
     """Instance file: header ``N D S`` then D coverage lines of S integers
     (lower bounds per day and shift).  Preference lines after that are
     ignored."""
-    toks = []
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if ln:
-            toks.extend(ln.split())
+    toks = [tok for _, ln in clean_lines(text) for tok in ln.split()]
     if len(toks) < 3:
         raise ValueError("instance header must give N D S")
     n, d, s = int(toks[0]), int(toks[1]), int(toks[2])
@@ -70,33 +76,48 @@ def dump_nsp(inst):
     return "\n".join(lines) + "\n"
 
 
+RULE_FIELDS = {
+    "WORK": "occ_lo occ_hi stretch_lo stretch_hi",
+    "SHIFT": "s occ_lo occ_hi stretch_lo stretch_hi",
+}
+
+
+def parse_rule_line(parts, rules):
+    """Set the rule that one split ``WORK`` or ``SHIFT`` line gives.
+
+    ``WORK`` sets the working-shift group's rule in ``rules``, ``SHIFT s``
+    that of shift s in 1..S; stretch_hi may be '-' for unbounded.  Raises
+    ValueError on a line without exactly its ``RULE_FIELDS`` or naming a
+    shift out of range.
+    """
+    tag = parts[0]
+    fields = RULE_FIELDS[tag]
+    if len(parts) != 1 + len(fields.split()):
+        raise ValueError(f"{tag} needs fields {fields}: {' '.join(parts)}")
+    lo, hi, slo, shi = parts[-4:]
+    rule = ShiftRule(int(lo), int(hi), int(slo),
+                     None if shi == "-" else int(shi))
+    if tag == "WORK":
+        rules.work = rule
+        return
+    s, n_shifts = int(parts[1]), len(rules.shifts)
+    if not 1 <= s <= n_shifts:
+        raise ValueError(f"SHIFT {s} out of range 1..{n_shifts}")
+    rules.shifts[s - 1] = rule
+
+
 def parse_case(text, n_shifts):
-    """Case file: one ``WORK occ_lo occ_hi stretch_lo stretch_hi`` line plus
-    one ``SHIFT s occ_lo occ_hi stretch_lo stretch_hi`` line per shift.
-    stretch_hi may be '-' for unbounded."""
+    """Case file: one ``WORK`` line plus one ``SHIFT`` line per shift, as
+    ``parse_rule_line`` reads them."""
     rules = CaseRules(shifts=[ShiftRule() for _ in range(n_shifts)])
-
-    def num(tok):
-        return None if tok == "-" else int(tok)
-
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if not ln:
-            continue
+    for no, ln in clean_lines(text):
         parts = ln.split()
-        if parts[0] == "WORK":
-            rules.work = ShiftRule(
-                int(parts[1]), int(parts[2]), int(parts[3]), num(parts[4])
-            )
-        elif parts[0] == "SHIFT":
-            s = int(parts[1])
-            if not 1 <= s <= n_shifts:
-                raise ValueError(f"shift {s} out of range")
-            rules.shifts[s - 1] = ShiftRule(
-                int(parts[2]), int(parts[3]), int(parts[4]), num(parts[5])
-            )
-        else:
-            raise ValueError(f"unknown case line: {ln}")
+        try:
+            if parts[0] not in RULE_FIELDS:
+                raise ValueError(f"unknown case line: {ln}")
+            parse_rule_line(parts, rules)
+        except ValueError as exc:
+            raise ValueError(f"line {no}: {exc}") from exc
     return rules
 
 

@@ -73,12 +73,12 @@ def build_snapshot_state(per_position):
                 row.append(st.new_var({0, 1, 2}))
         cells.append(row)
     card_dom = [(0, 2), (4, 5), (4, 5), (0, 2), (0, 5)]
-    cards = [st.new_var(range(lo, hi + 1), bc=True) for lo, hi in card_dom]
+    cards = [st.new_interval(lo, hi) for lo, hi in card_dom]
     wd = build_sliding_word_counter(pat, K, (0, 1, 2), with_total=True)
     totals = achievable_totals(wd, K)
     zs = []
     for i in range(R):
-        z = [st.new_var(range(lo, hi + 1), bc=True) for lo, hi in totals]
+        z = [st.new_interval(lo, hi) for lo, hi in totals]
         zs.append(z)
         st.register(Mcr(cells[i], z, wd))
     n_flags = K - len(pat) + 1

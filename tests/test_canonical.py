@@ -8,9 +8,24 @@ from matrixcp.model import (
     StretchCountProp,
     StretchLengthProp,
     WordProp,
+    solve,
 )
 from matrixcp.oracle import brute_dc
 from matrixcp.roster import gen_toy_rosters, roster_model
+
+SAT_2X2 = """\
+MATRIX 2 2 2
+VALUES 0 1
+ROW_DFA
+wdfa 1 0
+alphabet 0 1
+accept 0
+resources 1
+bound 0 0 2
+trans 0 0 0
+trans 0 1 0 0:1
+END
+"""
 
 
 def full_featured_model():
@@ -91,6 +106,18 @@ class TestParseErrors:
         with pytest.raises(FormatError, match="VALUES"):
             parse_model(text)
 
+    @pytest.mark.parametrize("line, message", [
+        ("COL_GCC 9 1 2 2", "column 9"),
+        ("COL_SUM 9 5 5", "column 9"),
+        ("DOMAIN 5 0 1", "row 5"),
+        ("COUNTGROUP 3 1", "rule resource 3"),
+    ])
+    def test_out_of_range_index_names_its_line(self, line, message):
+        text = SAT_2X2.replace("ROW_DFA", line + "\nROW_DFA")
+        assert solve(parse_model(SAT_2X2)).status == "sat"
+        with pytest.raises(FormatError, match=f"line 3: {message}"):
+            parse_model(text)
+
     def test_unknown_external_value(self):
         text = dump_model(gen_random(1, 2, 2, 2)) + "COL_GCC 0 9 0 1\n"
         with pytest.raises(FormatError, match="9"):
@@ -121,6 +148,18 @@ class TestRosterFiles:
         inst, rules = gen_toy_rosters(8, 1)[0]
         text = dump_roster(inst, rules) + "SHIFT 9 0 1 1 -\n"
         with pytest.raises(FormatError, match="SHIFT 9"):
+            parse_model(text)
+
+    @pytest.mark.parametrize("text, no, fields", [
+        ("ROSTER 2 2\n", 1, "nurses days shifts"),
+        ("ROSTER 2 1 2\nCOVER 1 0\nWORK 1 3 1\n", 3,
+         "occ_lo occ_hi stretch_lo stretch_hi"),
+        ("ROSTER 2 1 2\nCOVER 1 0\nSHIFT 1 0 3 1\n", 3,
+         "s occ_lo occ_hi stretch_lo stretch_hi"),
+    ], ids=["ROSTER", "WORK", "SHIFT"])
+    def test_short_line_names_its_fields(self, text, no, fields):
+        line = text.splitlines()[no - 1]
+        with pytest.raises(FormatError, match=f"line {no}: .*{fields}: {line}"):
             parse_model(text)
 
     def test_dashes_mean_unbounded(self):

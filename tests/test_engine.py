@@ -48,11 +48,26 @@ class TestStore:
     def test_bc_domain_ignores_interior_removal(self):
         # bound-consistent vars only react to updates that move a bound
         st = Store()
-        x = st.new_var(range(6), bc=True)
+        x = st.new_interval(0, 5)
         assert st.remove_value(x, 3) is False
         assert (st.vmin(x), st.vmax(x)) == (0, 5)
         st.remove_value(x, 5)
         assert st.vmax(x) == 4
+
+    def test_interval_keeps_hull_and_undoes(self):
+        st = Store()
+        x = st.new_interval(0, 9)
+        st.mark()
+        assert st.keep_values(x, {2, 5, 11}) is True
+        assert st.dom(x) == range(2, 6)
+        st.assign(x, 3)
+        assert st.is_fixed(x) and st.value(x) == 3
+        with pytest.raises(Inconsistent):
+            st.assign(x, 4)
+        st.undo()
+        assert st.dom(x) == range(0, 10)
+        with pytest.raises(Inconsistent):
+            st.new_interval(3, 2)
 
     def test_mark_undo_restores_domains(self):
         st = Store()
@@ -136,17 +151,6 @@ class TestPropagation:
         runs = p.runs
         st.propagate()
         assert p.runs == runs  # nothing changed, queue stays empty
-
-    def test_wake_all_requeues(self):
-        st = Store()
-        x = st.new_var({0, 1, 2})
-        p = ForbidValue(x, 2)
-        st.register(p)
-        st.propagate()
-        runs = p.runs
-        st.wake_all()
-        st.propagate()
-        assert p.runs == runs + 1
 
 
 class TestSearch:

@@ -52,7 +52,7 @@ def random_case(rng):
 def post_row(st, wa, doms, zb):
     """Post one Mcr on fresh variables; returns its (cells, resources)."""
     xs = [st.new_var(dm) for dm in doms]
-    zs = [st.new_var(range(lo, hi + 1), bc=True) for lo, hi in zb]
+    zs = [st.new_interval(lo, hi) for lo, hi in zb]
     st.register(Mcr(xs, zs, wa))
     return xs, zs
 
@@ -251,7 +251,7 @@ def test_memo_replay_is_positional():
     doms = [(0, 1), (1,), (0, 1), (1,)]
     st = Store()
     a = post_row(st, wa, doms, [(2, 2)])
-    zb = st.new_var(range(2, 3), bc=True)
+    zb = st.new_interval(2, 2)
     xb = [st.new_var(dm) for dm in reversed(doms)][::-1]
     st.register(Mcr(xb, [zb], wa))
     assert st.propagate() == "stable"

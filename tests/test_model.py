@@ -1,18 +1,23 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
 import matrixcp.model
 from matrixcp.automata import (
+    CostMatrices,
+    Dfa,
     WeightedDfa,
     build_gcc_weights,
     build_sliding_word_counter,
     stretch_length_dfa,
     universal_dfa,
 )
+from matrixcp.engine import Store
 from matrixcp.generators import gen_random
 from matrixcp.model import (
+    MODES,
     MatrixModel,
     StretchCountProp,
     StretchLengthProp,
@@ -25,6 +30,7 @@ from matrixcp.model import (
 )
 from matrixcp.oracle import brute_solutions, brute_solve, check_solution
 from matrixcp.propagators import Mcr
+from matrixcp.roster import gen_toy_rosters, roster_model
 
 
 def permutation_model(n):
@@ -59,6 +65,23 @@ class TestMatrixModel:
                         col_gcc=[{1: (-3, 99)}])
         assert m.card_bounds(0, 1) == (0, 2)
         assert m.card_bounds(0, 0) == (0, 2)  # unconstrained value
+
+    @pytest.mark.parametrize("kwargs", [
+        {"col_gcc": [{}, {}, {}]},
+        {"col_sums": [(0, 1)]},
+        {"cell_domains": [[{0}, {1}]]},
+        {"cell_domains": [[{0}], [{0}]]},
+        {"cell_domains": [[{0}, {2}], [{0}, {1}]]},
+        {"col_gcc": [{2: (0, 1)}, {}]},
+        {"rule_count_groups": [({1}, 1)]},
+        {"rule_count_groups": [({2}, 0)]},
+    ], ids=["col_gcc-columns", "col_sums-columns", "cell_domains-rows",
+            "cell_domains-columns", "cell_domains-value", "col_gcc-value",
+            "countgroup-resource", "countgroup-value"])
+    def test_malformed_model_rejected(self, kwargs):
+        rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(0, 2)])
+        with pytest.raises(ValueError):
+            MatrixModel(2, 2, (0, 1), rule, **kwargs)
 
     def test_default_properties_cover_each_value(self):
         props = default_properties(2)
@@ -316,3 +339,64 @@ class TestBuilt:
         assert b.root_infeasible
         out = solve(m, mode="decomp")
         assert out.status == "unsat" and out.stats.root_failure
+
+    @staticmethod
+    def big_cost_model(cost):
+        """3x7 over one state where symbol 0 costs ``cost``: the row total
+        ranges over 0..7*cost."""
+        dfa = Dfa(1, (0, 1), {(0, 0): 0, (0, 1): 0}, 0, {0})
+        rule = WeightedDfa(dfa, CostMatrices(1, {(0, 0, 0): cost}),
+                           [(0, 7 * cost)])
+        return MatrixModel(3, 7, (0, 1), rule)
+
+    def test_big_cost_totals_build_in_constant_memory(self):
+        tracemalloc.start()
+        try:
+            build(self.big_cost_model(10**5), "decomp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_huge_cost_totals_solve(self):
+        out = solve(self.big_cost_model(10**9), "decomp")
+        assert out.status == "sat"
+
+
+def test_root_is_a_local_fixpoint(monkeypatch):
+    """After a stable root propagation, running any propagator once more
+    changes nothing: each one leaves its own local fixpoint (the contract
+    ``propagators`` documents)."""
+    posted = []
+    register = Store.register
+
+    def spy(store, prop):
+        posted.append(prop)
+        register(store, prop)
+
+    monkeypatch.setattr(Store, "register", spy)
+    models = [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
+                         random.Random(200 + i).randint(2, 4),
+                         random.Random(300 + i).randint(2, 3))
+              for i in range(200)]
+    models += [roster_model(inst, rules)
+               for inst, rules in gen_toy_rosters(4242, 6)]
+    stable = reruns = 0
+    for m in models:
+        for mode in MODES:
+            posted.clear()
+            b = build(m, mode)
+            st = b.store
+            if b.root_infeasible or st.propagate() != "stable":
+                continue
+            stable += 1
+            before = [d.values for d in st.domains]
+            for prop in posted:
+                st.mark()
+                prop.run(st)
+                assert [d.values for d in st.domains] == before, (
+                    f"{m.name} {mode}: {type(prop).__name__} was not at "
+                    "its fixpoint")
+                st.undo()
+                reruns += 1
+    assert stable >= 100 and reruns >= 5000  # 115 and 6,449 when written

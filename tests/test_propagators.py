@@ -46,7 +46,7 @@ class TestMcr:
         # two maximal 1-stretches in three cells leaves only 1,0,1
         st = Store()
         xs = [st.new_var({0, 1}) for _ in range(3)]
-        z = st.new_var({2}, bc=True)
+        z = st.new_interval(2, 2)
         st.register(Mcr(xs, [z], build_stretch_count({1}, (0, 1))))
         assert st.propagate() == "stable"
         assert [set(st.dom(x)) for x in xs] == [{1}, {0}, {1}]
@@ -54,14 +54,14 @@ class TestMcr:
     def test_unreachable_total_fails(self):
         st = Store()
         xs = [st.new_var({0, 1}) for _ in range(3)]
-        z = st.new_var({3}, bc=True)
+        z = st.new_interval(3, 3)
         st.register(Mcr(xs, [z], build_stretch_count({1}, (0, 1))))
         assert st.propagate() == "failed"
 
     def test_cost_bounds_tighten_from_cells(self):
         st = Store()
         xs = [st.new_var({1}), st.new_var({0, 1}), st.new_var({1})]
-        z = st.new_var(range(0, 10), bc=True)
+        z = st.new_interval(0, 9)
         st.register(Mcr(xs, [z], build_gcc_weights((0, 1), groups=[{1}])))
         st.propagate()
         assert (st.vmin(z), st.vmax(z)) == (2, 3)
@@ -94,7 +94,7 @@ class TestMcr:
 
             st = Store()
             xs = [st.new_var(alphabet) for _ in range(n)]
-            z = st.new_var(range(zlo, zhi + 1), bc=True)
+            z = st.new_interval(zlo, zhi)
             try:
                 st.register(Mcr(xs, [z], wa))
                 status = st.propagate()
@@ -150,7 +150,7 @@ class TestGccColumn:
     def test_counts_tighten_from_cells(self):
         st = Store()
         xs = [st.new_var(d) for d in ({1}, {0, 1}, {1}, {0})]
-        card1 = st.new_var(range(0, 5), bc=True)
+        card1 = st.new_interval(0, 4)
         st.register(GccColumn(xs, [card1], [1]))
         st.propagate()
         assert (st.vmin(card1), st.vmax(card1)) == (2, 3)
@@ -158,7 +158,7 @@ class TestGccColumn:
     def test_tight_upper_bound_prunes(self):
         st = Store()
         xs = [st.new_var(d) for d in ({1}, {0, 1}, {1})]
-        card1 = st.new_var({0, 1, 2}, bc=True)
+        card1 = st.new_interval(0, 2)
         st.register(GccColumn(xs, [card1], [1]))
         st.propagate()
         # two cells already fixed to 1, so the undecided cell loses it
@@ -167,7 +167,7 @@ class TestGccColumn:
     def test_tight_lower_bound_forces(self):
         st = Store()
         xs = [st.new_var({0, 1}), st.new_var({0}), st.new_var({0, 1})]
-        card1 = st.new_var({2}, bc=True)
+        card1 = st.new_interval(2, 2)
         st.register(GccColumn(xs, [card1], [1]))
         st.propagate()
         assert set(st.dom(xs[0])) == {1} and set(st.dom(xs[2])) == {1}
@@ -175,7 +175,7 @@ class TestGccColumn:
     def test_infeasible_count_fails(self):
         st = Store()
         xs = [st.new_var({1}), st.new_var({1})]
-        card1 = st.new_var({1}, bc=True)
+        card1 = st.new_interval(1, 1)
         st.register(GccColumn(xs, [card1], [1]))
         assert st.propagate() == "failed"
 
@@ -191,7 +191,7 @@ class TestGccColumn:
                     and lo <= sum(1 for v in w if v == 1) <= hi]
             st = Store()
             xs = [st.new_var(dm) for dm in doms]
-            card = st.new_var(range(lo, hi + 1), bc=True)
+            card = st.new_interval(lo, hi)
             st.register(GccColumn(xs, [card], [1]))
             try:
                 status = st.propagate()
@@ -211,16 +211,16 @@ class TestGccColumn:
 class TestLinearEq:
     def test_forces_remaining_variable(self):
         st = Store()
-        a = st.new_var({2}, bc=True)
-        b = st.new_var(range(0, 10), bc=True)
+        a = st.new_interval(2, 2)
+        b = st.new_interval(0, 9)
         st.register(LinearEq([1, 1], [a, b], 7))
         st.propagate()
         assert st.value(b) == 5
 
     def test_negative_coefficients(self):
         st = Store()
-        a = st.new_var(range(0, 5), bc=True)
-        b = st.new_var(range(0, 5), bc=True)
+        a = st.new_interval(0, 4)
+        b = st.new_interval(0, 4)
         # a - b == 2
         st.register(LinearEq([1, -1], [a, b], 2))
         st.propagate()
@@ -228,8 +228,8 @@ class TestLinearEq:
 
     def test_infeasible_sum_fails(self):
         st = Store()
-        a = st.new_var({0, 1}, bc=True)
-        b = st.new_var({0, 1}, bc=True)
+        a = st.new_interval(0, 1)
+        b = st.new_interval(0, 1)
         st.register(LinearEq([1, 1], [a, b], 5))
         assert st.propagate() == "failed"
 
@@ -237,8 +237,8 @@ class TestLinearEq:
 class TestExpressions:
     def test_min_max_evaluation(self):
         st = Store()
-        a = st.new_var(range(1, 4), bc=True)   # [1,3]
-        b = st.new_var(range(2, 6), bc=True)   # [2,5]
+        a = st.new_interval(1, 3)
+        b = st.new_interval(2, 5)
         e = SumE([VarE(a), ScaleE(2, VarE(b)), ConstE(-1)])
         assert e.bounds(st) == (4, 12)
         assert MaxE([VarE(a), VarE(b)]).bounds(st) == (2, 5)
@@ -247,8 +247,8 @@ class TestExpressions:
     def test_relation_le_prunes_both_sides(self):
         # max(0, a - 2) <= b with b binary caps a at 3
         st = Store()
-        a = st.new_var(range(0, 6), bc=True)
-        b = st.new_var({0, 1}, bc=True)
+        a = st.new_interval(0, 5)
+        b = st.new_interval(0, 1)
         st.register(Relation("le",
                              MaxE([ConstE(0), SumE([VarE(a), ConstE(-2)])]),
                              VarE(b)))
@@ -257,8 +257,8 @@ class TestExpressions:
 
     def test_relation_eq_meets_intervals(self):
         st = Store()
-        a = st.new_var(range(0, 10), bc=True)
-        b = st.new_var(range(4, 20), bc=True)
+        a = st.new_interval(0, 9)
+        b = st.new_interval(4, 19)
         st.register(Relation("eq", VarE(a), VarE(b)))
         st.propagate()
         assert (st.vmin(a), st.vmax(a)) == (4, 9)
@@ -266,8 +266,8 @@ class TestExpressions:
 
     def test_relation_failure(self):
         st = Store()
-        a = st.new_var({5}, bc=True)
-        b = st.new_var({0, 1}, bc=True)
+        a = st.new_interval(5, 5)
+        b = st.new_interval(0, 1)
         st.register(Relation("le", VarE(a), VarE(b)))
         assert st.propagate() == "failed"
 
@@ -277,8 +277,8 @@ class TestExpressions:
         for _ in range(100):
             st = Store()
             lo1, lo2 = rng.randint(0, 3), rng.randint(0, 3)
-            a = st.new_var(range(lo1, lo1 + rng.randint(1, 4)), bc=True)
-            b = st.new_var(range(lo2, lo2 + rng.randint(1, 4)), bc=True)
+            a = st.new_interval(lo1, lo1 + rng.randint(1, 4) - 1)
+            b = st.new_interval(lo2, lo2 + rng.randint(1, 4) - 1)
             lhs = SumE([VarE(a), ScaleE(rng.choice((-2, -1, 1, 2)), VarE(b))])
             rhs = ConstE(rng.randint(-2, 6))
             op = rng.choice(("le", "eq"))
@@ -393,10 +393,14 @@ class TestSumColumn:
 class TestStretchLengthWindows:
     def post(self, card_values, zmin_dom, zmax_dom, n_rows=1):
         st = Store()
-        cards = [st.new_var(dm if isinstance(dm, (set, range)) else {dm}, bc=True)
-                 for dm in card_values]
-        zmin = st.new_var(zmin_dom, bc=True)
-        zmax = st.new_var(zmax_dom, bc=True)
+
+        def interval(dm):
+            dm = dm if isinstance(dm, (set, range)) else {dm}
+            return st.new_interval(min(dm), max(dm))
+
+        cards = [interval(dm) for dm in card_values]
+        zmin = interval(zmin_dom)
+        zmax = interval(zmax_dom)
         st.register(StretchLengthWindows([VarE(c) for c in cards],
                                          zmin, zmax, n_rows))
         return st

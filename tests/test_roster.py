@@ -85,6 +85,11 @@ class TestCaseFormat:
         with pytest.raises(ValueError):
             parse_case("REST 1 2\n", 3)
 
+    def test_short_line_names_its_fields(self):
+        with pytest.raises(ValueError, match="line 2: SHIFT needs fields "
+                           "s occ_lo occ_hi stretch_lo stretch_hi"):
+            parse_case("WORK 0 9 1 -\nSHIFT 1 0 3 1\n", 2)
+
     def test_unspecified_shift_defaults(self):
         rules = parse_case("WORK 0 9 1 -\n", 2)
         assert rules.shifts[0] == ShiftRule()
