@@ -62,6 +62,30 @@ class FormatError(ValueError):
     """Malformed model text."""
 
 
+# The fields after each model line's tag; "..." repeats the field before it
+# one or more times.
+MODEL_FIELDS = {
+    "MATRIX": "rows cols values",
+    "VALUES": "value ...",
+    "DOMAIN": "row col value ...",
+    "COL_GCC": "col value lo hi",
+    "COL_SUM": "col lo hi",
+    "LEX": "flag",
+    "COUNTGROUP": "resource value ...",
+    "PROPERTY": "kind set ...",
+}
+
+
+def _check_fields(parts):
+    """Raise ValueError unless a split model line has its MODEL_FIELDS."""
+    fields = MODEL_FIELDS[parts[0]]
+    names = fields.split()
+    repeat = names[-1] == "..."
+    need = len(names) - repeat
+    if len(parts) - 1 < need or (len(parts) - 1 > need and not repeat):
+        raise ValueError(f"{parts[0]} needs fields {fields}: {' '.join(parts)}")
+
+
 def dump_model(model):
     lines = [f"MATRIX {model.n_rows} {model.n_cols} {model.n_values}"]
     lines.append("VALUES " + " ".join(str(v) for v in model.values))
@@ -128,6 +152,9 @@ def _parse_roster(lines):
                 if len(parts) != 4:
                     raise ValueError(f"ROSTER needs fields nurses days shifts: {ln}")
                 n, d, s = (int(x) for x in parts[1:])
+                if n < 1 or d < 1 or s < 2:
+                    raise ValueError(f"ROSTER needs at least 1 nurse, 1 day "
+                                     f"and 2 shifts (one off duty): {ln}")
                 rules = CaseRules(shifts=[ShiftRule() for _ in range(s)])
             elif tag == "NAME":
                 name = " ".join(parts[1:])
@@ -170,6 +197,8 @@ def parse_model(text):
         parts = ln.split()
         tag = parts[0]
         try:
+            if tag in MODEL_FIELDS:
+                _check_fields(parts)
             if tag == "MATRIX":
                 header = (int(parts[1]), int(parts[2]), int(parts[3]))
             elif tag == "VALUES":

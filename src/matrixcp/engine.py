@@ -4,14 +4,18 @@ Value variables hold small integer sets; interval variables hold a ``range``
 and are reasoned on by their bounds.  Propagators subscribe to variables and
 are woken on any domain change; a two-priority FIFO queue (cheap counting
 propagators first) runs them to a fixpoint.  Changes are trailed so search can
-backtrack without copying the store.  The store also owns a memo of
-propagator filter results, trailed with the domains (see ``Store.memo``).
+backtrack without copying the store.  The store also owns a memo of pure
+propagator filter results that lives as long as the store, capped at
+``MEMO_CAP`` entries (see ``Store.memo``).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import OrderedDict, deque
+
+# Most filter results a store keeps; the oldest is evicted first.
+MEMO_CAP = 1 << 14
 
 
 class Inconsistent(Exception):
@@ -39,21 +43,21 @@ class Domain:
 class Store:
     """Variable store with trailing and two-priority propagation queues.
 
-    ``memo`` maps the full input of a pure propagator filter to its result,
-    so a propagator that sees an input again on the current search path
-    replays the result instead of filtering again.  It is trailed like the
-    domains: ``mark`` records its size and ``undo`` drops the entries made
-    since, so it holds at most the results made along the current path and
-    nothing outlives the store.
+    ``memo`` maps the full input of a pure propagator filter to its result
+    (see ``memoised``), so a propagator that sees an input again anywhere in
+    the search, in this subtree or another one, replays the result instead of
+    filtering again.  A result depends on its input only, so it stays valid
+    after backtracking: ``undo`` leaves the memo alone, and the memo is
+    bounded by ``MEMO_CAP`` entries instead, evicting the oldest first.
     """
 
     def __init__(self):
         self.domains: list[Domain] = []
         self.names: list[str] = []
-        self.memo: dict = {}
+        self.memo: OrderedDict = OrderedDict()
         self._watchers: list[list] = []
         self._trail: list[tuple[int, frozenset | range]] = []
-        self._marks: list[tuple[int, int]] = []
+        self._marks: list[int] = []
         self._queue = [deque(), deque()]
         self._queued = set()
         self._running = None
@@ -159,18 +163,31 @@ class Store:
     # -- trail ---------------------------------------------------------------
 
     def mark(self):
-        self._marks.append((len(self._trail), len(self.memo)))
+        self._marks.append(len(self._trail))
 
     def undo(self):
-        back_to, memo_size = self._marks.pop()
+        back_to = self._marks.pop()
         while len(self._trail) > back_to:
             vid, values = self._trail.pop()
             self.domains[vid].values = values
-        # Entries are only ever added, so the newest ones (which popitem
-        # removes first) are exactly those made since the mark.
+
+    # -- filter memo ---------------------------------------------------------
+
+    def memoised(self, key, filter, *args):
+        """``filter(*args)``, looked up under ``key`` in ``memo`` first.
+
+        ``key`` must determine the result.  A new result is inserted after
+        evicting the oldest entry if the memo holds ``MEMO_CAP`` already (an
+        ``OrderedDict``, since finding a plain dict's first key scans the
+        slots its earlier deletions left).
+        """
         memo = self.memo
-        for _ in range(len(memo) - memo_size):
-            memo.popitem()
+        result = memo.get(key)
+        if result is None:
+            if len(memo) >= MEMO_CAP:
+                memo.popitem(last=False)
+            result = memo[key] = filter(*args)
+        return result
 
     # -- propagation ---------------------------------------------------------
 

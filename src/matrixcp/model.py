@@ -117,6 +117,9 @@ class MatrixModel:
         lex_rows=False,
         name="",
     ):
+        if n_rows < 1 or n_cols < 1:
+            raise ValueError(f"a matrix needs at least one row and one "
+                             f"column, not {n_rows} x {n_cols}")
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.values = tuple(values)

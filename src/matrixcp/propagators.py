@@ -23,7 +23,49 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-class Mcr(Propagator):
+class MemoFilter(Propagator):
+    """A propagator whose work is a pure function ``filter(cells, lo, hi)``
+    of the domains of its cells ``xs`` and the bounds of its interval
+    variables ``zs`` (read only by their bounds).
+
+    ``filter`` returns ``(ops, failed)``: ``ops`` lists ``(Store method,
+    position, argument)`` in the order they are to be applied, positions
+    counting the cells first and then the interval variables; ``failed``
+    says that the constraint has no solution once they are applied.  ``run``
+    looks the result up under its input and ``kind`` in the store's memo
+    (``Store.memoised``), which outlives the search node that made it, and
+    replays it on its own variables.  So every propagator of the same
+    ``kind`` and arity that sees the same input anywhere in the search gets
+    the result without filtering.
+    """
+
+    def __init__(self, xs, zs, kind):
+        self.xs = list(xs)
+        self.zs = list(zs)
+        self.kind = kind
+        self._vars = self.xs + self.zs
+
+    def variables(self):
+        return self._vars
+
+    def run(self, store):
+        cells = [store.dom(x) for x in self.xs]
+        lo = [store.vmin(z) for z in self.zs]
+        hi = [store.vmax(z) for z in self.zs]
+        ops, failed = store.memoised(
+            (self.kind, *cells, *lo, *hi), self.filter, cells, lo, hi
+        )
+        vs = self._vars
+        for op, pos, arg in ops:
+            op(store, vs[pos], arg)
+        if failed:
+            raise Inconsistent(f"{type(self).__name__} has no solution")
+
+    def filter(self, cells, lo, hi):
+        raise NotImplementedError
+
+
+class Mcr(MemoFilter):
     """Weighted-automaton row propagator.
 
     Runs on the layered graph of automaton runs over the row variables
@@ -38,52 +80,25 @@ class Mcr(Propagator):
     its surviving arcs.  With zero resources this is exact domain consistency
     for the plain automaton membership constraint.
 
-    The filter (``filter``) is a pure function of the automaton, the cell
-    domains and the resource bounds: resource variables are read only by
-    their bounds, as intervals.  It returns the store operations to make, by
-    position in the row, and whether the row fails after them.  ``run`` keys
-    that result by its input in the store's trailed ``memo``, so every row
-    posted with the same automaton that sees the same input on the current
-    search path replays the result on its own variables without filtering.
+    The filter is a pure function of the automaton (the memo ``kind``), the
+    cell domains and the resource bounds, so every row posted with the same
+    automaton shares the results in the store's memo (see ``MemoFilter``).
     """
 
     priority = 1
 
     def __init__(self, xs, zs, wdfa):
-        self.xs = list(xs)
-        self.zs = list(zs)
+        super().__init__(xs, zs, wdfa)
         self.wdfa = wdfa
         if len(self.zs) != wdfa.n_resources:
             raise ValueError("one resource variable per cost matrix required")
-        self._vars = self.xs + self.zs
-
-    def variables(self):
-        return self._vars
-
-    def run(self, store):
-        cells = [store.dom(x) for x in self.xs]
-        lo = [store.vmin(z) for z in self.zs]
-        hi = [store.vmax(z) for z in self.zs]
-        key = (self.wdfa, *cells, *lo, *hi)
-        result = store.memo.get(key)
-        if result is None:
-            result = store.memo[key] = self.filter(cells, lo, hi)
-        ops, failed = result
-        vs = self._vars
-        for op, pos, arg in ops:
-            op(store, vs[pos], arg)
-        if failed:
-            raise Inconsistent("row automaton has no accepting run")
 
     def filter(self, cells, lo, hi):
-        """Filter cell domains ``cells`` and resource bounds ``lo``/``hi``.
-
-        Returns ``(ops, failed)``: ``ops`` lists ``(Store method, position,
-        argument)`` in the order they are to be applied, positions counting
-        the cells first and then the resources; ``failed`` says that the row
-        has no accepting run within the bounds once they are applied.  An
-        operation that empties a resource ends the list with ``failed``
-        set, so a replay makes the same bound changes before it fails.
+        """Filter cell domains ``cells`` and resource bounds ``lo``/``hi``
+        (see ``MemoFilter``).  ``failed`` means no accepting run within the
+        bounds.  An operation that empties a resource ends the list with
+        ``failed`` set, so a replay makes the same bound changes before it
+        fails.
         """
         n = len(cells)
         d = self.wdfa.dfa
@@ -155,12 +170,15 @@ def regular_dc(xs, dfa):
     return Mcr(xs, [], WeightedDfa.plain(dfa))
 
 
-class GccColumn(Propagator):
+class GccColumn(MemoFilter):
     """Occurrence counting over one scope with cardinality variables.
 
     cards[j] tracks how many scope variables take values[j]; both directions
     are propagated (cards tightened from the cells, cells pruned or forced
-    when a cardinality bound becomes tight).
+    when a cardinality bound becomes tight).  The cardinalities are interval
+    variables, read by their bounds, and the filter is a pure function of the
+    counted values (the memo ``kind``), the cell domains and those bounds
+    (see ``MemoFilter``).
     """
 
     priority = 0
@@ -168,41 +186,53 @@ class GccColumn(Propagator):
     def __init__(self, xs, cards, values):
         if len(cards) != len(values):
             raise ValueError("one cardinality variable per counted value")
-        self.xs = list(xs)
-        self.cards = list(cards)
-        self.values = list(values)
+        self.values = tuple(values)
+        super().__init__(xs, cards, self.values)
 
-    def variables(self):
-        return self.xs + self.cards
-
-    def run(self, store):
-        while self._pass(store):
-            pass
-
-    def _pass(self, store):
-        changed = False
-        for card, v in zip(self.cards, self.values):
-            fixed = possible = 0
-            for x in self.xs:
-                dm = store.dom(x)
-                if v in dm:
-                    possible += 1
-                    if len(dm) == 1:
-                        fixed += 1
-            changed |= store.set_min(card, fixed)
-            changed |= store.set_max(card, possible)
-            lo, hi = store.vmin(card), store.vmax(card)
-            if fixed == hi and possible > fixed:
-                for x in self.xs:
-                    dm = store.dom(x)
-                    if len(dm) > 1 and v in dm:
-                        changed |= store.remove_value(x, v)
-            elif possible == lo and fixed < possible:
-                for x in self.xs:
-                    dm = store.dom(x)
-                    if len(dm) > 1 and v in dm:
-                        changed |= store.assign(x, v)
-        return changed
+    def filter(self, cells, lo, hi):
+        """Count each value over ``cells`` against its bounds ``lo``/``hi``
+        until no bound or cell changes.  An operation that empties a
+        cardinality ends the list with ``failed`` set."""
+        n = len(cells)
+        cells = list(cells)
+        lo = list(lo)
+        hi = list(hi)
+        ops = []
+        changed = True
+        while changed:
+            changed = False
+            for j, v in enumerate(self.values):
+                fixed = possible = 0
+                for dm in cells:
+                    if v in dm:
+                        possible += 1
+                        if len(dm) == 1:
+                            fixed += 1
+                if fixed > lo[j]:
+                    ops.append((Store.set_min, n + j, fixed))
+                    if fixed > hi[j]:
+                        return ops, True
+                    lo[j] = fixed
+                    changed = True
+                if possible < hi[j]:
+                    ops.append((Store.set_max, n + j, possible))
+                    if possible < lo[j]:
+                        return ops, True
+                    hi[j] = possible
+                    changed = True
+                if fixed == hi[j] and possible > fixed:
+                    for i, dm in enumerate(cells):
+                        if len(dm) > 1 and v in dm:
+                            ops.append((Store.remove_value, i, v))
+                            cells[i] = dm - {v}
+                            changed = True
+                elif possible == lo[j] and fixed < possible:
+                    for i, dm in enumerate(cells):
+                        if len(dm) > 1 and v in dm:
+                            ops.append((Store.assign, i, v))
+                            cells[i] = frozenset((v,))
+                            changed = True
+        return ops, False
 
 
 class LinearEq(Propagator):

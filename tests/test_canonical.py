@@ -118,6 +118,32 @@ class TestParseErrors:
         with pytest.raises(FormatError, match=f"line 3: {message}"):
             parse_model(text)
 
+    @pytest.mark.parametrize("line, fields", [
+        ("DOMAIN 0 1", "row col value ..."),
+        ("COL_GCC 0 1", "col value lo hi"),
+        ("COL_SUM 0 1", "col lo hi"),
+        ("LEX", "flag"),
+        ("LEX 1 1", "flag"),
+        ("VALUES", "value ..."),
+        ("COUNTGROUP 0", "resource value ..."),
+        ("PROPERTY word", "kind set ..."),
+    ], ids=["DOMAIN", "COL_GCC", "COL_SUM", "LEX", "LEX-long", "VALUES",
+            "COUNTGROUP", "PROPERTY"])
+    def test_short_line_names_its_fields(self, line, fields):
+        text = SAT_2X2.replace("ROW_DFA", line + "\nROW_DFA")
+        with pytest.raises(FormatError,
+                           match=f"line 3: .*{fields}: {line}$"):
+            parse_model(text)
+
+    def test_short_header_names_its_fields(self):
+        with pytest.raises(FormatError,
+                           match="line 1: .*rows cols values: MATRIX 2 2$"):
+            parse_model(SAT_2X2.replace("MATRIX 2 2 2", "MATRIX 2 2"))
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(FormatError, match="at least one row"):
+            parse_model(SAT_2X2.replace("MATRIX 2 2 2", "MATRIX 2 0 2"))
+
     def test_unknown_external_value(self):
         text = dump_model(gen_random(1, 2, 2, 2)) + "COL_GCC 0 9 0 1\n"
         with pytest.raises(FormatError, match="9"):
@@ -160,6 +186,17 @@ class TestRosterFiles:
     def test_short_line_names_its_fields(self, text, no, fields):
         line = text.splitlines()[no - 1]
         with pytest.raises(FormatError, match=f"line {no}: .*{fields}: {line}"):
+            parse_model(text)
+
+    @pytest.mark.parametrize("text", [
+        "ROSTER 2 1 0\nCOVER\n",
+        "ROSTER 2 1 1\nCOVER 1\n",
+        "ROSTER -1 1 2\nCOVER 1 0\n",
+        "ROSTER 2 0 2\n",
+    ], ids=["no-shifts", "one-shift", "no-nurses", "no-days"])
+    def test_header_sizes_checked(self, text):
+        with pytest.raises(FormatError,
+                           match="line 1: ROSTER needs at least 1 nurse"):
             parse_model(text)
 
     def test_dashes_mean_unbounded(self):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matrixcp import engine
 from matrixcp.engine import Inconsistent, Propagator, SearchStats, Store, search
 
 
@@ -91,6 +92,34 @@ class TestStore:
         assert st.vmin(x) == 1
         st.undo()
         assert st.vmin(x) == 0
+
+
+    def test_memo_keeps_at_most_cap_entries_oldest_out_first(self, monkeypatch):
+        monkeypatch.setattr(engine, "MEMO_CAP", 3)
+        st = Store()
+        filtered = []
+
+        def filter(k):
+            filtered.append(k)
+            return [], k
+
+        for k in range(6):
+            assert st.memoised(k, filter, k) == ([], k)
+            assert len(st.memo) <= 3
+        assert list(st.memo) == [3, 4, 5]
+        # A hit neither filters nor reorders.
+        assert st.memoised(4, filter, 4) == ([], 4)
+        assert filtered == [0, 1, 2, 3, 4, 5] and list(st.memo) == [3, 4, 5]
+        # An evicted key is filtered again and evicts the oldest in turn.
+        st.memoised(0, filter, 0)
+        assert filtered[-1] == 0 and list(st.memo) == [4, 5, 0]
+
+    def test_undo_keeps_memo(self):
+        st = Store()
+        st.mark()
+        st.memoised("k", lambda: ([], False))
+        st.undo()
+        assert list(st.memo) == ["k"]
 
 
 class ForbidValue(Propagator):

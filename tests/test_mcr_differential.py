@@ -8,7 +8,7 @@ from itertools import product
 from matrixcp.automata import CostMatrices, Dfa, WeightedDfa
 from matrixcp.engine import Store
 from matrixcp.model import achievable_totals
-from matrixcp.propagators import Mcr
+from matrixcp.propagators import GccColumn, Mcr
 
 ALPHABET = (0, 1, 2)
 
@@ -260,21 +260,34 @@ def test_memo_replay_is_positional():
     assert snapshot(st, a)[0] == ((0,), (1,), (1,), (1,))
 
 
-def test_undo_returns_memo_to_size_at_mark():
-    rng = random.Random(4203)
-    wa = random_weighted(rng, 4)
+def test_entry_from_another_subtree_replays_without_filtering(monkeypatch):
+    # A row and a column over the same cells: the results both filter in one
+    # subtree are replayed in a sibling subtree with the same input.
+    wa = random_weighted(random.Random(4203), 4)
     st = Store()
-    rows = [post_row(st, wa, [ALPHABET] * 4, [(-50, 50)] * wa.n_resources)
-            for _ in range(3)]
+    xs, zs = post_row(st, wa, [ALPHABET] * 4, [(-50, 50)] * wa.n_resources)
+    cards = [st.new_interval(0, 4) for _ in ALPHABET]
+    st.register(GccColumn(xs, cards, ALPHABET))
     assert st.propagate() == "stable"
-    sizes = [len(st.memo)]
-    for i, (xs, _) in enumerate(rows):
+    x, v = xs[0], min(st.dom(xs[0]))
+    assert len(st.dom(x)) > 1
+    filtered = []
+    for cls in (Mcr, GccColumn):
+        def spy(self, *args, filter=cls.filter):
+            filtered.append(type(self))
+            return filter(self, *args)
+        monkeypatch.setattr(cls, "filter", spy)
+
+    def subtree():
         st.mark()
-        st.keep_values(xs[i], {st.vmin(xs[i])})
-        st.propagate()
-        sizes.append(len(st.memo))
-    assert sizes[-1] > sizes[0]
-    while len(sizes) > 1:
-        sizes.pop()
+        st.assign(x, v)
+        out = st.propagate(), snapshot(st, (xs, zs + cards))
         st.undo()
-        assert len(st.memo) == sizes[-1]
+        return out
+
+    first = subtree()
+    assert set(filtered) == {Mcr, GccColumn}
+    size = len(st.memo)
+    filtered.clear()
+    assert subtree() == first
+    assert filtered == [] and len(st.memo) == size

@@ -1,10 +1,12 @@
 import random
 import time
 import tracemalloc
+from collections import OrderedDict
 
 import pytest
 
 import matrixcp.model
+from matrixcp import engine
 from matrixcp.automata import (
     CostMatrices,
     Dfa,
@@ -15,7 +17,12 @@ from matrixcp.automata import (
     universal_dfa,
 )
 from matrixcp.engine import Store
-from matrixcp.generators import gen_random
+from matrixcp.generators import (
+    gen_3sat,
+    gen_exact_cover,
+    gen_hitting_set,
+    gen_random,
+)
 from matrixcp.model import (
     MODES,
     MatrixModel,
@@ -29,7 +36,7 @@ from matrixcp.model import (
     solve,
 )
 from matrixcp.oracle import brute_solutions, brute_solve, check_solution
-from matrixcp.propagators import Mcr
+from matrixcp.propagators import GccColumn, Mcr, MemoFilter
 from matrixcp.roster import gen_toy_rosters, roster_model
 
 
@@ -82,6 +89,12 @@ class TestMatrixModel:
         rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(0, 2)])
         with pytest.raises(ValueError):
             MatrixModel(2, 2, (0, 1), rule, **kwargs)
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (-1, 1)])
+    def test_empty_matrix_rejected(self, shape):
+        rule = universal_dfa((0, 1))
+        with pytest.raises(ValueError, match="at least one row"):
+            MatrixModel(*shape, (0, 1), rule)
 
     def test_default_properties_cover_each_value(self):
         props = default_properties(2)
@@ -363,6 +376,16 @@ class TestBuilt:
         assert out.status == "sat"
 
 
+def fixpoint_models():
+    """The 200 criterion-4 fuzz models plus six toy rosters."""
+    models = [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
+                         random.Random(200 + i).randint(2, 4),
+                         random.Random(300 + i).randint(2, 3))
+              for i in range(200)]
+    return models + [roster_model(inst, rules)
+                     for inst, rules in gen_toy_rosters(4242, 6)]
+
+
 def test_root_is_a_local_fixpoint(monkeypatch):
     """After a stable root propagation, running any propagator once more
     changes nothing: each one leaves its own local fixpoint (the contract
@@ -375,14 +398,8 @@ def test_root_is_a_local_fixpoint(monkeypatch):
         register(store, prop)
 
     monkeypatch.setattr(Store, "register", spy)
-    models = [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
-                         random.Random(200 + i).randint(2, 4),
-                         random.Random(300 + i).randint(2, 3))
-              for i in range(200)]
-    models += [roster_model(inst, rules)
-               for inst, rules in gen_toy_rosters(4242, 6)]
     stable = reruns = 0
-    for m in models:
+    for m in fixpoint_models():
         for mode in MODES:
             posted.clear()
             b = build(m, mode)
@@ -400,3 +417,132 @@ def test_root_is_a_local_fixpoint(monkeypatch):
                 st.undo()
                 reruns += 1
     assert stable >= 100 and reruns >= 5000  # 115 and 6,449 when written
+
+
+def small_reductions():
+    """Four 3-SAT formulas, three exact covers and three hitting sets (sum
+    variant), seeded; their searches replay filter results across
+    subtrees."""
+    rng = random.Random(4243)
+    models = []
+    for _ in range(4):
+        clauses = [[p if rng.random() < 0.5 else -p
+                    for p in rng.sample(range(1, 6), 3)] for _ in range(16)]
+        models.append(gen_3sat(clauses, 5))
+    for _ in range(3):
+        family = [set(rng.sample(range(1, 13), rng.randint(2, 3)))
+                  for _ in range(14)]
+        models.append(gen_exact_cover(family, 12))
+    for _ in range(3):
+        edges = [set(rng.sample(range(10), rng.randint(2, 3)))
+                 for _ in range(12)]
+        models.append(gen_hitting_set(10, edges, 3, variant="sum"))
+    return models
+
+
+def search_fixpoint_cases():
+    """(model, modes) pairs: the small reductions under decomp, the
+    criterion-4 fuzz models under every mode, and six toy rosters under wa
+    and cwa (decomp searches some of them for minutes)."""
+    models = fixpoint_models()
+    return ([(m, ("decomp",)) for m in small_reductions()]
+            + [(m, MODES) for m in models[:200]]
+            + [(m, ("wa", "cwa")) for m in models[200:]])
+
+
+def test_memo_cap_changes_no_search(monkeypatch):
+    """Eviction costs only refiltering: with the memo capped at two entries
+    every search count and the solution stay the same."""
+    m = small_reductions()[3]
+    full = solve(m, "decomp")
+    monkeypatch.setattr(engine, "MEMO_CAP", 2)
+    capped = solve(m, "decomp")
+    assert full.stats.nodes > 100
+    assert capped.stats.as_dict() == full.stats.as_dict()
+    assert capped.grid == full.grid
+    assert len(full.built.store.memo) > 2 >= len(capped.built.store.memo)
+
+
+def test_search_nodes_are_local_fixpoints(monkeypatch):
+    """At every stable search node, running any propagator once more with a
+    fresh memo changes nothing, and every solution passes
+    ``check_solution``.  So the filter results that propagation replayed
+    from the store memo, which outlives the node that made them, were as
+    good as fresh ones."""
+    posted = []
+    where = ""
+    undone = checking = False
+    stable = reruns = replays = filters = 0
+    register, propagate, undo = Store.register, Store.propagate, Store.undo
+    run = MemoFilter.run
+
+    def spy_register(store, prop):
+        posted.append(prop)
+        register(store, prop)
+
+    def checked_propagate(store):
+        nonlocal checking, stable, reruns
+        status = propagate(store)
+        if status == "stable":
+            checking = True
+            memo, store.memo = store.memo, OrderedDict()
+            before = [d.values for d in store.domains]
+            for prop in posted:
+                store.mark()
+                prop.run(store)
+                assert [d.values for d in store.domains] == before, (
+                    f"{where}: {type(prop).__name__} was not at its fixpoint")
+                store.undo()
+            store.memo = memo
+            checking = False
+            stable += 1
+            reruns += len(posted)
+        return status
+
+    def spy_undo(store):
+        nonlocal undone
+        undone |= not checking
+        undo(store)
+
+    def spy_run(prop, store):
+        nonlocal replays
+        seen = filters
+        try:
+            run(prop, store)
+        finally:
+            if undone and not checking and filters == seen:
+                replays += 1
+
+    def counted(filter):
+        def spy(prop, *args):
+            nonlocal filters
+            filters += 1
+            return filter(prop, *args)
+        return spy
+
+    monkeypatch.setattr(Store, "register", spy_register)
+    monkeypatch.setattr(Store, "propagate", checked_propagate)
+    monkeypatch.setattr(Store, "undo", spy_undo)
+    monkeypatch.setattr(MemoFilter, "run", spy_run)
+    for cls in (Mcr, GccColumn):
+        monkeypatch.setattr(cls, "filter", counted(cls.filter))
+    solutions = 0
+    for m, modes in search_fixpoint_cases():
+        index = {v: j for j, v in enumerate(m.values)}
+        for mode in modes:
+            posted.clear()
+            undone = False
+            where = f"{m.name} {mode}"
+            found = []
+
+            def on_solution(grid):
+                found.append([[index[v] for v in row] for row in grid])
+                assert check_solution(m, found[-1]), f"{where}: {grid}"
+                return len(found) == 3
+
+            solve(m, mode, on_solution=on_solution)
+            solutions += len(found)
+    # 1,385 stable nodes, 86,188 re-runs, 11,003 replays after an undo and
+    # 255 solutions when written.
+    assert stable >= 1000 and reruns >= 50000
+    assert replays >= 5000 and solutions >= 150

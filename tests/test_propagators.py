@@ -179,33 +179,164 @@ class TestGccColumn:
         st.register(GccColumn(xs, [card1], [1]))
         assert st.propagate() == "failed"
 
+    @staticmethod
+    def post(st, doms, values, bounds):
+        xs = [st.new_var(dm) for dm in doms]
+        cards = [st.new_interval(lo, hi) for lo, hi in bounds]
+        st.register(GccColumn(xs, cards, values))
+        return xs, cards
+
+    @staticmethod
+    def snapshot(st, xs, cards):
+        return (tuple(tuple(sorted(st.dom(x))) for x in xs),
+                tuple((st.vmin(c), st.vmax(c)) for c in cards))
+
     def test_fuzz_sound_and_counts_exact(self):
         rng = random.Random(404)
-        for _ in range(80):
-            n = rng.randint(1, 5)
-            doms = [set(rng.sample((0, 1, 2), rng.randint(1, 3))) for _ in range(n)]
-            lo = rng.randint(0, n)
-            hi = rng.randint(lo, n)
+        for trial, want in enumerate(GCC_SEED_RESULTS):
+            doms, values, bounds = gcc_case(rng)
+            n = len(doms)
             sols = [w for w in product((0, 1, 2), repeat=n)
                     if all(w[i] in doms[i] for i in range(n))
-                    and lo <= sum(1 for v in w if v == 1) <= hi]
+                    and all(lo <= w.count(v) <= hi
+                            for v, (lo, hi) in zip(values, bounds))]
             st = Store()
-            xs = [st.new_var(dm) for dm in doms]
-            card = st.new_interval(lo, hi)
-            st.register(GccColumn(xs, [card], [1]))
-            try:
-                status = st.propagate()
-            except Inconsistent:
-                status = "failed"
-            if not sols:
-                assert status == "failed"
+            xs, cards = self.post(st, doms, values, bounds)
+            got = None
+            if st.propagate() == "stable":
+                got = self.snapshot(st, xs, cards)
+            assert got == want, f"trial {trial}"
+            assert (got is None) == (not sols), f"trial {trial}"
+            if got is None:
                 continue
-            assert status == "stable"
             for i in range(n):
-                support = {w[i] for w in sols}
-                assert support <= set(st.dom(xs[i]))
-            counts = {sum(1 for v in w if v == 1) for w in sols}
-            assert st.vmin(card) <= min(counts) and st.vmax(card) >= max(counts)
+                assert {w[i] for w in sols} <= set(got[0][i]), f"trial {trial}"
+            for v, (lo, hi) in zip(values, got[1]):
+                counts = {w.count(v) for w in sols}
+                assert lo <= min(counts) and hi >= max(counts), f"trial {trial}"
+
+    def test_memo_replays_cold_result(self):
+        # A second column with the same input on the same store replays the
+        # first one's result, also the bound changes a failing input makes.
+        rng = random.Random(404)
+        partial_failures = 0
+        for trial in range(len(GCC_SEED_RESULTS)):
+            doms, values, bounds = gcc_case(rng)
+            st = Store()
+            runs = []
+            for _ in range(2):
+                row = self.post(st, doms, values, bounds)
+                runs.append((st.propagate(), self.snapshot(st, *row)))
+            assert len(st.memo) == 1, f"trial {trial}: memo not reused"
+            assert runs[0] == runs[1], f"trial {trial}"
+            if runs[0][0] == "failed" and runs[0][1][1] != tuple(bounds):
+                partial_failures += 1
+        assert partial_failures >= 3
+
+
+def gcc_case(rng):
+    """(cell domains, 2-3 counted values, their count bounds) of one column:
+    bounds around the counts of one word in the domains, and for some cases
+    one of them drawn at random."""
+    n = rng.randint(1, 5)
+    values = sorted(rng.sample((0, 1, 2), rng.randint(2, 3)))
+    doms = [set(rng.sample((0, 1, 2), rng.randint(1, 3))) for _ in range(n)]
+    word = [rng.choice(sorted(dm)) for dm in doms]
+    bounds = [(max(0, word.count(v) - rng.randint(0, 2)),
+               min(n, word.count(v) + rng.randint(0, 2))) for v in values]
+    if rng.random() < 0.4:
+        j = rng.randrange(len(values))
+        lo = rng.randint(0, n)
+        bounds[j] = (lo, rng.randint(lo, n))
+    return doms, values, bounds
+
+
+# Results of the column propagator before it became a memoised pure filter
+# (a store-reading pass repeated to its fixpoint), for
+# gcc_case(random.Random(404)) in order: the cell domains and count bounds
+# after propagation, None on failure.
+GCC_SEED_RESULTS = [
+    (((0,),), ((1, 1), (0, 0), (0, 0))),
+    (((0, 2), (0, 2)), ((0, 0), (0, 1))),
+    (((2,), (2,), (0, 1), (1, 2), (0, 1, 2)), ((0, 3), (2, 3))),
+    (((0, 1, 2),), ((0, 1), (0, 1), (0, 1))),
+    None,
+    (((2,), (0, 1), (1,), (2,)), ((0, 1), (2, 2))),
+    (((0, 1, 2), (0, 1, 2), (1,), (0, 1, 2), (0, 1, 2)), ((2, 3), (1, 3))),
+    (((0, 2), (0, 2), (1,), (0, 1, 2)), ((0, 3), (0, 3))),
+    (((0, 1), (1,), (0, 1, 2)), ((0, 1), (1, 3), (0, 1))),
+    (((0, 1), (0, 1)), ((0, 2), (0, 2), (0, 0))),
+    (((0, 1, 2), (0, 2), (0, 1, 2)), ((1, 3), (1, 3))),
+    (((0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 2)), ((1, 3), (2, 2))),
+    (((1, 2), (0, 1, 2), (1,), (2,), (0,)), ((1, 2), (1, 3), (2, 2))),
+    None,
+    (((1,),), ((0, 0), (1, 1), (0, 0))),
+    (((0, 1), (0, 1)), ((1, 2), (1, 2), (0, 0))),
+    (((0, 2), (0, 1, 2), (1,), (0,), (0, 1)), ((3, 4), (1, 2), (0, 2))),
+    (((1, 2),), ((0, 0), (0, 1), (0, 1))),
+    (((0,), (1, 2), (0, 1, 2), (1, 2), (0, 1, 2)), ((2, 4), (0, 2))),
+    (((1,), (1, 2)), ((0, 0), (1, 2), (0, 1))),
+    (((0,), (0, 2)), ((1, 2), (0, 0))),
+    (((0, 1, 2), (0, 1, 2), (0, 2), (0, 1, 2), (0, 1, 2)), ((4, 4), (0, 2))),
+    (((2,), (0,), (1,), (0, 2), (0, 1, 2)), ((2, 3), (1, 2))),
+    (((2,),), ((0, 0), (0, 0))),
+    (((1,), (0, 1), (2,), (2,)), ((0, 1), (2, 2))),
+    (((2,), (0,), (0, 2)), ((1, 2), (0, 0), (1, 2))),
+    (((1,), (1,), (1,)), ((0, 0), (3, 3))),
+    (((0,), (0, 1, 2), (0,), (0, 2), (0, 1, 2)), ((0, 2), (0, 1))),
+    (((0,), (1, 2), (0,)), ((2, 2), (0, 1))),
+    (((0,),), ((1, 1), (0, 0), (0, 0))),
+    (((2,),), ((0, 0), (0, 0), (1, 1))),
+    None,
+    (((1, 2),), ((0, 0), (0, 1))),
+    (((2,), (1,), (2,), (0, 1, 2)), ((0, 1), (1, 2))),
+    None,
+    (((1,), (1,)), ((0, 0), (2, 2))),
+    (((0, 1, 2), (1,), (0, 1, 2)), ((1, 2), (0, 2))),
+    None,
+    (((1, 2),), ((0, 0), (0, 1), (0, 1))),
+    (((0, 1, 2), (0, 1, 2), (1, 2), (0, 1, 2)), ((0, 1), (0, 4))),
+    (((2,), (0,)), ((1, 1), (0, 0))),
+    None,
+    (((0, 2), (0, 1, 2), (1, 2)), ((1, 2), (0, 2), (1, 1))),
+    (((0, 1, 2), (1,)), ((0, 1), (1, 2))),
+    (((0,), (1,), (0,)), ((1, 1), (0, 0))),
+    (((0,),), ((1, 1), (0, 0))),
+    (((0, 1), (0,), (2,), (2,), (0, 1)), ((1, 2), (1, 2), (2, 2))),
+    (((0, 2), (0, 2), (0, 2)), ((1, 1), (0, 0))),
+    (((0, 1, 2), (0, 1, 2), (0, 1, 2)), ((0, 3), (1, 2), (1, 2))),
+    (((1, 2), (1, 2), (1,), (0,), (0,)), ((2, 2), (1, 3))),
+    (((0, 2), (1,), (2,), (1, 2)), ((1, 2), (1, 2))),
+    None,
+    (((2,), (2,)), ((0, 0), (0, 0), (2, 2))),
+    (((1,), (0,)), ((1, 1), (1, 1), (0, 0))),
+    (((0,), (0, 1)), ((0, 1), (0, 0))),
+    (((2,), (0, 1, 2), (0, 1, 2), (1, 2)), ((0, 2), (0, 1), (2, 3))),
+    (((0, 1, 2), (0, 1), (0, 1), (2,), (2,)), ((2, 2), (0, 2), (2, 3))),
+    (((0, 2),), ((0, 1), (0, 0), (0, 1))),
+    (((2,),), ((0, 0), (0, 0))),
+    (((1,), (0, 1, 2)), ((1, 2), (0, 1))),
+    (((1,), (0,)), ((1, 1), (1, 1), (0, 0))),
+    (((0, 1, 2), (0,), (0, 1, 2), (0, 1, 2), (0, 2)), ((3, 4), (0, 1), (1, 3))),
+    (((0, 1), (1,), (0,), (1,), (0, 1)), ((1, 2), (2, 4), (0, 0))),
+    None,
+    (((0, 2), (0,)), ((0, 0), (0, 1))),
+    (((0, 1), (0, 1, 2), (0,), (0, 2)), ((1, 4), (0, 2), (0, 2))),
+    (((0,), (2,), (1,)), ((1, 1), (1, 1), (1, 1))),
+    (((0,),), ((0, 0), (0, 0))),
+    (((0,),), ((0, 0), (0, 0))),
+    (((0, 1, 2), (0, 1, 2), (0, 1), (2,)), ((2, 3), (1, 2))),
+    (((0, 1, 2), (0, 1), (0, 1, 2), (0, 1)), ((2, 4), (0, 1), (0, 1))),
+    None,
+    (((0, 2), (1,)), ((0, 1), (1, 1), (0, 1))),
+    (((2,),), ((0, 0), (0, 0), (1, 1))),
+    (((0, 2), (0, 1, 2), (2,)), ((0, 1), (1, 3))),
+    (((0, 1), (0, 1), (0, 1)), ((2, 3), (0, 1), (0, 0))),
+    None,
+    (((1, 2), (0, 1, 2), (2,)), ((0, 1), (0, 1), (1, 3))),
+    (((0, 1), (0,), (0,), (2,), (0, 1)), ((3, 3), (0, 2), (1, 1))),
+    (((2,), (2,), (0,), (2,), (0,)), ((2, 2), (3, 3))),
+]
 
 
 class TestLinearEq:
