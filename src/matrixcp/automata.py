@@ -923,51 +923,101 @@ def dump_automaton(wdfa):
     return "\n".join(lines) + "\n"
 
 
+def clean_lines(text):
+    """Numbered non-blank lines of ``text`` with '#' comments stripped."""
+    out = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.split("#", 1)[0].strip()
+        if ln:
+            out.append((no, ln))
+    return out
+
+
+def check_fields(parts, fields):
+    """Raise ValueError unless the split line ``parts`` has the ``fields``
+    after its tag.  A last field ``x ...`` repeats x one or more times, a
+    last ``[x ...]`` zero or more times."""
+    names = fields.split()
+    repeat = names[-1] in ("...", "...]")
+    need = len(names) - repeat - (names[-1] == "...]")
+    got = len(parts) - 1
+    if got < need or (got > need and not repeat):
+        raise ValueError(f"{parts[0]} needs fields {fields}: {' '.join(parts)}")
+
+
+# The fields after each automaton line's tag (see ``check_fields``).
+AUTOMATON_FIELDS = {
+    "wdfa": "states start",
+    "alphabet": "symbol ...",
+    "accept": "[state ...]",
+    "resources": "count",
+    "bound": "resource lo hi",
+    "trans": "state symbol target [resource:cost ...]",
+    "poscost": "state symbol position resource:cost ...",
+}
+
+
 def parse_automaton(text):
-    """Parse the text form produced by dump_automaton."""
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
-    lines = [ln.strip() for ln in lines]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("wdfa "):
-        raise AutomatonError("automaton text must start with a 'wdfa' line")
-    try:
-        _, n_states, start = lines[0].split()
-        n_states, start = int(n_states), int(start)
-        alphabet = accept = None
-        n_res = 0
-        bounds = {}
-        trans = {}
-        base, positional = {}, {}
-        for ln in lines[1:]:
-            parts = ln.split()
-            if parts[0] == "alphabet":
+    """Parse the text form produced by dump_automaton.
+
+    ``text`` is the text or its lines numbered as ``clean_lines`` returns
+    them, and errors name the line at fault by that number.  '#' comments
+    are ignored.  Transitions left out go to a rejecting sink
+    (``Dfa.from_partial``).
+    """
+    lines = clean_lines(text) if isinstance(text, str) else list(text)
+    if not lines:
+        raise AutomatonError("automaton text is empty")
+    first = lines[0][0]
+    alphabet = accept = None
+    n_res = 0
+    bounds, trans, base, positional = {}, {}, {}, {}
+    refs = []  # (line, resource) of every bound and cost
+    for no, ln in lines:
+        parts = ln.split()
+        tag = parts[0]
+        try:
+            if (tag == "wdfa") != (no == first):
+                raise ValueError("automaton text must start with its one "
+                                 f"'wdfa' line: {ln}")
+            if tag not in AUTOMATON_FIELDS:
+                raise ValueError(f"unknown automaton line: {ln}")
+            check_fields(parts, AUTOMATON_FIELDS[tag])
+            if tag == "wdfa":
+                n_states, start = int(parts[1]), int(parts[2])
+            elif tag == "alphabet":
                 alphabet = tuple(int(x) for x in parts[1:])
-            elif parts[0] == "accept":
+            elif tag == "accept":
                 accept = {int(x) for x in parts[1:]}
-            elif parts[0] == "resources":
+            elif tag == "resources":
                 n_res = int(parts[1])
-            elif parts[0] == "bound":
-                bounds[int(parts[1])] = (int(parts[2]), int(parts[3]))
-            elif parts[0] == "trans":
-                q, v, q2 = int(parts[1]), int(parts[2]), int(parts[3])
-                trans[(q, v)] = q2
-                for tok in parts[4:]:
-                    r, c = tok.split(":")
-                    base[(int(r), q, v)] = int(c)
-            elif parts[0] == "poscost":
-                q, v, i = int(parts[1]), int(parts[2]), int(parts[3])
-                for tok in parts[4:]:
-                    r, c = tok.split(":")
-                    positional[(int(r), q, v, i)] = int(c)
+            elif tag == "bound":
+                r = int(parts[1])
+                refs.append((no, r))
+                bounds[r] = (int(parts[2]), int(parts[3]))
             else:
-                raise AutomatonError(f"unknown automaton line: {ln}")
-    except (IndexError, ValueError) as exc:
-        raise AutomatonError(f"malformed automaton line: {exc}") from exc
-    if alphabet is None or accept is None:
-        raise AutomatonError("automaton text missing alphabet or accept line")
-    dfa = Dfa(n_states, alphabet, trans, start, accept)
-    blist = [bounds.get(r, (0, 10**9)) for r in range(n_res)]
-    return WeightedDfa(dfa, CostMatrices(n_res, base, positional), blist)
+                q, v, x = (int(p) for p in parts[1:4])
+                costs = [tok.split(":") for tok in parts[4:]]
+                if any(len(rc) != 2 for rc in costs):
+                    raise ValueError(f"costs read resource:cost: {ln}")
+                costs = [(int(r), int(c)) for r, c in costs]
+                refs += [(no, r) for r, _ in costs]
+                if tag == "trans":
+                    trans[(q, v)] = x
+                    base.update(((r, q, v), c) for r, c in costs)
+                else:
+                    positional.update(((r, q, v, x), c) for r, c in costs)
+        except ValueError as exc:
+            raise AutomatonError(f"line {no}: {exc}") from exc
+    for no, r in refs:
+        if not 0 <= r < n_res:
+            raise AutomatonError(f"line {no}: resource {r} out of range "
+                                 f"0..{n_res - 1}")
+    try:
+        if alphabet is None or accept is None:
+            raise AutomatonError("automaton text missing alphabet or accept line")
+        dfa = Dfa.from_partial(n_states, alphabet, trans, start, accept)
+        blist = [bounds.get(r, (0, 10**9)) for r in range(n_res)]
+        return WeightedDfa(dfa, CostMatrices(n_res, base, positional), blist)
+    except AutomatonError as exc:
+        raise AutomatonError(f"line {first}: {exc}") from exc

@@ -39,7 +39,13 @@ without PROPERTY lines get the default property set in wa/cwa modes.
 
 from __future__ import annotations
 
-from .automata import dump_automaton, parse_automaton
+from .automata import (
+    AutomatonError,
+    check_fields,
+    clean_lines,
+    dump_automaton,
+    parse_automaton,
+)
 from .model import (
     MatrixModel,
     StretchCountProp,
@@ -51,7 +57,6 @@ from .roster import (
     CaseRules,
     NspInstance,
     ShiftRule,
-    clean_lines,
     dump_case,
     parse_rule_line,
     roster_model,
@@ -62,8 +67,7 @@ class FormatError(ValueError):
     """Malformed model text."""
 
 
-# The fields after each model line's tag; "..." repeats the field before it
-# one or more times.
+# The fields after each model line's tag (see ``check_fields``).
 MODEL_FIELDS = {
     "MATRIX": "rows cols values",
     "VALUES": "value ...",
@@ -74,16 +78,6 @@ MODEL_FIELDS = {
     "COUNTGROUP": "resource value ...",
     "PROPERTY": "kind set ...",
 }
-
-
-def _check_fields(parts):
-    """Raise ValueError unless a split model line has its MODEL_FIELDS."""
-    fields = MODEL_FIELDS[parts[0]]
-    names = fields.split()
-    repeat = names[-1] == "..."
-    need = len(names) - repeat
-    if len(parts) - 1 < need or (len(parts) - 1 > need and not repeat):
-        raise ValueError(f"{parts[0]} needs fields {fields}: {' '.join(parts)}")
 
 
 def dump_model(model):
@@ -149,8 +143,7 @@ def _parse_roster(lines):
         tag = parts[0]
         try:
             if tag == "ROSTER" and rules is None:
-                if len(parts) != 4:
-                    raise ValueError(f"ROSTER needs fields nurses days shifts: {ln}")
+                check_fields(parts, "nurses days shifts")
                 n, d, s = (int(x) for x in parts[1:])
                 if n < 1 or d < 1 or s < 2:
                     raise ValueError(f"ROSTER needs at least 1 nurse, 1 day "
@@ -198,7 +191,7 @@ def parse_model(text):
         tag = parts[0]
         try:
             if tag in MODEL_FIELDS:
-                _check_fields(parts)
+                check_fields(parts, MODEL_FIELDS[tag])
             if tag == "MATRIX":
                 header = (int(parts[1]), int(parts[2]), int(parts[3]))
             elif tag == "VALUES":
@@ -221,13 +214,15 @@ def parse_model(text):
                 props.append((no, parts[1], parts[2:]))
             elif tag == "ROW_DFA":
                 j = i + 1
-                block = []
                 while j < len(lines) and lines[j][1] != "END":
-                    block.append(lines[j][1])
                     j += 1
                 if j == len(lines):
                     raise FormatError(f"line {no}: ROW_DFA block missing END")
-                rule = parse_automaton(block)
+                try:
+                    rule = parse_automaton(lines[i + 1:j])
+                except AutomatonError as exc:
+                    # It names the block's lines by their file line numbers.
+                    raise FormatError(str(exc)) from exc
                 i = j
             else:
                 raise FormatError(f"line {no}: unknown line: {ln}")

@@ -232,7 +232,9 @@ class Store:
 
 
 class Propagator:
-    """Base class: subclasses implement variables() and run(store)."""
+    """Base class: subclasses implement variables(), and either run(store)
+    or one pass ``_pass(store)`` that returns whether it changed a domain,
+    which run repeats to the propagator's local fixpoint."""
 
     priority = 1
 
@@ -240,7 +242,8 @@ class Propagator:
         raise NotImplementedError
 
     def run(self, store):
-        raise NotImplementedError
+        while self._pass(store):
+            pass
 
 
 class SearchStats:

@@ -33,7 +33,6 @@ from .engine import Inconsistent, Store, search
 from .propagators import (
     ConstE,
     GccColumn,
-    LinearEq,
     MaxE,
     Mcr,
     MinE,
@@ -204,7 +203,6 @@ class Built:
         self.cards = []        # K x V cardinality variable ids
         self.rule_z = []       # R x n_resources rule resource ids
         self.prop_z = {}       # property -> per-row resource id lists
-        self.length_vars = {}  # StretchLengthProp -> (zmin, zmax)
         self.branch_vars = []
         self.root_infeasible = False
 
@@ -254,7 +252,6 @@ def _build_inner(b, model, mode, aggregate_words, cross_cap):
         b.cards.append(col)
         column_cells = [b.cells[i][k] for i in range(R)]
         store.register(GccColumn(column_cells, col, list(range(V))))
-        store.register(LinearEq([1] * V, col, R))
         if model.col_sums[k] is not None:
             lo, hi = model.col_sums[k]
             store.register(SumColumn(column_cells, model.values, lo, hi))
@@ -417,7 +414,6 @@ def _post_property(b, model, mode, prop, aggregate_words, cross_cap):
         b.prop_z[prop] = rows
         zmin = store.new_interval(0, K + 1)
         zmax = store.new_interval(0, K)
-        b.length_vars[prop] = (zmin, zmax)
         store.register(
             Relation("eq", VarE(zmin), MinE([VarE(rows[i][0]) for i in range(R)]))
         )

@@ -175,10 +175,12 @@ class GccColumn(MemoFilter):
 
     cards[j] tracks how many scope variables take values[j]; both directions
     are propagated (cards tightened from the cells, cells pruned or forced
-    when a cardinality bound becomes tight).  The cardinalities are interval
-    variables, read by their bounds, and the filter is a pure function of the
-    counted values (the memo ``kind``), the cell domains and those bounds
-    (see ``MemoFilter``).
+    when a cardinality bound becomes tight).  The cards sum to at least the
+    number of cells whose domain lies inside the counted values and to at
+    most the number of cells that meet them: to the number of cells when
+    every value is counted.  The cards are interval variables, read by their
+    bounds, and the filter is a pure function of the counted values (the memo
+    ``kind``), the cell domains and those bounds (see ``MemoFilter``).
     """
 
     priority = 0
@@ -187,17 +189,35 @@ class GccColumn(MemoFilter):
         if len(cards) != len(values):
             raise ValueError("one cardinality variable per counted value")
         self.values = tuple(values)
+        self.counted = frozenset(self.values)
         super().__init__(xs, cards, self.values)
 
     def filter(self, cells, lo, hi):
-        """Count each value over ``cells`` against its bounds ``lo``/``hi``
-        until no bound or cell changes.  An operation that empties a
-        cardinality ends the list with ``failed`` set."""
+        """Count each value over ``cells`` against its bounds ``lo``/``hi``,
+        and the total against the cells, until no bound or cell changes.  An
+        operation that empties a cardinality ends the list with ``failed``
+        set."""
         n = len(cells)
-        cells = list(cells)
-        lo = list(lo)
-        hi = list(hi)
+        cells, lo, hi = list(cells), list(lo), list(hi)
         ops = []
+
+        def narrow(j, least, most):
+            # Bound cards[j] to [least, most]; True once that empties it.
+            nonlocal changed
+            if least > lo[j]:
+                ops.append((Store.set_min, n + j, least))
+                if least > hi[j]:
+                    return True
+                lo[j] = least
+                changed = True
+            if most < hi[j]:
+                ops.append((Store.set_max, n + j, most))
+                if most < lo[j]:
+                    return True
+                hi[j] = most
+                changed = True
+            return False
+
         changed = True
         while changed:
             changed = False
@@ -208,18 +228,8 @@ class GccColumn(MemoFilter):
                         possible += 1
                         if len(dm) == 1:
                             fixed += 1
-                if fixed > lo[j]:
-                    ops.append((Store.set_min, n + j, fixed))
-                    if fixed > hi[j]:
-                        return ops, True
-                    lo[j] = fixed
-                    changed = True
-                if possible < hi[j]:
-                    ops.append((Store.set_max, n + j, possible))
-                    if possible < lo[j]:
-                        return ops, True
-                    hi[j] = possible
-                    changed = True
+                if narrow(j, fixed, possible):
+                    return ops, True
                 if fixed == hi[j] and possible > fixed:
                     for i, dm in enumerate(cells):
                         if len(dm) > 1 and v in dm:
@@ -232,55 +242,12 @@ class GccColumn(MemoFilter):
                             ops.append((Store.assign, i, v))
                             cells[i] = frozenset((v,))
                             changed = True
+            must = sum(dm <= self.counted for dm in cells)
+            may = n - sum(self.counted.isdisjoint(dm) for dm in cells)
+            for j in range(len(lo)):
+                if narrow(j, must - sum(hi) + hi[j], may - sum(lo) + lo[j]):
+                    return ops, True
         return ops, False
-
-
-class LinearEq(Propagator):
-    """Bounds propagation for sum(coef_i * x_i) == const."""
-
-    priority = 0
-
-    def __init__(self, coefs, vids, const):
-        if len(coefs) != len(vids):
-            raise ValueError("coefficient per variable required")
-        self.coefs = list(coefs)
-        self.vids = list(vids)
-        self.const = const
-
-    def variables(self):
-        return list(self.vids)
-
-    def run(self, store):
-        while self._pass(store):
-            pass
-
-    def _pass(self, store):
-        lo = hi = 0
-        terms = []
-        for c, x in zip(self.coefs, self.vids):
-            if c == 0:
-                continue
-            if c > 0:
-                tlo, thi = c * store.vmin(x), c * store.vmax(x)
-            else:
-                tlo, thi = c * store.vmax(x), c * store.vmin(x)
-            lo += tlo
-            hi += thi
-            terms.append((c, x, tlo, thi))
-        if lo > self.const or hi < self.const:
-            raise Inconsistent("linear equation out of bounds")
-        changed = False
-        for c, x, tlo, thi in terms:
-            # c*x must fit in [const - (hi - thi), const - (lo - tlo)]
-            blo = self.const - (hi - thi)
-            bhi = self.const - (lo - tlo)
-            if c > 0:
-                changed |= store.set_min(x, _ceil_div(blo, c))
-                changed |= store.set_max(x, bhi // c)
-            else:
-                changed |= store.set_min(x, _ceil_div(bhi, c))
-                changed |= store.set_max(x, blo // c)
-        return changed
 
 
 # -- interval expressions ----------------------------------------------------
@@ -482,10 +449,6 @@ class Relation(Propagator):
     def variables(self):
         return self._vids
 
-    def run(self, store):
-        while self._pass(store):
-            pass
-
     def _pass(self, store):
         changed = False
         llo, lhi = self.left.bounds(store)
@@ -500,6 +463,16 @@ class Relation(Propagator):
             changed |= self.right.push_le(store, lhi)
             changed |= self.left.push_ge(store, rlo)
         return changed
+
+
+class LinearEq(Relation):
+    """Bounds propagation for sum(coef_i * x_i) == const."""
+
+    def __init__(self, coefs, vids, const):
+        if len(coefs) != len(vids):
+            raise ValueError("coefficient per variable required")
+        terms = [ScaleE(c, VarE(x)) for c, x in zip(coefs, vids) if c]
+        super().__init__("eq", SumE(terms), ConstE(const))
 
 
 # -- ordering and sums --------------------------------------------------------
@@ -519,10 +492,6 @@ class LexLe(Propagator):
 
     def variables(self):
         return self.xs + self.ys
-
-    def run(self, store):
-        while self._pass(store):
-            pass
 
     def _suffix_ok(self, store, j):
         # Can positions >= j still realize xs <= ys (or < when strict)?
@@ -586,10 +555,6 @@ class SumColumn(Propagator):
 
     def variables(self):
         return list(self.xs)
-
-    def run(self, store):
-        while self._pass(store):
-            pass
 
     def _pass(self, store):
         ext = self.values
@@ -694,16 +659,11 @@ class StretchLengthWindows(Propagator):
                 )
         return rels
 
-    def run(self, store):
+    def _pass(self, store):
         # The windows depend only on this point, so they are rebuilt only
         # when it moves (including back, on backtracking).
         box = (store.vmin(self.zmin), store.vmax(self.zmax))
         if box != self._box:
             self._box = box
             self._rels = self._build(*box)
-        rels = self._rels
-        changed = True
-        while changed:
-            changed = False
-            for rel in rels:
-                changed |= rel._pass(store)
+        return any([rel._pass(store) for rel in self._rels])

@@ -13,7 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .automata import WeightedDfa, build_gcc_weights, stretch_length_dfa
+from .automata import (
+    WeightedDfa,
+    build_gcc_weights,
+    check_fields,
+    clean_lines,
+    stretch_length_dfa,
+)
 from .model import MatrixModel, solve
 from .oracle import check_solution
 
@@ -41,16 +47,6 @@ class NspInstance:
     n_shifts: int
     cover: list  # n_days x n_shifts lower bounds
     name: str = ""
-
-
-def clean_lines(text):
-    """Numbered non-blank lines of ``text`` with '#' comments stripped."""
-    out = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.split("#", 1)[0].strip()
-        if ln:
-            out.append((no, ln))
-    return out
 
 
 def parse_nsp(text, name=""):
@@ -91,9 +87,7 @@ def parse_rule_line(parts, rules):
     shift out of range.
     """
     tag = parts[0]
-    fields = RULE_FIELDS[tag]
-    if len(parts) != 1 + len(fields.split()):
-        raise ValueError(f"{tag} needs fields {fields}: {' '.join(parts)}")
+    check_fields(parts, RULE_FIELDS[tag])
     lo, hi, slo, shi = parts[-4:]
     rule = ShiftRule(int(lo), int(hi), int(slo),
                      None if shi == "-" else int(shi))

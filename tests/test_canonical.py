@@ -1,6 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from matrixcp.automata import build_gcc_weights, stretch_length_dfa
+from matrixcp.automata import (
+    build_gcc_weights,
+    parse_automaton,
+    stretch_length_dfa,
+)
 from matrixcp.canonical import FormatError, dump_model, dump_roster, parse_model
 from matrixcp.generators import gen_hitting_set, gen_random
 from matrixcp.model import (
@@ -140,6 +147,25 @@ class TestParseErrors:
                            match="line 1: .*rows cols values: MATRIX 2 2$"):
             parse_model(SAT_2X2.replace("MATRIX 2 2 2", "MATRIX 2 2"))
 
+    @pytest.mark.parametrize("old, new, no, message", [
+        ("trans 0 0 0", "trans 0 0", 9,
+         "trans needs fields state symbol target [resource:cost ...]: "
+         "trans 0 0"),
+        ("bound 0 0 2", "bound 0 0", 8,
+         "bound needs fields resource lo hi: bound 0 0"),
+        ("END", "poscost 0 1 3\nEND", 11,
+         "poscost needs fields state symbol position resource:cost ...: "
+         "poscost 0 1 3"),
+        ("wdfa 1 0", "wdfa 1 0 7", 4,
+         "wdfa needs fields states start: wdfa 1 0 7"),
+        ("bound 0 0 2", "bound 5 0 2", 8, "resource 5 out of range 0..0"),
+    ], ids=["trans", "bound", "poscost", "wdfa", "bound-resource"])
+    def test_row_dfa_error_names_its_line(self, old, new, no, message):
+        text = SAT_2X2.replace(old, new)
+        with pytest.raises(FormatError,
+                           match=f"^line {no}: {re.escape(message)}$"):
+            parse_model(text)
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(FormatError, match="at least one row"):
             parse_model(SAT_2X2.replace("MATRIX 2 2 2", "MATRIX 2 0 2"))
@@ -209,3 +235,23 @@ class TestRosterFiles:
         )
         m = parse_model(text)
         assert (m.n_rows, m.n_cols, m.n_values) == (2, 3, 2)
+
+
+def readme_automaton_block():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Automaton block")[1]
+    return section.split("```")[1]
+
+
+def test_readme_automaton_block_parses_as_documented():
+    # Inline comments are ignored, and the missing transitions reject.
+    block = readme_automaton_block()
+    alone = parse_automaton(block)
+    in_model = parse_model(f"MATRIX 1 1 2\nVALUES 0 1\nROW_DFA\n{block}END\n")
+    for wd in (alone, in_model.row_rule):
+        assert list(wd.resource_bounds) == [(0, 4)]
+        assert wd.accepts_within_bounds((1,))
+        assert wd.run_weighted((1,))[1] == (2,)
+        assert not wd.accepts_within_bounds((0,))
+        assert not wd.accepts_within_bounds((1, 1))
+    assert solve(in_model).grid == [[1]]
