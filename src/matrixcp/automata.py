@@ -22,6 +22,13 @@ class AutomatonError(ValueError):
     """Invalid automaton construction or use."""
 
 
+def _alphabet(symbols):
+    alphabet = tuple(symbols)
+    if len(set(alphabet)) != len(alphabet) or not alphabet:
+        raise AutomatonError("alphabet must be a nonempty list of distinct symbols")
+    return alphabet
+
+
 class Dfa:
     """Total deterministic finite automaton.
 
@@ -34,11 +41,9 @@ class Dfa:
     __slots__ = ("n_states", "alphabet", "start", "accepting", "_col", "_rows")
 
     def __init__(self, n_states, alphabet, transitions, start, accepting):
-        alphabet = tuple(alphabet)
         if n_states <= 0:
             raise AutomatonError("automaton needs at least one state")
-        if len(set(alphabet)) != len(alphabet) or not alphabet:
-            raise AutomatonError("alphabet must be a nonempty list of distinct symbols")
+        alphabet = _alphabet(alphabet)
         if not 0 <= start < n_states:
             raise AutomatonError("start state out of range")
         accepting = frozenset(accepting)
@@ -70,11 +75,12 @@ class Dfa:
         self._rows = rows
 
     @classmethod
-    def _from_rows(cls, alphabet, rows, start, accepting):
-        """Trusted constructor: rows[q] holds the targets of q in alphabet
-        order, already total and in range."""
+    def from_rows(cls, alphabet, rows, start, accepting):
+        """Constructor that trusts the rows: rows[q] holds the targets of q in
+        alphabet order, already total and in range (as ``reachable`` numbers
+        them).  Only the alphabet is checked."""
         dfa = object.__new__(cls)
-        dfa._set(alphabet, rows, start, accepting)
+        dfa._set(_alphabet(alphabet), rows, start, accepting)
         return dfa
 
     @classmethod
@@ -337,61 +343,33 @@ class WeightedDfa:
             layers[i][q] = arcs(q, extra)
         return layers
 
-    def product(self, other, shared_resources=False, max_states=None):
-        """Synchronous product: language intersection, costs combined.
+    def product(self, other, max_states=None):
+        """Synchronous product: language intersection, resource vectors
+        concatenated (self's resources first).
 
-        With ``shared_resources`` both operands must expose the same resource
-        vector and costs are added per resource; otherwise resource vectors are
-        concatenated (self's resources first).  Only forward-reachable pair
-        states are kept.  With ``max_states`` the breadth-first build stops
-        with ProductTooLarge as soon as the product needs more states.
+        Only forward-reachable pair states are kept, numbered breadth first.
+        With ``max_states`` the build stops with ProductTooLarge as soon as
+        the product needs more states.
         """
         a, b = self.dfa, other.dfa
         if set(a.alphabet) != set(b.alphabet):
             raise AutomatonError("product operands must share the alphabet")
-        if shared_resources and self.n_resources != other.n_resources:
-            raise AutomatonError("shared-resource product needs equal resource counts")
         alphabet = a.alphabet
+        a_rows = a._rows
         b_col = [b._col[v] for v in alphabet]
-        index = {(a.start, b.start): 0}
-        order = [(a.start, b.start)]
-        rows = []
-        for qa, qb in order:  # order grows while it is walked
-            row_a, row_b = a._rows[qa], b._rows[qb]
-            row = []
-            for ja, jb in enumerate(b_col):
-                pair = (row_a[ja], row_b[jb])
-                q = index.get(pair)
-                if q is None:
-                    q = index[pair] = len(order)
-                    if max_states is not None and q >= max_states:
-                        raise ProductTooLarge(
-                            f"product needs more than {max_states} states"
-                        )
-                    order.append(pair)
-                row.append(q)
-            rows.append(tuple(row))
+        b_rows = [tuple(row[j] for j in b_col) for row in b._rows]
+        order, rows = reachable(
+            (a.start, b.start), lambda p: zip(a_rows[p[0]], b_rows[p[1]]),
+            max_states,
+        )
         accepting = [
             i for i, (qa, qb) in enumerate(order)
             if qa in a.accepting and qb in b.accepting
         ]
-        dfa = Dfa._from_rows(alphabet, rows, 0, accepting)
+        dfa = Dfa.from_rows(alphabet, rows, 0, accepting)
 
         zero_a = (0,) * self.n_resources
         zero_b = (0,) * other.n_resources
-        if shared_resources:
-            n_res = self.n_resources
-            bounds = [
-                (l1 + l2, h1 + h2)
-                for (l1, h1), (l2, h2) in zip(self.resource_bounds, other.resource_bounds)
-            ]
-
-            def combine(x, y):
-                return tuple(map(add, x, y))
-        else:
-            n_res = self.n_resources + other.n_resources
-            bounds = list(self.resource_bounds) + list(other.resource_bounds)
-            combine = tuple.__add__
         ca, cb = self.costs, other.costs
         base = {}
         positional = {}
@@ -399,15 +377,17 @@ class WeightedDfa:
             for v in alphabet:
                 x, y = ca.base.get((qa, v)), cb.base.get((qb, v))
                 if x or y:
-                    base[(i, v)] = combine(x or zero_a, y or zero_b)
+                    base[(i, v)] = (x or zero_a) + (y or zero_b)
                 px, py = ca.positional.get((qa, v), {}), cb.positional.get((qb, v), {})
                 if px or py:
                     positional[(i, v)] = {
-                        pos: combine(px.get(pos, zero_a), py.get(pos, zero_b))
+                        pos: px.get(pos, zero_a) + py.get(pos, zero_b)
                         for pos in px.keys() | py.keys()
                     }
-        costs = CostMatrices._from_vectors(n_res, base, positional)
-        return WeightedDfa(dfa, costs, bounds)
+        costs = CostMatrices._from_vectors(
+            self.n_resources + other.n_resources, base, positional
+        )
+        return WeightedDfa(dfa, costs, self.resource_bounds + other.resource_bounds)
 
     def with_resources(self, keep, bounds=None):
         """Project onto the resources listed in ``keep`` (in that order)."""
@@ -434,6 +414,35 @@ class WeightedDfa:
 
 class ProductTooLarge(AutomatonError):
     """A product build passed its ``max_states`` limit."""
+
+
+def reachable(start, successors, max_states=None):
+    """Number the keys reachable from ``start`` breadth first.
+
+    ``successors(key)`` gives one next key per alphabet symbol, in alphabet
+    order.  Returns the keys in numbering order (``start`` is 0) and, for
+    each, the tuple of its successors' numbers: the rows of
+    ``Dfa.from_rows``.  A dead end is an ordinary key (such as None) whose
+    successors are itself.  With ``max_states`` the walk stops with
+    ProductTooLarge as soon as it needs more keys.
+    """
+    index = {start: 0}
+    keys = [start]
+    rows = []
+    for key in keys:  # keys grows while it is walked
+        row = []
+        for nxt in successors(key):
+            q = index.get(nxt)
+            if q is None:
+                q = index[nxt] = len(keys)
+                if max_states is not None and q >= max_states:
+                    raise ProductTooLarge(
+                        f"automaton needs more than {max_states} states"
+                    )
+                keys.append(nxt)
+            row.append(q)
+        rows.append(tuple(row))
+    return keys, rows
 
 
 # -- layered graph of runs ------------------------------------------------------
@@ -571,46 +580,40 @@ def unfold_counters(cdfa):
     """
     dfa = cdfa.dfa
     alphabet = dfa.alphabet
-    m = len(cdfa.counters)
     init = tuple(c.init for c in cdfa.counters)
-    start_key = (dfa.start, init)
 
-    index = {start_key: 0}
-    order = [start_key]
-    trans = {}
-    base = {}
-    i = 0
-    while i < len(order):
-        q, d = order[i]
-        for v in alphabet:
-            d2 = cdfa._checked_update(q, v, d)
-            key = (dfa.step(q, v), d2)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-            trans[(i, v)] = index[key]
-            base[(i, v)] = tuple(map(sub, d2, d))
-        i += 1
+    def successors(key):
+        q, d = key
+        return [
+            (q2, cdfa._checked_update(q, v, d))
+            for v, q2 in zip(alphabet, dfa._rows[q])
+        ]
 
+    order, rows = reachable((dfa.start, init), successors)
+    # A transition costs the change of the counters along it.
+    base = {
+        (i, v): tuple(map(sub, order[j][1], d))
+        for i, (_, d) in enumerate(order)
+        for v, j in zip(alphabet, rows[i])
+    }
+    accepting = [i for i, (q, _) in enumerate(order) if q in dfa.accepting]
+    start = 0
     if any(init):
         # A fresh copy of the start state (never re-entered) carries the
         # initial counter values on its outgoing costs, so totals equal the
         # final counter values rather than the change.
-        fresh = len(order)
+        start = len(rows)
+        rows.append(rows[0])
         for v in alphabet:
-            trans[(fresh, v)] = trans[(0, v)]
-            base[(fresh, v)] = tuple(map(add, base[(0, v)], init))
-        accepting = {
-            i for i, (q, _) in enumerate(order) if q in dfa.accepting
-        }
+            base[(start, v)] = tuple(map(add, base[(0, v)], init))
         if dfa.start in dfa.accepting:
-            accepting.add(fresh)
-        out = Dfa(fresh + 1, alphabet, trans, fresh, accepting)
-    else:
-        accepting = {i for i, (q, _) in enumerate(order) if q in dfa.accepting}
-        out = Dfa(len(order), alphabet, trans, 0, accepting)
+            accepting.append(start)
     bounds = [(0, c.size - 1) for c in cdfa.counters]
-    return WeightedDfa(out, CostMatrices._from_vectors(m, base, {}), bounds)
+    return WeightedDfa(
+        Dfa.from_rows(alphabet, rows, start, accepting),
+        CostMatrices._from_vectors(len(init), base, {}),
+        bounds,
+    )
 
 
 def universal_dfa(alphabet):
@@ -642,6 +645,17 @@ def build_gcc_weights(alphabet, groups=None, bounds=None):
     return WeightedDfa(dfa, CostMatrices(len(groups), base), bounds)
 
 
+def _in_stretch_dfa(vhat, alphabet):
+    """Two accepting states: 1 after a symbol of vhat, 0 after any other.
+    vhat must be a proper nonempty subset of the alphabet."""
+    if not vhat or not vhat < set(alphabet):
+        raise AutomatonError(
+            "stretch symbol set must be a proper nonempty subset of the alphabet"
+        )
+    trans = {(q, v): int(v in vhat) for q in (0, 1) for v in alphabet}
+    return Dfa(2, alphabet, trans, 0, {0, 1})
+
+
 def build_stretch_count(vhat, alphabet, max_count=None):
     """Two-state automaton counting maximal runs of symbols in vhat.
 
@@ -650,28 +664,11 @@ def build_stretch_count(vhat, alphabet, max_count=None):
     """
     alphabet = tuple(alphabet)
     vhat = frozenset(vhat)
-    if not vhat or not vhat < set(alphabet) and vhat != set(alphabet):
-        if not vhat <= set(alphabet):
-            raise AutomatonError("stretch symbols must come from the alphabet")
-    if not vhat or vhat == set(alphabet):
-        raise AutomatonError("stretch symbol set must be a proper nonempty subset")
-    trans = {}
-    base = {}
-    for v in alphabet:
-        if v in vhat:
-            trans[(0, v)] = 1
-            trans[(1, v)] = 1
-            base[(0, 0, v)] = 1
-        else:
-            trans[(0, v)] = 0
-            trans[(1, v)] = 0
+    dfa = _in_stretch_dfa(vhat, alphabet)
+    base = {(0, 0, v): 1 for v in alphabet if v in vhat}
     if max_count is None:
         max_count = 10**9
-    return WeightedDfa(
-        Dfa(2, alphabet, trans, 0, {0, 1}),
-        CostMatrices(1, base),
-        [(0, max_count)],
-    )
+    return WeightedDfa(dfa, CostMatrices(1, base), [(0, max_count)])
 
 
 def build_word_occurrence(pattern, k, n, alphabet):
@@ -735,33 +732,23 @@ def build_sliding_word_counter(pattern, n, alphabet, with_total=False):
     for p in pattern:
         if not p or not p <= set(alphabet):
             raise AutomatonError("pattern sets must be nonempty alphabet subsets")
-    pad = alphabet[0]
-    hists = [()]
-    if m > 1:
-        import itertools
-
-        hists = [h for h in itertools.product(alphabet, repeat=m - 1)]
-    index = {h: i for i, h in enumerate(hists)}
-    start = index[tuple([pad] * (m - 1))]
+    hists, rows = reachable(
+        (alphabet[0],) * (m - 1), lambda h: [(h + (v,))[1:] for v in alphabet]
+    )
     n_flags = n - m + 1
     n_res = n_flags + (1 if with_total else 0)
-    trans = {}
     positional = {}
-    for h, qi in index.items():
-        for v in alphabet:
-            h2 = (h + (v,))[1:] if m > 1 else ()
-            trans[(qi, v)] = index[h2]
-            if v not in pattern[m - 1]:
-                continue
-            if all(h[j] in pattern[j] for j in range(m - 1)):
-                # A full match can only end at positions >= m-1, which also
-                # rules out any padded history.
-                for end in range(m - 1, n):
-                    kstart = end - m + 1
-                    positional[(kstart, qi, v, end)] = 1
-                    if with_total:
-                        positional[(n_flags, qi, v, end)] = 1
-    dfa = Dfa(len(hists), alphabet, trans, start, set(range(len(hists))))
+    for qi, h in enumerate(hists):
+        if not all(h[j] in pattern[j] for j in range(m - 1)):
+            continue
+        for v in pattern[m - 1]:
+            # A full match can only end at positions >= m-1, which also
+            # rules out any padded history.
+            for end in range(m - 1, n):
+                positional[(end - m + 1, qi, v, end)] = 1
+                if with_total:
+                    positional[(n_flags, qi, v, end)] = 1
+    dfa = Dfa.from_rows(alphabet, rows, 0, range(len(hists)))
     bounds = [(0, 1)] * n_flags
     if with_total:
         bounds.append((0, n_flags))
@@ -778,8 +765,7 @@ def build_stretch_length_counters(vhat, alphabet, n):
     """
     alphabet = tuple(alphabet)
     vhat = frozenset(vhat)
-    if not vhat or not vhat <= set(alphabet) or vhat == set(alphabet):
-        raise AutomatonError("stretch symbol set must be a proper nonempty subset")
+    dfa = _in_stretch_dfa(vhat, alphabet)
     sentinel = n + 1
     counters = (
         CounterSpec(n + 1),            # cur: current run length 0..n
@@ -788,11 +774,9 @@ def build_stretch_length_counters(vhat, alphabet, n):
         CounterSpec(n + 1),            # maximum length seen
     )
 
-    in_set = vhat
-
     def update(q, v, d):
         cur, mnc, _, mx = d
-        if v in in_set:
+        if v in vhat:
             # saturate at n: states past the intended word length are
             # explored during unfolding but never reached by length-n runs
             cur2 = min(cur + 1, n)
@@ -800,15 +784,10 @@ def build_stretch_length_counters(vhat, alphabet, n):
         mnc2 = min(mnc, cur) if cur else mnc
         return (0, mnc2, mnc2, mx)
 
-    trans = {}
-    for v in alphabet:
-        trans[(0, v)] = 1 if v in vhat else 0
-        trans[(1, v)] = 1 if v in vhat else 0
-    dfa = Dfa(2, alphabet, trans, 0, {0, 1})
     return CounterDfa(dfa, counters, update)
 
 
-def build_stretch_length_bounds(vhat, alphabet, n, min_bounds=None, max_bounds=None):
+def build_stretch_length_bounds(vhat, alphabet, n):
     """Weighted automaton with (min stretch length, max stretch length) totals.
 
     The min resource reads n+1 when the word has no stretch at all, so a case
@@ -816,11 +795,7 @@ def build_stretch_length_bounds(vhat, alphabet, n, min_bounds=None, max_bounds=N
     [lo, n+1] and "at most hi" is [0, hi] on the max resource.
     """
     w = unfold_counters(build_stretch_length_counters(vhat, alphabet, n))
-    if min_bounds is None:
-        min_bounds = (1, n + 1)
-    if max_bounds is None:
-        max_bounds = (0, n)
-    return w.with_resources([2, 3], [min_bounds, max_bounds])
+    return w.with_resources([2, 3], [(1, n + 1), (0, n)])
 
 
 def stretch_length_dfa(vhat, alphabet, lo, hi=None):
@@ -868,28 +843,21 @@ def sequence_window_dfa(vhat, alphabet, window, lo, hi):
         raise AutomatonError("window symbols must come from the alphabet")
     if window < 1 or lo > hi:
         raise AutomatonError("bad window specification")
-    # State: tuple of the last up-to-(window-1) membership bits.
-    start_h = ()
-    index = {start_h: 0}
-    order = [start_h]
-    trans = {}
-    i = 0
-    while i < len(order):
-        h = order[i]
-        for v in alphabet:
-            bit = 1 if v in vhat else 0
-            if len(h) < window - 1:
-                h2 = h + (bit,)
-            else:
-                if not lo <= sum(h) + bit <= hi:
-                    continue  # violated window, sink
-                h2 = (h + (bit,))[1:]
-            if h2 not in index:
-                index[h2] = len(order)
-                order.append(h2)
-            trans[(i, v)] = index[h2]
-        i += 1
-    return Dfa.from_partial(len(order), alphabet, trans, 0, set(range(len(order))))
+    # State: tuple of the last up-to-(window-1) membership bits, None once
+    # a window is violated.
+    bits = [1 if v in vhat else 0 for v in alphabet]
+
+    def successors(h):
+        if h is None:
+            return [None] * len(bits)
+        if len(h) < window - 1:
+            return [h + (bit,) for bit in bits]
+        return [(h + (bit,))[1:] if lo <= sum(h) + bit <= hi else None
+                for bit in bits]
+
+    order, rows = reachable((), successors)
+    accepting = [i for i, h in enumerate(order) if h is not None]
+    return Dfa.from_rows(alphabet, rows, 0, accepting)
 
 
 def dump_automaton(wdfa):
@@ -961,8 +929,10 @@ def parse_automaton(text):
     """Parse the text form produced by dump_automaton.
 
     ``text`` is the text or its lines numbered as ``clean_lines`` returns
-    them, and errors name the line at fault by that number.  '#' comments
-    are ignored.  Transitions left out go to a rejecting sink
+    them, and errors name the line at fault by that number: among others a
+    line that sets again what an earlier line set, or that names a state,
+    symbol or resource the automaton does not have.  '#' comments are
+    ignored.  Transitions left out go to a rejecting sink
     (``Dfa.from_partial``).
     """
     lines = clean_lines(text) if isinstance(text, str) else list(text)
@@ -972,7 +942,8 @@ def parse_automaton(text):
     alphabet = accept = None
     n_res = 0
     bounds, trans, base, positional = {}, {}, {}, {}
-    refs = []  # (line, resource) of every bound and cost
+    seen = {}  # what a line sets -> the number of the line that set it
+    refs = []  # (line, kind, number) of every state, symbol and resource named
     for no, ln in lines:
         parts = ln.split()
         tag = parts[0]
@@ -983,41 +954,67 @@ def parse_automaton(text):
             if tag not in AUTOMATON_FIELDS:
                 raise ValueError(f"unknown automaton line: {ln}")
             check_fields(parts, AUTOMATON_FIELDS[tag])
+            sets = [tag]
             if tag == "wdfa":
                 n_states, start = int(parts[1]), int(parts[2])
+                if n_states < 1:
+                    raise ValueError(f"automaton needs at least one state: {ln}")
+                refs.append((no, "state", start))
             elif tag == "alphabet":
                 alphabet = tuple(int(x) for x in parts[1:])
+                if len(set(alphabet)) < len(alphabet):
+                    raise ValueError(f"alphabet repeats a symbol: {ln}")
             elif tag == "accept":
                 accept = {int(x) for x in parts[1:]}
+                refs += [(no, "state", q) for q in accept]
             elif tag == "resources":
                 n_res = int(parts[1])
+                if n_res < 0:
+                    raise ValueError(f"resource count must be nonnegative: {ln}")
             elif tag == "bound":
-                r = int(parts[1])
-                refs.append((no, r))
-                bounds[r] = (int(parts[2]), int(parts[3]))
+                r, lo, hi = (int(p) for p in parts[1:])
+                if lo > hi:
+                    raise ValueError(f"empty bound interval: {ln}")
+                sets = [f"bound of resource {r}"]
+                refs.append((no, "resource", r))
+                bounds[r] = (lo, hi)
             else:
                 q, v, x = (int(p) for p in parts[1:4])
                 costs = [tok.split(":") for tok in parts[4:]]
                 if any(len(rc) != 2 for rc in costs):
                     raise ValueError(f"costs read resource:cost: {ln}")
                 costs = [(int(r), int(c)) for r, c in costs]
-                refs += [(no, r) for r, _ in costs]
+                refs += [(no, "state", q), (no, "symbol", v)]
+                refs += [(no, "resource", r) for r, _ in costs]
                 if tag == "trans":
+                    refs.append((no, "state", x))
+                    sets = [f"transition ({q}, {v})"]
+                    sets += [f"cost of resource {r} on ({q}, {v})"
+                             for r, _ in costs]
                     trans[(q, v)] = x
                     base.update(((r, q, v), c) for r, c in costs)
                 else:
+                    if x < 0:
+                        raise ValueError(f"position {x} is negative: {ln}")
+                    sets = [f"cost of resource {r} on ({q}, {v}) at position {x}"
+                            for r, _ in costs]
                     positional.update(((r, q, v, x), c) for r, c in costs)
+            for what in sets:
+                if what in seen:
+                    raise ValueError(f"{what} already set on line {seen[what]}")
+                seen[what] = no
         except ValueError as exc:
             raise AutomatonError(f"line {no}: {exc}") from exc
-    for no, r in refs:
-        if not 0 <= r < n_res:
-            raise AutomatonError(f"line {no}: resource {r} out of range "
-                                 f"0..{n_res - 1}")
-    try:
-        if alphabet is None or accept is None:
-            raise AutomatonError("automaton text missing alphabet or accept line")
-        dfa = Dfa.from_partial(n_states, alphabet, trans, start, accept)
-        blist = [bounds.get(r, (0, 10**9)) for r in range(n_res)]
-        return WeightedDfa(dfa, CostMatrices(n_res, base, positional), blist)
-    except AutomatonError as exc:
-        raise AutomatonError(f"line {first}: {exc}") from exc
+    if alphabet is None or accept is None:
+        raise AutomatonError(
+            f"line {first}: automaton text missing alphabet or accept line"
+        )
+    known = {"state": range(n_states), "symbol": alphabet, "resource": range(n_res)}
+    for no, kind, x in refs:
+        if x not in known[kind]:
+            where = ("not in the alphabet" if kind == "symbol"
+                     else f"out of range 0..{len(known[kind]) - 1}")
+            raise AutomatonError(f"line {no}: {kind} {x} {where}")
+    dfa = Dfa.from_partial(n_states, alphabet, trans, start, accept)
+    blist = [bounds.get(r, (0, 10**9)) for r in range(n_res)]
+    return WeightedDfa(dfa, CostMatrices(n_res, base, positional), blist)

@@ -14,6 +14,7 @@ from .automata import (
     CostMatrices,
     Dfa,
     WeightedDfa,
+    reachable,
     sequence_window_dfa,
     stretch_length_dfa,
 )
@@ -210,20 +211,16 @@ def gen_3dm_bc(triples, q):
 
 def _word_trie_dfa(words, alphabet):
     """DFA accepting exactly the given equal-length words."""
-    n = len(words[0])
-    trans = {}
-    index = {(): 0}
-    order = [()]
-    for w in words:
-        for j in range(n):
-            prefix = tuple(w[:j])
-            nxt = tuple(w[: j + 1])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            trans[(index[prefix], w[j])] = index[nxt]
-    accepting = {index[tuple(w)] for w in words}
-    return Dfa.from_partial(len(order), alphabet, trans, 0, accepting)
+    words = {tuple(w) for w in words}
+    prefixes = {w[:j] for w in words for j in range(len(w) + 1)}
+    # Keys are prefixes of the words, None once the input left them all.
+    order, rows = reachable((), lambda p: [
+        p + (v,) if p is not None and p + (v,) in prefixes else None
+        for v in alphabet
+    ])
+    return Dfa.from_rows(
+        tuple(alphabet), rows, 0, [i for i, p in enumerate(order) if p in words]
+    )
 
 
 def gen_hitting_set(n_vertices, edges, k, variant="gcc"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .automata import Dfa
+from .automata import Dfa, reachable
 from .engine import Inconsistent, Store
 from .propagators import regular_dc
 
@@ -234,33 +234,32 @@ def encode_matrix_dfa(row_dfa, col_dfa, n_rows, n_cols, cap=1_000_000):
     if est > cap:
         raise CapExceeded(f"encoded automaton would have about {est} states")
     alphabet = row_dfa.alphabet
-    start_key = (0, row_dfa.start, tuple([col_dfa.start] * n_cols))
-    index = {start_key: 0}
-    order = [start_key]
-    trans = {}
-    i = 0
-    while i < len(order):
-        j, q, vec = order[i]
+
+    def successors(key):
+        if key is None:  # a complete row was rejected
+            return [None] * len(alphabet)
+        j, q, vec = key
+        out = []
         for v in alphabet:
             q2 = row_dfa.step(q, v)
             vec2 = vec[:j] + (col_dfa.step(vec[j], v),) + vec[j + 1:]
-            if j + 1 == n_cols:
-                if q2 not in row_dfa.accepting:
-                    continue  # complete row rejected: implicit sink
-                key = (0, row_dfa.start, vec2)
+            if j + 1 < n_cols:
+                out.append((j + 1, q2, vec2))
+            elif q2 in row_dfa.accepting:
+                out.append((0, row_dfa.start, vec2))
             else:
-                key = (j + 1, q2, vec2)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-            trans[(i, v)] = index[key]
-        i += 1
-    accepting = set()
-    for key, idx in index.items():
-        j, q, vec = key
-        if j == 0 and all(qc in col_dfa.accepting for qc in vec):
-            accepting.add(idx)
-    return Dfa.from_partial(len(order), alphabet, trans, 0, accepting)
+                out.append(None)
+        return out
+
+    order, rows = reachable(
+        (0, row_dfa.start, (col_dfa.start,) * n_cols), successors
+    )
+    accepting = [
+        i for i, key in enumerate(order)
+        if key is not None and key[0] == 0
+        and all(qc in col_dfa.accepting for qc in key[2])
+    ]
+    return Dfa.from_rows(alphabet, rows, 0, accepting)
 
 
 def regular2_support(row_dfa, col_dfa, n_rows, n_cols, domains=None,

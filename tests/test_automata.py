@@ -144,7 +144,8 @@ class TestStretchLength:
 
     def test_bounds_filter_short_runs(self):
         # every stretch at least 2 long
-        wa = build_stretch_length_bounds({1}, ABC, 4, min_bounds=(2, 5))
+        wa = build_stretch_length_bounds({1}, ABC, 4).with_resources(
+            [0, 1], [(2, 5), (0, 4)])
         assert wa.accepts_within_bounds((0, 1, 1, 0))
         assert wa.accepts_within_bounds((0, 0, 0, 0))
         assert not wa.accepts_within_bounds((0, 1, 0, 0))
@@ -264,21 +265,6 @@ class TestProduct:
             assert okp == (oka and okb)
             assert cp == ca + cb
 
-    def test_shared_resources_add_costs(self):
-        rng = random.Random(6)
-        for _ in range(80):
-            a = self.rand_weighted(rng, n_res=2)
-            b = self.rand_weighted(rng, n_res=2)
-            p = a.product(b, shared_resources=True)
-            assert p.n_resources == 2
-            w = tuple(rng.choice(ABC) for _ in range(4))
-            oka, ca = a.run_weighted(w)
-            okb, cb = b.run_weighted(w)
-            okp, cp = p.run_weighted(w)
-            assert okp == (oka and okb)
-            if okp:
-                assert cp == tuple(x + y for x, y in zip(ca, cb))
-
     def test_max_states_stops_build(self):
         def counter(sym, size=300):
             """Counts sym modulo size; accepts at count 0."""
@@ -343,6 +329,10 @@ class TestFilters:
     def test_window_shorter_words_pass(self):
         d = sequence_window_dfa({0}, ABC, 3, 1, 3)
         assert d.accepts((1, 1))
+
+    def test_window_rejects_repeated_symbols(self):
+        with pytest.raises(AutomatonError, match="distinct symbols"):
+            sequence_window_dfa({0}, (0, 0, 1), 2, 1, 2)
 
 
 class TestDumpParse:

@@ -159,7 +159,22 @@ class TestParseErrors:
         ("wdfa 1 0", "wdfa 1 0 7", 4,
          "wdfa needs fields states start: wdfa 1 0 7"),
         ("bound 0 0 2", "bound 5 0 2", 8, "resource 5 out of range 0..0"),
-    ], ids=["trans", "bound", "poscost", "wdfa", "bound-resource"])
+        ("trans 0 0 0", "trans 0 0 0\ntrans 0 0 0 0:5", 10,
+         "transition (0, 0) already set on line 9"),
+        ("bound 0 0 2", "bound 0 0 2\nbound 0 1 1", 9,
+         "bound of resource 0 already set on line 8"),
+        ("trans 0 0 0", "trans 0 0 5", 9, "state 5 out of range 0..0"),
+        ("trans 0 0 0", "trans 0 7 0", 9, "symbol 7 not in the alphabet"),
+        ("trans 0 0 0", "trans 3 0 0", 9, "state 3 out of range 0..0"),
+        ("accept 0", "accept 4", 6, "state 4 out of range 0..0"),
+        ("END", "poscost 0 9 0 0:1\nEND", 11, "symbol 9 not in the alphabet"),
+        ("END", "poscost 5 0 0 0:1\nEND", 11, "state 5 out of range 0..0"),
+        ("END", "poscost 0 0 -1 0:1\nEND", 11,
+         "position -1 is negative: poscost 0 0 -1 0:1"),
+    ], ids=["trans", "bound", "poscost", "wdfa", "bound-resource",
+            "trans-repeated", "bound-repeated", "trans-target", "trans-symbol",
+            "trans-state", "accept-state", "poscost-symbol", "poscost-state",
+            "poscost-position"])
     def test_row_dfa_error_names_its_line(self, old, new, no, message):
         text = SAT_2X2.replace(old, new)
         with pytest.raises(FormatError,

@@ -11,6 +11,7 @@ from matrixcp.automata import (
     build_stretch_count,
 )
 from matrixcp.engine import Inconsistent, Store, search
+from matrixcp.model import build
 from matrixcp.propagators import (
     ConstE,
     GccColumn,
@@ -28,6 +29,7 @@ from matrixcp.propagators import (
     post_lex_chain,
     regular_dc,
 )
+from matrixcp.roster import gen_toy_rosters, roster_model
 
 
 def no_mixing_dfa():
@@ -588,3 +590,29 @@ class TestStretchLengthWindows:
                 zmin, zmax = n + 1, 0
             st = self.post(tuple(w), {zmin}, {zmax})
             assert st.propagate() == "stable", (w, zmin, zmax)
+
+    def test_prunes_rosters_at_the_fixpoint_of_the_rest(self, monkeypatch):
+        """With every stretch at least 1 long (the toy case) the start and
+        end windows are tautologies; with WORK and SHIFT 1 stretches at
+        least 2 long the windows still prune 8 of the 25 toy rosters under
+        cwa after every other propagator has reached its fixpoint."""
+        pruned = 0
+        for inst, rules in gen_toy_rosters(4242, 25):
+            rules.work.stretch_lo = rules.shifts[0].stretch_lo = 2
+            windows = []
+            with monkeypatch.context() as m:
+                m.setattr(StretchLengthWindows, "run",
+                          lambda self, store: windows.append(self))
+                b = build(roster_model(inst, rules), "cwa")
+                if b.root_infeasible or b.store.propagate() == "failed":
+                    continue
+            st = b.store
+            before = [d.values for d in st.domains]
+            try:
+                for w in dict.fromkeys(windows):
+                    w.run(st)
+            except Inconsistent:
+                pruned += 1
+                continue
+            pruned += before != [d.values for d in st.domains]
+        assert pruned == 8
