@@ -245,6 +245,10 @@ class CostMatrices:
 class WeightedDfa:
     """A Dfa plus cost matrices and per-resource interval bounds on totals.
 
+    Every cost entry must name a state and a symbol of the automaton, and a
+    positional one a position from 0; AutomatonError names an entry that
+    does not.
+
     The automaton also owns the compiled arc tables of its runs (see
     ``arc_table``), built on first use for each run length and freed with it.
     """
@@ -263,6 +267,17 @@ class WeightedDfa:
         for lo, hi in resource_bounds:
             if lo > hi:
                 raise AutomatonError("empty resource bound interval")
+        for q, v in [*costs.base, *costs.positional]:
+            if not 0 <= q < dfa.n_states:
+                raise AutomatonError(f"cost entry on ({q}, {v}): state {q} "
+                                     f"out of range 0..{dfa.n_states - 1}")
+            if v not in dfa._col:
+                raise AutomatonError(f"cost entry on ({q}, {v}): symbol {v} "
+                                     "not in the alphabet")
+        for (q, v), per in costs.positional.items():
+            if min(per) < 0:
+                raise AutomatonError(f"cost entry on ({q}, {v}) at position "
+                                     f"{min(per)}: positions start at 0")
         self.dfa = dfa
         self.costs = costs
         self.resource_bounds = resource_bounds
@@ -335,7 +350,7 @@ class WeightedDfa:
         extras = {}
         for (q, v), per in self.costs.positional.items():
             for i, vec in per.items():
-                if 0 <= i < n and 0 <= q < d.n_states:
+                if i < n:
                     extras.setdefault((i, q), {})[v] = vec
         for (i, q), extra in extras.items():
             if layers[i] is shared:
@@ -343,13 +358,17 @@ class WeightedDfa:
             layers[i][q] = arcs(q, extra)
         return layers
 
-    def product(self, other, max_states=None):
-        """Synchronous product: language intersection, resource vectors
-        concatenated (self's resources first).
+    def product(self, other, n, max_states=None):
+        """Synchronous product for words of length at most ``n``: language
+        intersection, resource vectors concatenated (self's resources first).
 
-        Only forward-reachable pair states are kept, numbered breadth first.
-        With ``max_states`` the build stops with ProductTooLarge as soon as
-        the product needs more states.
+        Only the pair states reachable in at most n steps are kept, numbered
+        breadth first as in the full product; a state first reached at step n
+        leads to a rejecting dead state on every symbol.  So on words of
+        length at most n the product runs as the full one, and for length n
+        its layered graph of accepting runs is the full product's.  With
+        ``max_states`` the build stops with ProductTooLarge as soon as the
+        product needs more states.
         """
         a, b = self.dfa, other.dfa
         if set(a.alphabet) != set(b.alphabet):
@@ -358,10 +377,21 @@ class WeightedDfa:
         a_rows = a._rows
         b_col = [b._col[v] for v in alphabet]
         b_rows = [tuple(row[j] for j in b_col) for row in b._rows]
-        order, rows = reachable(
-            (a.start, b.start), lambda p: zip(a_rows[p[0]], b_rows[p[1]]),
-            max_states,
-        )
+        dead = (None,) * len(alphabet)
+        step = {(a.start, b.start): 0}  # pair -> step it is first reached at
+
+        def successors(p):
+            if p is None or step[p] == n:
+                return dead
+            out = tuple(zip(a_rows[p[0]], b_rows[p[1]]))
+            nxt = step[p] + 1
+            for s in out:
+                step.setdefault(s, nxt)
+            return out
+
+        order, rows = reachable((a.start, b.start), successors, max_states)
+        if order[-1] is None:  # numbered last: only step-n states reach it
+            order.pop()
         accepting = [
             i for i, (qa, qb) in enumerate(order)
             if qa in a.accepting and qb in b.accepting

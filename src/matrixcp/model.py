@@ -222,7 +222,13 @@ class Built:
 
 
 def build(model, mode="decomp", aggregate_words=False, cross_cap=20000):
-    """Lower a model into a store under the given mode."""
+    """Lower a model into a store under the given mode.
+
+    Under ``cwa`` each measuring automaton is crossed with the row rule for
+    words of the row length K; ``cross_cap`` bounds the states of that
+    product, and a product that needs more falls back to the uncrossed
+    measuring automaton.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     b = Built(model, mode)
@@ -308,7 +314,7 @@ def _post_measuring_rows(b, model, mode, wdfa, cross_cap):
     crossed = None
     if mode == "cwa":
         try:
-            crossed = model.row_rule.product(wdfa, max_states=cross_cap)
+            crossed = model.row_rule.product(wdfa, K, max_states=cross_cap)
         except ProductTooLarge:
             pass
     for i in range(R):

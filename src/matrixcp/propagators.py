@@ -251,20 +251,199 @@ class GccColumn(MemoFilter):
 
 
 # -- interval expressions ----------------------------------------------------
+#
+# An expression compiles once into a ``Program``: its nodes in pre-order, each
+# an opcode, an argument (the constant, the variable id or the coefficient)
+# and the indices of its children, which come after it.  One bottom-up sweep
+# (``sweep_bounds``) computes every node's bounds from its children's, and one
+# top-down sweep (``require``) hands each node's required bounds down to its
+# children.  ``Relation`` and ``Expr.bounds`` both run on these sweeps.
+
+CONST, VAR, SUM, SCALE, MAX, MIN = range(6)
+
+
+class Program:
+    """A compiled expression: ``ops``, ``args`` and ``kids`` in pre-order,
+    and for the bottom-up sweep the constants laid out by node (``consts``),
+    the variable leaves ``(node, vid)`` and the inner nodes ``(node, op,
+    arg, kids)`` in post-order, children first."""
+
+    __slots__ = ("ops", "args", "kids", "consts", "leaves", "inner")
+
+    def __init__(self, expr):
+        ops, args, kids = self.ops, self.args, self.kids = [], [], []
+        consts, leaves, inner = self.consts, self.leaves, self.inner = [], [], []
+
+        def emit(e):
+            i = len(ops)
+            op, arg, children = e.node()
+            ops.append(op)
+            args.append(arg)
+            kids.append(())
+            consts.append(arg if op == CONST else 0)
+            if op == VAR:
+                leaves.append((i, arg))
+            elif children:
+                ks = kids[i] = tuple([emit(ch) for ch in children])
+                inner.append((i, op, arg, ks))
+            return i
+
+        emit(expr)
+
+
+def sweep_bounds(program, store):
+    """Bounds of every node of ``program`` under the store's domains, as two
+    lists ``lo`` and ``hi``; each variable leaf reads its domain once."""
+    lo = program.consts[:]
+    hi = program.consts[:]
+    domains = store.domains
+    for i, vid in program.leaves:
+        values = domains[vid].values
+        if type(values) is range:
+            lo[i] = values[0]
+            hi[i] = values[-1]
+        else:
+            lo[i] = min(values)
+            hi[i] = max(values)
+    for i, op, c, ks in program.inner:
+        if op == SUM:
+            a = b = 0
+            for k in ks:
+                a += lo[k]
+                b += hi[k]
+            lo[i] = a
+            hi[i] = b
+        elif op == SCALE:
+            k = ks[0]
+            if c > 0:
+                lo[i] = c * lo[k]
+                hi[i] = c * hi[k]
+            else:
+                lo[i] = c * hi[k]
+                hi[i] = c * lo[k]
+        elif op == MAX:
+            a = b = None
+            for k in ks:
+                if a is None or lo[k] > a:
+                    a = lo[k]
+                if b is None or hi[k] > b:
+                    b = hi[k]
+            lo[i] = a
+            hi[i] = b
+        else:
+            a = b = None
+            for k in ks:
+                if a is None or lo[k] < a:
+                    a = lo[k]
+                if b is None or hi[k] < b:
+                    b = hi[k]
+            lo[i] = a
+            hi[i] = b
+    return lo, hi
+
+
+def require(program, store, lo, hi, need_lo, need_hi):
+    """Bound the program's root to ``need_lo..need_hi`` (None: unbounded)
+    and derive every node's required bounds from its parent's and the
+    bounds ``lo``/``hi`` of ``sweep_bounds``; variable leaves take theirs
+    with ``set_min``/``set_max``.  A child gets a bound only where it cuts
+    the child's own.  Returns whether a domain changed; raises Inconsistent
+    when a node's required bounds miss its bounds.
+
+    The rules: a sum bounds each child by the slack the other children
+    leave; a scale divides (floor for an upper bound, ceiling for a lower
+    one, swapped by a negative coefficient); a max bounds every child from
+    above, and from below only when a single child can still reach the lower
+    bound (min symmetrically).
+    """
+    if (need_lo is None or need_lo <= lo[0]) and (need_hi is None
+                                                  or need_hi >= hi[0]):
+        return False  # the root already meets them: nothing cuts below
+    ops, args, kids = program.ops, program.args, program.kids
+    n = len(ops)
+    want_lo = [None] * n
+    want_hi = [None] * n
+    want_lo[0] = need_lo
+    want_hi[0] = need_hi
+    changed = False
+    for i in range(n):
+        a = want_lo[i]
+        b = want_hi[i]
+        if a is None and b is None:
+            continue
+        if (a is not None and a > hi[i]) or (b is not None and b < lo[i]):
+            raise Inconsistent("expression misses its required bounds")
+        op = ops[i]
+        if op == VAR:
+            if a is not None:
+                changed |= store.set_min(args[i], a)
+            if b is not None:
+                changed |= store.set_max(args[i], b)
+        elif op == SUM:
+            ks = kids[i]
+            if b is not None:
+                slack = b - lo[i]
+                for k in ks:
+                    r = slack + lo[k]
+                    if r < hi[k]:
+                        want_hi[k] = r
+            if a is not None:
+                slack = a - hi[i]
+                for k in ks:
+                    r = slack + hi[k]
+                    if r > lo[k]:
+                        want_lo[k] = r
+        elif op == SCALE:
+            (k,) = kids[i]
+            c = args[i]
+            if c > 0:
+                up = None if b is None else b // c
+                down = None if a is None else _ceil_div(a, c)
+            else:
+                up = None if a is None else a // c
+                down = None if b is None else _ceil_div(b, c)
+            if up is not None and up < hi[k]:
+                want_hi[k] = up
+            if down is not None and down > lo[k]:
+                want_lo[k] = down
+        elif op == MAX:
+            ks = kids[i]
+            if b is not None:
+                for k in ks:
+                    if b < hi[k]:
+                        want_hi[k] = b
+            if a is not None:
+                able = [k for k in ks if hi[k] >= a]
+                if len(able) == 1 and a > lo[able[0]]:
+                    want_lo[able[0]] = a
+        elif op == MIN:
+            ks = kids[i]
+            if a is not None:
+                for k in ks:
+                    if a > lo[k]:
+                        want_lo[k] = a
+            if b is not None:
+                able = [k for k in ks if lo[k] <= b]
+                if len(able) == 1 and b < hi[able[0]]:
+                    want_hi[able[0]] = b
+    return changed
 
 
 class Expr:
-    def vids(self):
-        return []
+    """An interval expression over interval variables; ``node`` gives its
+    opcode, argument and children (see ``Program``)."""
 
-    def bounds(self, store):
+    __slots__ = ()
+
+    def node(self):
         raise NotImplementedError
 
-    def push_le(self, store, hi):
-        return False
+    def vids(self):
+        return [vid for _, vid in Program(self).leaves]
 
-    def push_ge(self, store, lo):
-        return False
+    def bounds(self, store):
+        lo, hi = sweep_bounds(Program(self), store)
+        return lo[0], hi[0]
 
 
 class ConstE(Expr):
@@ -273,18 +452,8 @@ class ConstE(Expr):
     def __init__(self, c):
         self.c = c
 
-    def bounds(self, store):
-        return self.c, self.c
-
-    def push_le(self, store, hi):
-        if self.c > hi:
-            raise Inconsistent("constant above its required bound")
-        return False
-
-    def push_ge(self, store, lo):
-        if self.c < lo:
-            raise Inconsistent("constant below its required bound")
-        return False
+    def node(self):
+        return CONST, self.c, ()
 
 
 class VarE(Expr):
@@ -293,17 +462,8 @@ class VarE(Expr):
     def __init__(self, vid):
         self.vid = vid
 
-    def vids(self):
-        return [self.vid]
-
-    def bounds(self, store):
-        return store.vmin(self.vid), store.vmax(self.vid)
-
-    def push_le(self, store, hi):
-        return store.set_max(self.vid, hi)
-
-    def push_ge(self, store, lo):
-        return store.set_min(self.vid, lo)
+    def node(self):
+        return VAR, self.vid, ()
 
 
 class SumE(Expr):
@@ -312,36 +472,8 @@ class SumE(Expr):
     def __init__(self, children):
         self.children = list(children)
 
-    def vids(self):
-        return [v for ch in self.children for v in ch.vids()]
-
-    def bounds(self, store):
-        lo = hi = 0
-        for ch in self.children:
-            clo, chi = ch.bounds(store)
-            lo += clo
-            hi += chi
-        return lo, hi
-
-    # Each child's bounds are read once, before any child is pushed.  Pushes
-    # only tighten bounds, so limits derived from the earlier reads stay
-    # sound; the caller iterates to a fixpoint.
-
-    def push_le(self, store, hi):
-        los = [ch.bounds(store)[0] for ch in self.children]
-        slack = hi - sum(los)
-        changed = False
-        for ch, clo in zip(self.children, los):
-            changed |= ch.push_le(store, slack + clo)
-        return changed
-
-    def push_ge(self, store, lo):
-        his = [ch.bounds(store)[1] for ch in self.children]
-        slack = lo - sum(his)
-        changed = False
-        for ch, chi in zip(self.children, his):
-            changed |= ch.push_ge(store, slack + chi)
-        return changed
+    def node(self):
+        return SUM, None, self.children
 
 
 class ScaleE(Expr):
@@ -353,23 +485,8 @@ class ScaleE(Expr):
         self.coef = coef
         self.child = child
 
-    def vids(self):
-        return self.child.vids()
-
-    def bounds(self, store):
-        lo, hi = self.child.bounds(store)
-        a, b = self.coef * lo, self.coef * hi
-        return (a, b) if a <= b else (b, a)
-
-    def push_le(self, store, hi):
-        if self.coef > 0:
-            return self.child.push_le(store, hi // self.coef)
-        return self.child.push_ge(store, _ceil_div(hi, self.coef))
-
-    def push_ge(self, store, lo):
-        if self.coef > 0:
-            return self.child.push_ge(store, _ceil_div(lo, self.coef))
-        return self.child.push_le(store, lo // self.coef)
+    def node(self):
+        return SCALE, self.coef, (self.child,)
 
 
 class MaxE(Expr):
@@ -380,27 +497,8 @@ class MaxE(Expr):
         if not self.children:
             raise ValueError("max of nothing")
 
-    def vids(self):
-        return [v for ch in self.children for v in ch.vids()]
-
-    def bounds(self, store):
-        bs = [ch.bounds(store) for ch in self.children]
-        return max(b[0] for b in bs), max(b[1] for b in bs)
-
-    def push_le(self, store, hi):
-        changed = False
-        for ch in self.children:
-            changed |= ch.push_le(store, hi)
-        return changed
-
-    def push_ge(self, store, lo):
-        # Only one child can be the witness when all others top out below lo.
-        able = [ch for ch in self.children if ch.bounds(store)[1] >= lo]
-        if not able:
-            raise Inconsistent("max cannot reach its lower bound")
-        if len(able) == 1:
-            return able[0].push_ge(store, lo)
-        return False
+    def node(self):
+        return MAX, None, self.children
 
 
 class MinE(Expr):
@@ -411,30 +509,17 @@ class MinE(Expr):
         if not self.children:
             raise ValueError("min of nothing")
 
-    def vids(self):
-        return [v for ch in self.children for v in ch.vids()]
-
-    def bounds(self, store):
-        bs = [ch.bounds(store) for ch in self.children]
-        return min(b[0] for b in bs), min(b[1] for b in bs)
-
-    def push_ge(self, store, lo):
-        changed = False
-        for ch in self.children:
-            changed |= ch.push_ge(store, lo)
-        return changed
-
-    def push_le(self, store, hi):
-        able = [ch for ch in self.children if ch.bounds(store)[0] <= hi]
-        if not able:
-            raise Inconsistent("min cannot stay under its upper bound")
-        if len(able) == 1:
-            return able[0].push_le(store, hi)
-        return False
+    def node(self):
+        return MIN, None, self.children
 
 
 class Relation(Propagator):
-    """left <= right or left == right over interval expressions."""
+    """left <= right or left == right over interval expressions.
+
+    ``left - right`` is compiled once into a program (``Program``), and
+    each pass sweeps its bounds bottom-up, then requires the root to be at
+    most 0 (exactly 0 for ``eq``) top-down (``require``).
+    """
 
     priority = 0
 
@@ -442,27 +527,16 @@ class Relation(Propagator):
         if op not in ("le", "eq"):
             raise ValueError("op must be 'le' or 'eq'")
         self.op = op
-        self.left = left
-        self.right = right
-        self._vids = list(dict.fromkeys(left.vids() + right.vids()))
+        self._program = Program(SumE([left, ScaleE(-1, right)]))
+        self._need_lo = 0 if op == "eq" else None
+        self._vids = list(dict.fromkeys(vid for _, vid in self._program.leaves))
 
     def variables(self):
         return self._vids
 
     def _pass(self, store):
-        changed = False
-        llo, lhi = self.left.bounds(store)
-        rlo, rhi = self.right.bounds(store)
-        if llo > rhi:
-            raise Inconsistent("relation bounds disjoint")
-        changed |= self.left.push_le(store, rhi)
-        changed |= self.right.push_ge(store, llo)
-        if self.op == "eq":
-            if rlo > lhi:
-                raise Inconsistent("relation bounds disjoint")
-            changed |= self.right.push_le(store, lhi)
-            changed |= self.left.push_ge(store, rlo)
-        return changed
+        lo, hi = sweep_bounds(self._program, store)
+        return require(self._program, store, lo, hi, self._need_lo, 0)
 
 
 class LinearEq(Relation):

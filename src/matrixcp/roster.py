@@ -153,7 +153,7 @@ def roster_model(inst, rules):
         if r.stretch_lo <= 1 and r.stretch_hi is None:
             continue
         filt = stretch_length_dfa({s}, alphabet, r.stretch_lo, r.stretch_hi)
-        rule = rule.product(WeightedDfa.plain(filt))
+        rule = rule.product(WeightedDfa.plain(filt), D)
 
     groups = [frozenset((s,)) for s in range(S)] + [working]
     bounds = [
@@ -161,7 +161,7 @@ def roster_model(inst, rules):
         for s in range(S)
     ]
     bounds.append((min(rules.work.occ_lo, D), min(rules.work.occ_hi, D)))
-    rule = rule.product(build_gcc_weights(alphabet, groups, bounds))
+    rule = rule.product(build_gcc_weights(alphabet, groups, bounds), D)
 
     col_gcc = []
     for d in range(D):

@@ -319,7 +319,7 @@ def test_criterion_6_automata_algebra():
     for _ in range(500):
         alpha = tuple(range(rng.randint(1, 3)))
         a, b = rand_weighted(alpha), rand_weighted(alpha)
-        p = a.product(b)
+        p = a.product(b, 6)
         w = tuple(rng.choice(alpha) for _ in range(rng.randint(0, 6)))
         oka, ca = a.run_weighted(w)
         okb, cb = b.run_weighted(w)
@@ -345,7 +345,7 @@ def test_criterion_6_automata_algebra():
         prod = None
         for k in range(n - m + 1):
             nxt = build_word_occurrence(pattern, k, n, alpha)
-            prod = nxt if prod is None else prod.product(nxt)
+            prod = nxt if prod is None else prod.product(nxt, n)
         w = tuple(rng.choice(alpha) for _ in range(n))
         assert slide.run_weighted(w) == prod.run_weighted(w)
 

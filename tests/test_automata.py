@@ -16,14 +16,45 @@ from matrixcp.automata import (
     build_stretch_length_counters,
     build_word_occurrence,
     dump_automaton,
+    layered_arcs,
     parse_automaton,
     sequence_window_dfa,
     stretch_length_dfa,
+    trim_backward,
     unfold_counters,
     universal_dfa,
 )
 
 ABC = (0, 1, 2)
+
+
+def random_positional(rng, n):
+    """A random automaton over ABC with 1-2 resources, base costs and
+    positional costs at positions 0..n-1."""
+    n_res = rng.randint(1, 2)
+    n_states = rng.randint(1, 4)
+    trans = {(q, v): rng.randrange(n_states) for q in range(n_states) for v in ABC}
+    acc = {q for q in range(n_states) if rng.random() < 0.6} or {0}
+    base = {}
+    positional = {}
+    for r in range(n_res):
+        for q in range(n_states):
+            for v in ABC:
+                if rng.random() < 0.5:
+                    base[(r, q, v)] = rng.randint(-2, 3)
+                for i in range(n):
+                    if rng.random() < 0.15:
+                        positional[(r, q, v, i)] = rng.randint(-2, 2)
+    bounds = [(-rng.randint(0, 9), rng.randint(0, 9)) for _ in range(n_res)]
+    return WeightedDfa(Dfa(n_states, ABC, trans, 0, acc),
+                       CostMatrices(n_res, base, positional), bounds)
+
+
+def accepting_runs(wdfa, n):
+    """The layered graph of the accepting runs of length n."""
+    arcs, reach = layered_arcs(wdfa, n)
+    trim_backward(arcs, reach & wdfa.dfa.accepting)
+    return arcs
 
 
 def brute_stretch_count(word, vhat):
@@ -256,7 +287,7 @@ class TestProduct:
         for _ in range(120):
             a = self.rand_weighted(rng)
             b = self.rand_weighted(rng)
-            p = a.product(b)
+            p = a.product(b, 5)
             n = rng.randint(0, 5)
             w = tuple(rng.choice(ABC) for _ in range(n))
             oka, ca = a.run_weighted(w)
@@ -272,12 +303,43 @@ class TestProduct:
                      for q in range(size) for v in (0, 1)}
             return WeightedDfa.plain(Dfa(size, (0, 1), trans, 0, {0}))
 
-        # The full product has 90,000 reachable states; the build stops at 51.
+        # Within 600 steps the product reaches all its 90,000 states; the
+        # build stops at 51.
         with pytest.raises(ProductTooLarge):
-            counter(0).product(counter(1), max_states=50)
+            counter(0).product(counter(1), 600, max_states=50)
         # Equal counters cross to the 300-state diagonal, which fits exactly.
-        same = counter(0).product(counter(0), max_states=300)
+        same = counter(0).product(counter(0), 600, max_states=300)
         assert same.dfa.n_states == 300
+
+    def test_horizon_keeps_the_states_of_short_words(self):
+        def counter(sym, size=300):
+            trans = {(q, v): (q + (v == sym)) % size
+                     for q in range(size) for v in (0, 1)}
+            return WeightedDfa.plain(Dfa(size, (0, 1), trans, 0, {0}))
+
+        # Within 4 steps the counters reach the 15 pairs (i, j) with
+        # i + j <= 4; the 5 reached at step 4 lead to one dead state.
+        p = counter(0).product(counter(1), 4, max_states=16)
+        assert p.dfa.n_states == 16
+        dead = p.dfa.n_states - 1
+        assert dead not in p.dfa.accepting
+        assert all(p.dfa.step(dead, v) == dead for v in (0, 1))
+
+    def test_horizon_product_runs_as_the_full_one(self):
+        """Cut to n, a product numbers its states as the full product, has
+        the same graph of accepting length-n runs arc for arc, and runs every
+        word of length at most n the same way."""
+        rng = random.Random(808)
+        for _ in range(150):
+            n = rng.randint(0, 6)
+            a, b = random_positional(rng, n), random_positional(rng, n)
+            full = a.product(b, 10 ** 6)
+            cut = a.product(b, n)
+            assert cut.dfa.n_states <= full.dfa.n_states + 1
+            assert accepting_runs(cut, n) == accepting_runs(full, n)
+            for m in range(n + 1):
+                for w in product(ABC, repeat=m):
+                    assert cut.run_weighted(w) == full.run_weighted(w)
 
 
 class TestCounterUnfolding:
@@ -351,6 +413,31 @@ class TestDumpParse:
         for _ in range(60):
             w = tuple(rng.choice(ABC) for _ in range(4))
             assert wa.run_weighted(w) == back.run_weighted(w)
+
+    def test_random_positional_round_trip(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            wa = random_positional(rng, rng.randint(1, 5))
+            text = dump_automaton(wa)
+            back = parse_automaton(text)
+            assert back.dfa.transitions() == wa.dfa.transitions()
+            assert back.dfa.accepting == wa.dfa.accepting
+            assert back.resource_bounds == wa.resource_bounds
+            assert back.costs.base == wa.costs.base
+            assert back.costs.positional == wa.costs.positional
+            assert dump_automaton(back) == text
+
+    @pytest.mark.parametrize("base, positional, named", [
+        ({(0, 5, 9): 3}, {(0, 0, 1, -1): 2}, "state 5"),
+        ({(0, 0, 9): 3}, {}, "symbol 9"),
+        ({}, {(0, 0, 1, -1): 2}, "position -1"),
+        ({}, {(0, 0, 7, 2): 2}, "symbol 7"),
+    ])
+    def test_cost_entries_outside_the_automaton_rejected(self, base, positional,
+                                                          named):
+        costs = CostMatrices(1, base, positional)
+        with pytest.raises(AutomatonError, match=named):
+            WeightedDfa(universal_dfa((0, 1)), costs, [(0, 9)])
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(AutomatonError):

@@ -344,6 +344,28 @@ class TestBuilt:
         assert p.wdfa.n_resources == 1 and p.wdfa.dfa.n_states == 2
         assert caps == [2, 1]
 
+    def test_cwa_crosses_for_the_row_length(self):
+        # A rule counting 1s modulo 50 crosses with the stretch counter into
+        # 100 states, but rows of 3 cells reach only 6 of them (plus a dead
+        # state), so the product fits under a cap of 20.
+        prop = StretchCountProp({1})
+        trans = {(q, v): (q + v) % 50 for q in range(50) for v in (0, 1)}
+        base = {(0, q, 1): 1 for q in range(50)}
+        rule = WeightedDfa(Dfa(50, (0, 1), trans, 0, range(50)),
+                           CostMatrices(1, base), [(1, 2)])
+        m = MatrixModel(2, 3, (0, 1), rule, properties=[prop])
+        b = build(m, "cwa", cross_cap=20)
+        z = b.prop_z[prop][0][0]
+        (p,) = [p for p in b.store._watchers[z] if isinstance(p, Mcr)]
+        assert p.zs == b.rule_z[0] + b.prop_z[prop][0]
+        assert p.wdfa.dfa.n_states == 7
+        sols = brute_solutions(m)
+        doms = root_prune(m, "cwa")
+        for g in sols:
+            for i in range(m.n_rows):
+                for k in range(m.n_cols):
+                    assert g[i][k] in doms[i][k]
+
     def test_root_infeasible_shortcut(self):
         # a rule whose bounds admit no length-K word at all
         rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(5, 9)])
