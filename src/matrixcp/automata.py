@@ -313,11 +313,13 @@ class WeightedDfa:
     def arc_table(self, n):
         """Compiled arcs of the runs of length n, cached on the automaton.
 
-        ``table[i][q]`` is a tuple of arcs ``(q, v, q2, cost)`` leaving state
-        q at position i, one per symbol v whose target q2 can still reach an
-        accepting state.  ``cost`` is None for a zero cost vector, else the
-        packed envelope step ``(c_0.., -c_0..)`` (see ``envelopes``).  Layers
-        without positional costs share one per-state list.
+        ``table.layers[i][q]`` is a tuple of arcs ``(q, v, q2, cost)``
+        leaving state q at position i, one per symbol v whose target q2 can
+        still reach an accepting state.  Layers without positional costs
+        share one per-state list.  ``cost`` is None for a zero cost vector,
+        else the envelope step ``(c_0.., -c_0..)`` packed into one int by
+        ``table.packing``, whose field width fits every path cost of n arcs
+        (see ``Packing``), so adding it to an envelope is one ``+``.
         """
         table = self._tables.get(n)
         if table is None:
@@ -328,6 +330,17 @@ class WeightedDfa:
         d = self.dfa
         live = d._live_states()
         base = self.costs.base
+        extras = {}  # (position, state) -> symbol -> full cost vector there
+        for (q, v), per in self.costs.positional.items():
+            b = base.get((q, v))
+            for i, vec in per.items():
+                if i < n:
+                    extras.setdefault((i, q), {})[v] = (
+                        vec if b is None else tuple(map(add, b, vec)))
+        vectors = [*base.values(), *(v for e in extras.values() for v in e.values())]
+        top = max(max(map(max, vectors), default=0),
+                  -min(map(min, vectors), default=0))
+        packing = Packing(2 * self.n_resources, n * top)
         packed = {}
 
         def arcs(q, extra):
@@ -335,28 +348,22 @@ class WeightedDfa:
             for v, q2 in zip(d.alphabet, d._rows[q]):
                 if q2 not in live:
                     continue
-                vec = base.get((q, v))
-                if v in extra:
-                    vec = extra[v] if vec is None else tuple(map(add, vec, extra[v]))
+                vec = extra[v] if v in extra else base.get((q, v))
                 cost = None
                 if vec is not None and any(vec):
-                    cost = vec + tuple(-c for c in vec)
-                    cost = packed.setdefault(cost, cost)
+                    cost = packed.get(vec)
+                    if cost is None:
+                        cost = packed[vec] = packing.pack(vec + tuple(-c for c in vec))
                 out.append((q, v, q2, cost))
             return tuple(out)
 
         shared = [arcs(q, {}) for q in range(d.n_states)]
         layers = [shared] * n
-        extras = {}
-        for (q, v), per in self.costs.positional.items():
-            for i, vec in per.items():
-                if i < n:
-                    extras.setdefault((i, q), {})[v] = vec
         for (i, q), extra in extras.items():
             if layers[i] is shared:
                 layers[i] = list(shared)
             layers[i][q] = arcs(q, extra)
-        return layers
+        return ArcTable(layers, packing)
 
     def product(self, other, n, max_states=None):
         """Synchronous product for words of length at most ``n``: language
@@ -482,13 +489,82 @@ def reachable(start, successors, max_states=None):
 # in one list per layer.  ``Mcr`` and ``achievable_totals`` both run on it.
 
 
+class Packing:
+    """Integer vectors packed into one int, one fixed-width field per slot.
+
+    Built for vectors of ``n_slots`` slots whose path sums stay within
+    ``[-bound, bound]`` in every slot.  A field is ``width = (max(bound,
+    1)).bit_length() + 3`` bits wide and a value is stored offset by ``bias
+    = 2**(width-3)``, which exceeds ``bound``.  An envelope adds up one seed
+    (``bias`` in every field) and the costs of a path, so its fields lie in
+    ``[bias-bound, bias+bound]``; a through-sum (forward envelope, arc cost,
+    backward envelope: two seeds) lies in ``[bias, 3*bias]``.  Every field
+    stays positive and below ``2**(width-1)``, so the top bit of each field,
+    the guard bit, is never set by a value, and no carry or borrow crosses a
+    field: ``x + y`` adds the vectors slot by slot, even for costs that pack
+    negative slots (``pack`` is linear).
+    """
+
+    __slots__ = ("n_slots", "width", "bias", "guard", "low", "seed")
+
+    def __init__(self, n_slots, bound):
+        self.n_slots = n_slots
+        self.width = w = max(bound, 1).bit_length() + 3
+        self.bias = 1 << (w - 3)
+        ones = sum(1 << (s * w) for s in range(n_slots))
+        self.guard = ones << (w - 1)   # the top bit of every field
+        self.low = (1 << (w - 1)) - 1  # the value bits of one field
+        self.seed = self.bias * ones
+
+    def pack(self, vec):
+        """The int holding ``vec`` unbiased: an arc cost."""
+        w = self.width
+        return sum(c << (s * w) for s, c in enumerate(vec))
+
+    def unpack(self, env):
+        """The slot values of an envelope (one seed's bias removed)."""
+        w, low, bias = self.width, self.low, self.bias
+        return [((env >> (s * w)) & low) - bias for s in range(self.n_slots)]
+
+    def least(self, envs):
+        """The slot-by-slot minimum of envelopes (branch free per pair: the
+        guard bit of ``(x | guard) - y`` survives in a field iff x >= y)."""
+        guard, shift = self.guard, self.width - 1
+        it = iter(envs)
+        x = next(it)
+        for y in it:
+            g = ((x | guard) - y) & guard
+            x ^= (x ^ y) & (g - (g >> shift))
+        return x
+
+    def ceiling(self, limits):
+        """Packed per-slot ``limits`` on through-sums, for the test
+        ``(ceiling - through) & guard != guard``, true iff some slot of the
+        through-sum exceeds its limit.  Each field holds its limit plus two
+        biases, below the guard bit that is set in it, so the subtraction
+        borrows across no field.  The limits must lie within ``[-bound,
+        bound]``, as bounds already tightened to the envelope do."""
+        return self.guard | (2 * self.seed + self.pack(limits))
+
+
+class ArcTable:
+    """The compiled arcs of the runs of one length (``layers``) and the
+    ``Packing`` of their costs."""
+
+    __slots__ = ("layers", "packing")
+
+    def __init__(self, layers, packing):
+        self.layers = layers
+        self.packing = packing
+
+
 def layered_arcs(wdfa, n, doms=None):
     """Arcs reachable from the start state, using only symbols in doms[i] at
     position i (every symbol when doms is None).  Returns the per-layer arc
     lists and the set of states reached after the last layer."""
     reach = (wdfa.dfa.start,)
     arcs = []
-    for i, table in enumerate(wdfa.arc_table(n)):
+    for i, table in enumerate(wdfa.arc_table(n).layers):
         if doms is None:
             layer = [a for q in reach for a in table[q]]
         else:
@@ -520,17 +596,22 @@ def trim_backward(arcs, finals):
     return live
 
 
-def envelopes(arcs, seeds, n_resources, backward=False):
+def envelopes(arcs, seeds, packing, backward=False):
     """Per-layer cost envelopes of the paths from the seed states.
 
     An envelope packs the per-resource minimum and negated maximum path cost
-    as ``(min_0.., -max_0..)``, so adding a packed arc cost moves both bounds
-    and one elementwise ``min`` merges two envelopes.  Forward, ``out[i][q]``
-    covers the paths from the seeds at layer 0 to q at layer i; backward, the
-    paths from q at layer i to the seeds at the last layer.
+    ``(min_0.., -max_0..)`` into one int with the automaton's ``packing``
+    (``ArcTable.packing``), each slot offset by its bias: the seeds hold
+    ``packing.seed``.  Adding a packed arc cost is one ``+``, which moves both
+    bounds, and merging two envelopes is one slot-by-slot minimum
+    (``Packing.least``).  Since every path has at most ``len(arcs)`` arcs,
+    the fields stay within the packing's width and no borrow crosses a field.
+    Forward, ``out[i][q]`` covers the paths from the seeds at layer 0 to q at
+    layer i; backward, the paths from q at layer i to the seeds at the last
+    layer.
     """
-    zero = (0,) * (2 * n_resources)
-    cur = dict.fromkeys(seeds, zero)
+    guard, shift = packing.guard, packing.width - 1
+    cur = dict.fromkeys(seeds, packing.seed)
     out = [cur]
     for layer in reversed(arcs) if backward else arcs:
         nxt = {}
@@ -539,10 +620,11 @@ def envelopes(arcs, seeds, n_resources, backward=False):
                 q, q2 = q2, q
             env = cur[q]
             if cost is not None:
-                env = tuple(map(add, env, cost))
+                env += cost
             old = nxt.get(q2)
-            if old is not None and old is not env:
-                env = tuple(map(min, old, env))
+            if old is not None and old != env:
+                g = ((old | guard) - env) & guard  # Packing.least, inlined
+                env = old ^ ((old ^ env) & (g - (g >> shift)))
             nxt[q2] = env
         out.append(nxt)
         cur = nxt

@@ -179,11 +179,12 @@ def achievable_totals(wdfa, n):
     finals = reach & wdfa.dfa.accepting
     if not finals:
         return None
-    last = envelopes(arcs, (wdfa.dfa.start,), nres)[n]
+    packing = wdfa.arc_table(n).packing
+    last = envelopes(arcs, (wdfa.dfa.start,), packing)[n]
+    env = packing.unpack(packing.least(last[q] for q in finals))
     out = []
     for r in range(nres):
-        lo = min(last[q][r] for q in finals)
-        hi = -min(last[q][nres + r] for q in finals)
+        lo, hi = env[r], -env[nres + r]
         blo, bhi = wdfa.resource_bounds[r]
         lo, hi = max(lo, blo), min(hi, bhi)
         if lo > hi:

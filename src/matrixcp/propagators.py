@@ -7,8 +7,6 @@ does not reschedule the propagator that is currently running.
 
 from __future__ import annotations
 
-from operator import add, gt
-
 from .automata import (
     WeightedDfa,
     envelopes,
@@ -80,6 +78,15 @@ class Mcr(MemoFilter):
     its surviving arcs.  With zero resources this is exact domain consistency
     for the plain automaton membership constraint.
 
+    Envelopes and arc costs are ints packed by the table's ``Packing``: one
+    field per slot of ``(min_0.., -max_0..)``, offset by a bias larger than
+    any path cost of the row, with the top bit of each field free.  A
+    through-cost (forward envelope + arc cost + backward envelope) has fields
+    in ``[bias, 3*bias]``, below that guard bit, and the tightened bounds lie
+    within the envelope, so the cut test ``(ceiling - through) & guard``
+    borrows across no field and reads every slot's verdict from its guard
+    bit.  Only the envelope merged over the final states is unpacked.
+
     The filter is a pure function of the automaton (the memo ``kind``), the
     cell domains and the resource bounds, so every row posted with the same
     automaton shares the results in the store's memo (see ``MemoFilter``).
@@ -103,6 +110,8 @@ class Mcr(MemoFilter):
         n = len(cells)
         d = self.wdfa.dfa
         nres = self.wdfa.n_resources
+        packing = self.wdfa.arc_table(n).packing
+        guard = packing.guard
         lo = list(lo)
         hi = list(hi)
         ops = []
@@ -115,41 +124,41 @@ class Mcr(MemoFilter):
             if nres == 0:
                 break
 
-            fwd = envelopes(arcs, (d.start,), nres)
-            env = None
-            for q in finals:
-                e = fwd[n][q]
-                env = e if env is None else tuple(map(min, env, e))
+            fwd = envelopes(arcs, (d.start,), packing)
+            env = packing.unpack(packing.least(fwd[n][q] for q in finals))
+            mins = env[:nres]
+            maxs = [-e for e in env[nres:]]
             for r in range(nres):
-                v = env[r]
+                v = mins[r]
                 if v > lo[r]:
                     ops.append((Store.set_min, n + r, v))
                     if v > hi[r]:
                         return ops, True
                     lo[r] = v
-                v = -env[nres + r]
+                v = maxs[r]
                 if v < hi[r]:
                     ops.append((Store.set_max, n + r, v))
                     if v < lo[r]:
                         return ops, True
                     hi[r] = v
-            if lo == list(env[:nres]) and hi == [-e for e in env[nres:]]:
+            if lo == mins and hi == maxs:
                 # Every arc lies on a path whose total is within the bounds.
                 break
 
-            bwd = envelopes(arcs, finals, nres, backward=True)
+            bwd = envelopes(arcs, finals, packing, backward=True)
             # An arc's packed through-cost (min_r.., -max_r..) exceeds this in
-            # some slot exactly when min_r > zmax_r or max_r < zmin_r.
-            limit = hi + [-x for x in lo]
+            # some slot exactly when min_r > zmax_r or max_r < zmin_r.  The
+            # bounds now lie within the envelope, so within the packing.
+            ceiling = packing.ceiling(hi + [-x for x in lo])
             cut = False
             for i, layer in enumerate(arcs):
                 f, b = fwd[i], bwd[i + 1]
                 kept = []
                 for a in layer:
-                    through = map(add, f[a[0]], b[a[2]])
+                    through = f[a[0]] + b[a[2]]
                     if a[3] is not None:
-                        through = map(add, through, a[3])
-                    if any(map(gt, through, limit)):
+                        through += a[3]
+                    if (ceiling - through) & guard != guard:
                         cut = True
                     else:
                         kept.append(a)
@@ -671,8 +680,7 @@ class StretchLengthWindows(Propagator):
                 [v for c in self.cards for v in c.vids()] + [zmin, zmax]
             )
         )
-        self._box = None
-        self._rels = []
+        self._windows = {}  # (zmin lower bound, zmax upper bound) -> relations
 
     def variables(self):
         return self._vids
@@ -734,10 +742,10 @@ class StretchLengthWindows(Propagator):
         return rels
 
     def _pass(self, store):
-        # The windows depend only on this point, so they are rebuilt only
-        # when it moves (including back, on backtracking).
+        # The windows depend only on this point, so each point's relations
+        # are built once and kept for when search returns to it.
         box = (store.vmin(self.zmin), store.vmax(self.zmax))
-        if box != self._box:
-            self._box = box
-            self._rels = self._build(*box)
-        return any([rel._pass(store) for rel in self._rels])
+        rels = self._windows.get(box)
+        if rels is None:
+            rels = self._windows[box] = self._build(*box)
+        return any([rel._pass(store) for rel in rels])

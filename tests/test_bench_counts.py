@@ -2,9 +2,9 @@
 search nodes and root-pruned cell values per instance are deterministic, so
 a change that should leave pruning alone must leave them as pinned here.
 
-The first 6 toy rosters of ``gen_toy_rosters(4242, 25)`` run under ``cwa``,
-6 instances of the reductions pool (3-SAT, exact cover, hitting set) under
-``decomp``.  Root-pruned values count as ``bench/run.py`` counts them.
+The first 6 toy rosters of ``gen_toy_rosters(4242, 25)`` run under ``cwa``
+and under ``wa`` (the ``toy-wa`` workload, run on demand), 6 instances of the
+reductions pool (3-SAT, exact cover, hitting set) under ``decomp``.  Root-pruned values count as ``bench/run.py`` counts them.
 """
 
 import os
@@ -21,6 +21,14 @@ import workloads  # noqa: E402
 
 # (pool index, name, verdict, search nodes, root-pruned values)
 TOY_CWA = [
+    (0, "toy000_u", "unsat", 0, 168),
+    (1, "toy001_u", "unsat", 0, 105),
+    (2, "toy002_s", "sat", 32, 0),
+    (3, "toy003_s", "sat", 21, 0),
+    (4, "toy004_u", "unsat", 0, 168),
+    (5, "toy005_u", "unsat", 0, 105),
+]
+TOY_WA = [
     (0, "toy000_u", "unsat", 0, 168),
     (1, "toy001_u", "unsat", 0, 105),
     (2, "toy002_s", "sat", 32, 0),
@@ -50,6 +58,7 @@ def root_pruned(model, mode):
 @pytest.mark.parametrize("workload, pinned", [
     ("toy-cwa", TOY_CWA),
     ("reductions-decomp", REDUCTIONS_DECOMP),
+    ("toy-wa", TOY_WA),
 ])
 def test_counts_match_pinned(workload, pinned):
     w = workloads.WORKLOADS[workload]

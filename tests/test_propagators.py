@@ -591,6 +591,37 @@ class TestStretchLengthWindows:
             st = self.post(tuple(w), {zmin}, {zmax})
             assert st.propagate() == "stable", (w, zmin, zmax)
 
+    def test_each_box_builds_its_windows_once(self, monkeypatch):
+        """Moving the (zmin, zmax) box back and forth builds the windows of
+        each box once, and each box prunes as a freshly posted propagator."""
+        built = []
+        build_windows = StretchLengthWindows._build
+
+        def counted(self, a, b):
+            built.append((a, b))
+            return build_windows(self, a, b)
+
+        monkeypatch.setattr(StretchLengthWindows, "_build", counted)
+        cards = (range(0, 3), range(1, 3), range(0, 2), range(0, 3), range(1, 3))
+        zmin, zmax = len(cards), len(cards) + 1
+        boxes = [(2, 4), (3, 3), (2, 4), (2, 5), (3, 3), (2, 4), (4, 2)]
+
+        def outcome(st):
+            return st.propagate(), [st.dom(v) for v in range(len(st.domains))]
+
+        fresh = {(a, b): outcome(self.post(cards, range(a, 7), range(0, b + 1), 2))
+                 for a, b in boxes}
+        built.clear()
+        st = self.post(cards, range(1, 7), range(0, 6), n_rows=2)
+        assert st.propagate() == "stable"
+        for a, b in boxes:
+            st.mark()
+            st.set_min(zmin, a)
+            st.set_max(zmax, b)
+            assert outcome(st) == fresh[(a, b)], (a, b)
+            st.undo()
+        assert built == [(1, 5), *dict.fromkeys(boxes)]
+
     def test_prunes_rosters_at_the_fixpoint_of_the_rest(self, monkeypatch):
         """With every stretch at least 1 long (the toy case) the start and
         end windows are tautologies; with WORK and SHIFT 1 stretches at
