@@ -560,8 +560,9 @@ class ArcTable:
 
 def layered_arcs(wdfa, n, doms=None):
     """Arcs reachable from the start state, using only symbols in doms[i] at
-    position i (every symbol when doms is None).  Returns the per-layer arc
-    lists and the set of states reached after the last layer."""
+    position i, a bitmask of symbols (every symbol when doms is None).
+    Returns the per-layer arc lists and the set of states reached after the
+    last layer."""
     reach = (wdfa.dfa.start,)
     arcs = []
     for i, table in enumerate(wdfa.arc_table(n).layers):
@@ -569,7 +570,7 @@ def layered_arcs(wdfa, n, doms=None):
             layer = [a for q in reach for a in table[q]]
         else:
             dom = doms[i]
-            layer = [a for q in reach for a in table[q] if a[1] in dom]
+            layer = [a for q in reach for a in table[q] if dom >> a[1] & 1]
         arcs.append(layer)
         reach = {a[2] for a in layer}
     return arcs, set(reach)

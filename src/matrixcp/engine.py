@@ -1,12 +1,13 @@
 """Finite-domain store, propagation loop, and depth-first search.
 
-Value variables hold small integer sets; interval variables hold a ``range``
-and are reasoned on by their bounds.  Propagators subscribe to variables and
-are woken on any domain change; a two-priority FIFO queue (cheap counting
-propagators first) runs them to a fixpoint.  Changes are trailed so search can
-backtrack without copying the store.  The store also owns a memo of pure
-propagator filter results that lives as long as the store, capped at
-``MEMO_CAP`` entries (see ``Store.memo``).
+Value variables hold small non-negative integers as an int bitmask (bit v set
+iff v is in the domain); interval variables hold a ``range`` and are reasoned
+on by their bounds.  Propagators subscribe to variables and are woken on any
+domain change; a two-priority FIFO queue (cheap counting propagators first)
+runs them to a fixpoint.  Changes are trailed so search can backtrack without
+copying the store.  The store also owns a memo of pure propagator filter
+results that lives as long as the store, capped at ``MEMO_CAP`` entries (see
+``Store.memo``).
 """
 
 from __future__ import annotations
@@ -22,22 +23,47 @@ class Inconsistent(Exception):
     """A domain became empty or a propagator proved failure."""
 
 
-class Domain:
-    """A variable's candidate integers: ``values`` is a frozenset for a value
-    variable and a ``range`` for an interval variable (counters, totals).
+def mask_of(values):
+    """The bitmask of the given non-negative integers."""
+    mask = 0
+    for v in values:
+        mask |= 1 << v
+    return mask
 
-    Every change replaces ``values``, never mutates it: the trail keeps the
-    replaced values, and a memo key can hold the current ones.  An interval
-    variable is reasoned on by its bounds only: a removal strictly inside it
-    is ignored, and a restriction keeps the hull of what survives.
+
+def members(mask):
+    """The integers whose bits are set in ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class Domain:
+    """A variable's candidate integers: ``bits`` is an int bitmask for a
+    value variable and a ``range`` for an interval variable (counters,
+    totals); ``values`` is the same set as a ``frozenset`` or that
+    ``range``.
+
+    Both are immutable, so every change replaces ``bits``: the trail keeps
+    the replaced domain, and a memo key can hold the current one.  An
+    interval variable is reasoned on by its bounds only: a removal strictly
+    inside it is ignored, and a restriction keeps the hull of what survives.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("bits",)
 
-    def __init__(self, values):
-        if not values:
+    def __init__(self, bits):
+        if not bits:
             raise Inconsistent("empty initial domain")
-        self.values = values
+        self.bits = bits
+
+    @property
+    def values(self):
+        bits = self.bits
+        return bits if type(bits) is range else frozenset(members(bits))
 
 
 class Store:
@@ -45,7 +71,7 @@ class Store:
 
     ``memo`` maps the full input of a pure propagator filter to its result
     (see ``memoised``), so a propagator that sees an input again anywhere in
-    the search, in this subtree or another one, replays the result instead of
+    the search, in this subtree or another one, commits the result instead of
     filtering again.  A result depends on its input only, so it stays valid
     after backtracking: ``undo`` leaves the memo alone, and the memo is
     bounded by ``MEMO_CAP`` entries instead, evicting the oldest first.
@@ -56,7 +82,7 @@ class Store:
         self.names: list[str] = []
         self.memo: OrderedDict = OrderedDict()
         self._watchers: list[list] = []
-        self._trail: list[tuple[int, frozenset | range]] = []
+        self._trail: list[tuple[int, int | range]] = []
         self._marks: list[int] = []
         self._queue = [deque(), deque()]
         self._queued = set()
@@ -66,16 +92,23 @@ class Store:
     # -- variables ---------------------------------------------------------
 
     def new_var(self, values, name=""):
-        """A value variable over the given finite set of integers."""
-        return self._new(frozenset(values), name)
+        """A value variable over the given finite set of non-negative
+        integers."""
+        values = list(values)
+        for v in values:
+            if not isinstance(v, int) or v < 0:
+                raise ValueError(
+                    f"variable {name or f'v{len(self.domains)}'}: value {v!r} "
+                    "is not a non-negative integer")
+        return self._new(mask_of(values), name)
 
     def new_interval(self, lo, hi, name=""):
         """An interval variable over ``lo..hi``, reasoned on by its bounds."""
         return self._new(range(lo, hi + 1), name)
 
-    def _new(self, values, name):
+    def _new(self, bits, name):
         vid = len(self.domains)
-        self.domains.append(Domain(values))
+        self.domains.append(Domain(bits))
         self.names.append(name or f"v{vid}")
         self._watchers.append([])
         return vid
@@ -84,15 +117,22 @@ class Store:
         return self.domains[vid].values
 
     def vmin(self, vid):
-        values = self.domains[vid].values
-        return values[0] if type(values) is range else min(values)
+        bits = self.domains[vid].bits
+        if type(bits) is range:
+            return bits[0]
+        return (bits & -bits).bit_length() - 1
 
     def vmax(self, vid):
-        values = self.domains[vid].values
-        return values[-1] if type(values) is range else max(values)
+        bits = self.domains[vid].bits
+        if type(bits) is range:
+            return bits[-1]
+        return bits.bit_length() - 1
 
     def is_fixed(self, vid):
-        return len(self.domains[vid].values) == 1
+        bits = self.domains[vid].bits
+        if type(bits) is range:
+            return len(bits) == 1
+        return bits & (bits - 1) == 0
 
     def value(self, vid):
         (v,) = self.domains[vid].values
@@ -103,16 +143,17 @@ class Store:
 
     # -- domain operations (trail + wake) ------------------------------------
 
-    def _commit(self, vid, new_values):
-        # new_values is always a subset of the domain, so an equal size
-        # means no change.
+    def _commit(self, vid, new):
+        # new is always a subset of the domain: a mask of some of its bits or
+        # a subrange, so an equal one means no change.
         dom = self.domains[vid]
-        if len(new_values) == len(dom.values):
+        old = dom.bits
+        if new == old:
             return False
-        if not new_values:
+        if not new:
             raise Inconsistent(self.names[vid])
-        self._trail.append((vid, dom.values))
-        dom.values = new_values
+        self._trail.append((vid, old))
+        dom.bits = new
         for prop in self._watchers[vid]:
             if prop is not self._running:
                 self.enqueue(prop)
@@ -121,44 +162,43 @@ class Store:
     def keep_values(self, vid, allowed):
         """Restrict a variable to the given values (an interval variable to
         the hull of those it keeps)."""
-        values = self.domains[vid].values
-        if type(values) is not range:
-            return self._commit(vid, values.intersection(allowed))
-        kept = [v for v in allowed if v in values]
+        bits = self.domains[vid].bits
+        if type(bits) is not range:
+            top = bits.bit_length()
+            return self._commit(vid, mask_of(v for v in allowed if 0 <= v < top) & bits)
+        kept = [v for v in allowed if v in bits]
         if not kept:
             raise Inconsistent(self.names[vid])
         return self._commit(vid, range(min(kept), max(kept) + 1))
 
     def remove_value(self, vid, v):
-        values = self.domains[vid].values
-        if v not in values:
-            return False
-        if type(values) is not range:
-            return self._commit(vid, values - {v})
-        if v == values[0]:
-            return self._commit(vid, values[1:])
-        if v == values[-1]:
-            return self._commit(vid, values[:-1])
+        bits = self.domains[vid].bits
+        if type(bits) is not range:
+            if v < 0 or not bits >> v & 1:
+                return False
+            return self._commit(vid, bits ^ (1 << v))
+        if v == bits[0]:
+            return self._commit(vid, bits[1:])
+        if v == bits[-1]:
+            return self._commit(vid, bits[:-1])
         return False
 
     def assign(self, vid, v):
         return self.keep_values(vid, (v,))
 
     def set_min(self, vid, lo):
-        if lo <= self.vmin(vid):
-            return False
-        values = self.domains[vid].values
-        if type(values) is range:
-            return self._commit(vid, range(lo, values.stop))
-        return self._commit(vid, frozenset([v for v in values if v >= lo]))
+        bits = self.domains[vid].bits
+        if type(bits) is range:
+            return lo > bits[0] and self._commit(vid, range(lo, bits.stop))
+        return lo > 0 and self._commit(vid, bits >> lo << lo)
 
     def set_max(self, vid, hi):
-        if hi >= self.vmax(vid):
+        bits = self.domains[vid].bits
+        if type(bits) is range:
+            return hi < bits[-1] and self._commit(vid, range(bits.start, hi + 1))
+        if hi >= bits.bit_length() - 1:
             return False
-        values = self.domains[vid].values
-        if type(values) is range:
-            return self._commit(vid, range(values.start, hi + 1))
-        return self._commit(vid, frozenset([v for v in values if v <= hi]))
+        return self._commit(vid, bits & ((2 << hi) - 1) if hi >= 0 else 0)
 
     # -- trail ---------------------------------------------------------------
 
@@ -167,9 +207,12 @@ class Store:
 
     def undo(self):
         back_to = self._marks.pop()
-        while len(self._trail) > back_to:
-            vid, values = self._trail.pop()
-            self.domains[vid].values = values
+        trail = self._trail
+        domains = self.domains
+        # Newest first, so a variable changed twice ends at its oldest domain.
+        for vid, bits in reversed(trail[back_to:]):
+            domains[vid].bits = bits
+        del trail[back_to:]
 
     # -- filter memo ---------------------------------------------------------
 
@@ -276,6 +319,23 @@ class SearchResult:
         self.elapsed = elapsed
 
 
+def pick(store, branch_vars):
+    """The unfixed variable of ``branch_vars`` with the smallest domain, the
+    first one on ties; None when all are fixed.  No unfixed domain is smaller
+    than 2, so the scan stops at the first of size 2."""
+    domains = store.domains
+    best = None
+    best_size = 0
+    for vid in branch_vars:
+        bits = domains[vid].bits
+        size = len(bits) if type(bits) is range else bits.bit_count()
+        if size > 1 and (best is None or size < best_size):
+            if size == 2:
+                return vid
+            best, best_size = vid, size
+    return best
+
+
 def search(store, branch_vars, time_limit=None, on_solution=None):
     """Depth-first search over ``branch_vars`` (other variables must be fixed
     by propagation once these are).
@@ -301,18 +361,9 @@ def search(store, branch_vars, time_limit=None, on_solution=None):
         stats.root_failure = True
         return out("unsat", None)
 
-    def pick():
-        best = None
-        best_size = None
-        for vid in branch_vars:
-            size = len(store.domains[vid].values)
-            if size > 1 and (best_size is None or size < best_size):
-                best, best_size = vid, size
-        return best
-
     found = [None]
-    # Explicit stack of (vid, value, stage) decisions for iterative DFS;
-    # stage 0 = try assignment, stage 1 = assignment failed, remove value.
+    # Explicit stack of (vid, value) decisions for iterative DFS: a popped
+    # decision is refuted by removing its value.
     stack = []
     while True:
         if deadline is not None and time.monotonic() > deadline:
@@ -320,7 +371,7 @@ def search(store, branch_vars, time_limit=None, on_solution=None):
                 store.undo()
                 stack.pop()
             return out("timeout", found[0])
-        vid = pick()
+        vid = pick(store, branch_vars)
         if vid is None:
             solution = {v: store.value(v) for v in branch_vars}
             found[0] = solution

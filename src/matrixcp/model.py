@@ -217,7 +217,7 @@ class Built:
 
     def cell_domains_snapshot(self):
         return [
-            [frozenset(self.store.dom(x)) for x in row]
+            [self.store.dom(x) for x in row]
             for row in self.cells
         ]
 

@@ -321,6 +321,6 @@ def regular2_dc(row_dfa, col_dfa, n_rows, n_cols, domains=None, cap=1_000_000):
     if store.propagate() == "failed":
         return None
     return [
-        [frozenset(store.dom(xs[i][k])) for k in range(n_cols)]
+        [store.dom(xs[i][k]) for k in range(n_cols)]
         for i in range(n_rows)
     ]

@@ -7,6 +7,8 @@ does not reschedule the propagator that is currently running.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .automata import (
     WeightedDfa,
     envelopes,
@@ -14,7 +16,7 @@ from .automata import (
     trim_backward,
     trim_forward,
 )
-from .engine import Inconsistent, Propagator, Store
+from .engine import Inconsistent, Propagator, mask_of
 
 
 def _ceil_div(a, b):
@@ -23,18 +25,21 @@ def _ceil_div(a, b):
 
 class MemoFilter(Propagator):
     """A propagator whose work is a pure function ``filter(cells, lo, hi)``
-    of the domains of its cells ``xs`` and the bounds of its interval
-    variables ``zs`` (read only by their bounds).
+    of the domains of its cells ``xs`` (value variables, as bitmasks) and
+    the bounds of its interval variables ``zs``.
 
-    ``filter`` returns ``(ops, failed)``: ``ops`` lists ``(Store method,
-    position, argument)`` in the order they are to be applied, positions
-    counting the cells first and then the interval variables; ``failed``
-    says that the constraint has no solution once they are applied.  ``run``
-    looks the result up under its input and ``kind`` in the store's memo
-    (``Store.memoised``), which outlives the search node that made it, and
-    replays it on its own variables.  So every propagator of the same
-    ``kind`` and arity that sees the same input anywhere in the search gets
-    the result without filtering.
+    ``filter`` returns ``(changes, failed)``: ``changes`` lists ``(position,
+    domain)`` in the order they are to be committed, positions counting the
+    cells first and then the interval variables, each domain the variable's
+    new one (a mask for a cell, a ``range`` for an interval variable, empty
+    where a crossing bound empties it); ``failed`` says that the constraint
+    has no solution once they are committed.  ``run`` looks the result up
+    under its input and ``kind`` in the store's memo (``Store.memoised``),
+    which outlives the search node that made it, and commits it on its own
+    variables.  So every propagator of the same ``kind`` and arity that sees
+    the same input anywhere in the search gets the result without filtering.
+    A variable may appear at one position only: two positions' domains would
+    be computed apart, and the later commit would undo the earlier one.
     """
 
     def __init__(self, xs, zs, kind):
@@ -42,20 +47,31 @@ class MemoFilter(Propagator):
         self.zs = list(zs)
         self.kind = kind
         self._vars = self.xs + self.zs
+        if len(set(self._vars)) < len(self._vars):
+            vs = self._vars
+            dup = next(v for i, v in enumerate(vs) if v in vs[:i])
+            raise ValueError(f"{type(self).__name__}: variable {dup} appears "
+                             "twice in its scope")
 
     def variables(self):
         return self._vars
 
     def run(self, store):
-        cells = [store.dom(x) for x in self.xs]
-        lo = [store.vmin(z) for z in self.zs]
-        hi = [store.vmax(z) for z in self.zs]
-        ops, failed = store.memoised(
+        domains = store.domains
+        cells = [domains[x].bits for x in self.xs]
+        lo = []
+        hi = []
+        for z in self.zs:
+            r = domains[z].bits
+            lo.append(r[0])
+            hi.append(r[-1])
+        changes, failed = store.memoised(
             (self.kind, *cells, *lo, *hi), self.filter, cells, lo, hi
         )
         vs = self._vars
-        for op, pos, arg in ops:
-            op(store, vs[pos], arg)
+        commit = store._commit
+        for pos, new in changes:
+            commit(vs[pos], new)
         if failed:
             raise Inconsistent(f"{type(self).__name__} has no solution")
 
@@ -75,8 +91,8 @@ class Mcr(MemoFilter):
     accepting run go, the resource bounds are tightened to the path cost
     envelope, and arcs whose per-resource through-cost interval misses the
     resource bounds are cut.  Each row variable finally keeps the symbols of
-    its surviving arcs.  With zero resources this is exact domain consistency
-    for the plain automaton membership constraint.
+    its surviving arcs, ORed into one mask.  With zero resources this is
+    exact domain consistency for the plain automaton membership constraint.
 
     Envelopes and arc costs are ints packed by the table's ``Packing``: one
     field per slot of ``(min_0.., -max_0..)``, offset by a bias larger than
@@ -103,8 +119,8 @@ class Mcr(MemoFilter):
     def filter(self, cells, lo, hi):
         """Filter cell domains ``cells`` and resource bounds ``lo``/``hi``
         (see ``MemoFilter``).  ``failed`` means no accepting run within the
-        bounds.  An operation that empties a resource ends the list with
-        ``failed`` set, so a replay makes the same bound changes before it
+        bounds.  A bound change that empties a resource ends the list with
+        ``failed`` set, so ``run`` commits the same bound changes before it
         fails.
         """
         n = len(cells)
@@ -114,13 +130,13 @@ class Mcr(MemoFilter):
         guard = packing.guard
         lo = list(lo)
         hi = list(hi)
-        ops = []
+        changes = []
         arcs, reach = layered_arcs(self.wdfa, n, cells)
 
         while True:
             finals = reach & d.accepting
             if d.start not in trim_backward(arcs, finals):
-                return ops, True
+                return changes, True
             if nres == 0:
                 break
 
@@ -131,15 +147,15 @@ class Mcr(MemoFilter):
             for r in range(nres):
                 v = mins[r]
                 if v > lo[r]:
-                    ops.append((Store.set_min, n + r, v))
+                    changes.append((n + r, range(v, hi[r] + 1)))
                     if v > hi[r]:
-                        return ops, True
+                        return changes, True
                     lo[r] = v
                 v = maxs[r]
                 if v < hi[r]:
-                    ops.append((Store.set_max, n + r, v))
+                    changes.append((n + r, range(lo[r], v + 1)))
                     if v < lo[r]:
-                        return ops, True
+                        return changes, True
                     hi[r] = v
             if lo == mins and hi == maxs:
                 # Every arc lies on a path whose total is within the bounds.
@@ -168,10 +184,12 @@ class Mcr(MemoFilter):
             reach = trim_forward(arcs, d.start)
 
         for i, layer in enumerate(arcs):
-            symbols = frozenset(a[1] for a in layer)
-            if len(symbols) < len(cells[i]):
-                ops.append((Store.keep_values, i, symbols))
-        return ops, False
+            kept = 0
+            for a in layer:
+                kept |= 1 << a[1]
+            if kept != cells[i]:
+                changes.append((i, kept))
+        return changes, False
 
 
 def regular_dc(xs, dfa):
@@ -198,29 +216,30 @@ class GccColumn(MemoFilter):
         if len(cards) != len(values):
             raise ValueError("one cardinality variable per counted value")
         self.values = tuple(values)
-        self.counted = frozenset(self.values)
+        self.counted = mask_of(self.values)
         super().__init__(xs, cards, self.values)
 
     def filter(self, cells, lo, hi):
         """Count each value over ``cells`` against its bounds ``lo``/``hi``,
-        and the total against the cells, until no bound or cell changes.  An
-        operation that empties a cardinality ends the list with ``failed``
+        and the total against the cells, until no bound or cell changes.  A
+        bound change that empties a cardinality ends the list with ``failed``
         set."""
         n = len(cells)
         cells, lo, hi = list(cells), list(lo), list(hi)
-        ops = []
+        counted = self.counted
+        changes = []
 
         def narrow(j, least, most):
             # Bound cards[j] to [least, most]; True once that empties it.
             nonlocal changed
             if least > lo[j]:
-                ops.append((Store.set_min, n + j, least))
+                changes.append((n + j, range(least, hi[j] + 1)))
                 if least > hi[j]:
                     return True
                 lo[j] = least
                 changed = True
             if most < hi[j]:
-                ops.append((Store.set_max, n + j, most))
+                changes.append((n + j, range(lo[j], most + 1)))
                 if most < lo[j]:
                     return True
                 hi[j] = most
@@ -231,32 +250,37 @@ class GccColumn(MemoFilter):
         while changed:
             changed = False
             for j, v in enumerate(self.values):
+                bit = 1 << v
                 fixed = possible = 0
                 for dm in cells:
-                    if v in dm:
+                    if dm & bit:
                         possible += 1
-                        if len(dm) == 1:
+                        if dm == bit:
                             fixed += 1
                 if narrow(j, fixed, possible):
-                    return ops, True
+                    return changes, True
                 if fixed == hi[j] and possible > fixed:
                     for i, dm in enumerate(cells):
-                        if len(dm) > 1 and v in dm:
-                            ops.append((Store.remove_value, i, v))
-                            cells[i] = dm - {v}
+                        if dm & bit and dm != bit:
+                            cells[i] = dm ^ bit
+                            changes.append((i, cells[i]))
                             changed = True
                 elif possible == lo[j] and fixed < possible:
                     for i, dm in enumerate(cells):
-                        if len(dm) > 1 and v in dm:
-                            ops.append((Store.assign, i, v))
-                            cells[i] = frozenset((v,))
+                        if dm & bit and dm != bit:
+                            cells[i] = bit
+                            changes.append((i, bit))
                             changed = True
-            must = sum(dm <= self.counted for dm in cells)
-            may = n - sum(self.counted.isdisjoint(dm) for dm in cells)
+            must = may = 0
+            for dm in cells:
+                if dm & counted:
+                    may += 1
+                    if dm | counted == counted:
+                        must += 1
             for j in range(len(lo)):
                 if narrow(j, must - sum(hi) + hi[j], may - sum(lo) + lo[j]):
-                    return ops, True
-        return ops, False
+                    return changes, True
+        return changes, False
 
 
 # -- interval expressions ----------------------------------------------------
@@ -307,13 +331,13 @@ def sweep_bounds(program, store):
     hi = program.consts[:]
     domains = store.domains
     for i, vid in program.leaves:
-        values = domains[vid].values
-        if type(values) is range:
-            lo[i] = values[0]
-            hi[i] = values[-1]
+        bits = domains[vid].bits
+        if type(bits) is range:
+            lo[i] = bits[0]
+            hi[i] = bits[-1]
         else:
-            lo[i] = min(values)
-            hi[i] = max(values)
+            lo[i] = (bits & -bits).bit_length() - 1
+            hi[i] = bits.bit_length() - 1
     for i, op, c, ks in program.inner:
         if op == SUM:
             a = b = 0
@@ -601,8 +625,9 @@ class LexLe(Propagator):
             return False
         changed = store.set_max(self.xs[i], store.vmax(self.ys[i]))
         changed |= store.set_min(self.ys[i], store.vmin(self.xs[i]))
+        domains = store.domains
         eq_possible = store.vmin(self.xs[i]) <= store.vmax(self.ys[i]) and bool(
-            store.dom(self.xs[i]) & store.dom(self.ys[i])
+            domains[self.xs[i]].bits & domains[self.ys[i]].bits
         )
         if eq_possible and not self._suffix_ok(store, i + 1):
             # Equality at the split position dooms the suffix: force strict.
@@ -621,38 +646,52 @@ def post_lex_chain(store, rows, strict=False):
     return props
 
 
-class SumColumn(Propagator):
+class SumColumn(MemoFilter):
     """Bounds propagation for lo <= sum of mapped cell values <= hi.
 
     Cells hold indices into an ascending external value table; the sum ranges
-    over the external values.
+    over the external values.  The filter is a pure function of the table and
+    the bounds (the memo ``kind``) and the cell domains (see ``MemoFilter``).
     """
 
     priority = 0
 
     def __init__(self, xs, values, lo, hi):
-        self.xs = list(xs)
         self.values = tuple(values)
         self.lo = lo
         self.hi = hi
+        super().__init__(xs, [], (self.values, lo, hi))
 
-    def variables(self):
-        return list(self.xs)
-
-    def _pass(self, store):
+    def filter(self, cells, _lo, _hi):
+        """Each pass keeps in every cell the values whose external value fits
+        the slack the other cells' extremes leave (as they stood at the start
+        of the pass), until a pass changes nothing.  A pass that starts with
+        the extremes' sums outside the bounds, or empties a cell, ends the
+        list with ``failed`` set."""
         ext = self.values
-        mins = [ext[store.vmin(x)] for x in self.xs]
-        maxs = [ext[store.vmax(x)] for x in self.xs]
-        total_lo, total_hi = sum(mins), sum(maxs)
-        if total_lo > self.hi or total_hi < self.lo:
-            raise Inconsistent("column sum out of bounds")
-        changed = False
-        for i, x in enumerate(self.xs):
-            need_lo = self.lo - (total_hi - maxs[i])
-            need_hi = self.hi - (total_lo - mins[i])
-            allowed = {v for v in store.dom(x) if need_lo <= ext[v] <= need_hi}
-            changed |= store.keep_values(x, allowed)
-        return changed
+        cells = list(cells)
+        changes = []
+        changed = True
+        while changed:
+            changed = False
+            mins = [ext[(dm & -dm).bit_length() - 1] for dm in cells]
+            maxs = [ext[dm.bit_length() - 1] for dm in cells]
+            total_lo, total_hi = sum(mins), sum(maxs)
+            if total_lo > self.hi or total_hi < self.lo:
+                return changes, True
+            for i, dm in enumerate(cells):
+                # The indices whose values lie in [need_lo, need_hi] are the
+                # run start..stop-1 of the ascending table.
+                start = bisect_left(ext, self.lo - (total_hi - maxs[i]))
+                stop = bisect_right(ext, self.hi - (total_lo - mins[i]))
+                kept = dm & ((1 << stop) - (1 << start)) if start < stop else 0
+                if kept != dm:
+                    changes.append((i, kept))
+                    if not kept:
+                        return changes, True
+                    cells[i] = kept
+                    changed = True
+        return changes, False
 
 
 # -- stretch-length window conditions -----------------------------------------

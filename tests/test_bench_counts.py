@@ -1,6 +1,7 @@
 """Count gate on a slice of both benchmark pools (``bench/workloads.py``):
-search nodes and root-pruned cell values per instance are deterministic, so
-a change that should leave pruning alone must leave them as pinned here.
+search nodes, root-pruned cell values and propagator runs
+(``stats.propagations``) per instance are deterministic, so a change that
+should leave pruning and wakeups alone must leave them as pinned here.
 
 The first 6 toy rosters of ``gen_toy_rosters(4242, 25)`` run under ``cwa``
 and under ``wa`` (the ``toy-wa`` workload, run on demand), 6 instances of the
@@ -19,30 +20,30 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, BENCH)
 import workloads  # noqa: E402
 
-# (pool index, name, verdict, search nodes, root-pruned values)
+# (pool index, name, verdict, search nodes, root-pruned values, propagator runs)
 TOY_CWA = [
-    (0, "toy000_u", "unsat", 0, 168),
-    (1, "toy001_u", "unsat", 0, 105),
-    (2, "toy002_s", "sat", 32, 0),
-    (3, "toy003_s", "sat", 21, 0),
-    (4, "toy004_u", "unsat", 0, 168),
-    (5, "toy005_u", "unsat", 0, 105),
+    (0, "toy000_u", "unsat", 0, 168, 103),
+    (1, "toy001_u", "unsat", 0, 105, 100),
+    (2, "toy002_s", "sat", 32, 0, 3707),
+    (3, "toy003_s", "sat", 21, 0, 2430),
+    (4, "toy004_u", "unsat", 0, 168, 103),
+    (5, "toy005_u", "unsat", 0, 105, 100),
 ]
 TOY_WA = [
-    (0, "toy000_u", "unsat", 0, 168),
-    (1, "toy001_u", "unsat", 0, 105),
-    (2, "toy002_s", "sat", 32, 0),
-    (3, "toy003_s", "sat", 21, 0),
-    (4, "toy004_u", "unsat", 0, 168),
-    (5, "toy005_u", "unsat", 0, 105),
+    (0, "toy000_u", "unsat", 0, 168, 103),
+    (1, "toy001_u", "unsat", 0, 105, 100),
+    (2, "toy002_s", "sat", 32, 0, 3691),
+    (3, "toy003_s", "sat", 21, 0, 2389),
+    (4, "toy004_u", "unsat", 0, 168, 103),
+    (5, "toy005_u", "unsat", 0, 105, 100),
 ]
 REDUCTIONS_DECOMP = [
-    (2, "002_3sat_5x21", "sat", 347, 0),
-    (8, "008_3sat_5x21", "unsat", 861, 0),
-    (14, "014_cover_14x12", "sat", 1, 144),
-    (18, "018_cover_14x12", "unsat", 1, 0),
-    (22, "022_hitting_sum_3x22", "unsat", 33, 66),
-    (24, "024_hitting_sum_3x22", "sat", 7, 66),
+    (2, "002_3sat_5x21", "sat", 347, 0, 4270),
+    (8, "008_3sat_5x21", "unsat", 861, 0, 15998),
+    (14, "014_cover_14x12", "sat", 1, 144, 189),
+    (18, "018_cover_14x12", "unsat", 1, 0, 162),
+    (22, "022_hitting_sum_3x22", "unsat", 33, 66, 2220),
+    (24, "024_hitting_sum_3x22", "sat", 7, 66, 537),
 ]
 
 
@@ -70,5 +71,5 @@ def test_counts_match_pinned(workload, pinned):
         inst = instances[idx]
         out = solve(inst.model, w.mode)
         got.append((idx, inst.name, out.status, out.stats.nodes,
-                    root_pruned(inst.model, w.mode)))
+                    root_pruned(inst.model, w.mode), out.stats.propagations))
     assert got == pinned

@@ -7,7 +7,8 @@ maxima, on random weighted automata with 0-12 resources, costs up to 10**6
 in magnitude, positional costs and rows of 1-40 cells, and with word
 enumeration on short rows.  Bounds come in three kinds: around the totals of
 one word, far outside every total (10**9), and cutting into the achievable
-range.
+range.  The reference lists ``Store`` operations; each is compared as the
+domain it leaves, which is what ``Mcr.filter`` returns.
 """
 
 import random
@@ -16,7 +17,7 @@ from itertools import product
 import pytest
 
 from matrixcp.automata import CostMatrices, Dfa, WeightedDfa
-from matrixcp.engine import Store
+from matrixcp.engine import Store, mask_of
 from matrixcp.model import achievable_totals
 from matrixcp.propagators import Mcr
 
@@ -125,6 +126,32 @@ def ref_filter(wdfa, cells, lo, hi):
     return ops, False
 
 
+def as_changes(ops, cells, lo, hi):
+    """The reference's ops as ``(position, domain it leaves)``: a cell's
+    mask, or an interval's ``range`` (empty once a bound crosses the other)."""
+    n = len(cells)
+    cells = [mask_of(dm) for dm in cells]
+    bounds = [[a, b] for a, b in zip(lo, hi)]
+    out = []
+    for op, pos, arg in ops:
+        if op is Store.keep_values:
+            cells[pos] &= mask_of(arg)
+            out.append((pos, cells[pos]))
+            continue
+        b = bounds[pos - n]
+        b[op is Store.set_max] = arg
+        out.append((pos, range(b[0], b[1] + 1)))
+    return out
+
+
+def ref_changes(wdfa, cells, bounds):
+    """``ref_filter`` with its ops as the domains they leave."""
+    lo = [b[0] for b in bounds]
+    hi = [b[1] for b in bounds]
+    ops, failed = ref_filter(wdfa, cells, lo, hi)
+    return as_changes(ops, cells, lo, hi), failed
+
+
 def ref_totals(wdfa, n):
     """``achievable_totals`` with list envelopes."""
     nres = wdfa.n_resources
@@ -202,7 +229,8 @@ def mcr_filter(wdfa, cells, bounds):
     st = Store()
     xs = [st.new_var(dm) for dm in cells]
     zs = [st.new_interval(-1, 1) for _ in bounds]
-    return Mcr(xs, zs, wdfa).filter(cells, [lo for lo, _ in bounds],
+    return Mcr(xs, zs, wdfa).filter([mask_of(dm) for dm in cells],
+                                    [lo for lo, _ in bounds],
                                     [hi for _, hi in bounds])
 
 
@@ -214,7 +242,7 @@ def test_filter_matches_list_envelopes(seed):
     rng = random.Random(9100 + seed)
     for trial in range(150):
         wdfa, doms, bounds = random_case(rng)
-        want = ref_filter(wdfa, doms, [b[0] for b in bounds], [b[1] for b in bounds])
+        want = ref_changes(wdfa, doms, bounds)
         assert mcr_filter(wdfa, doms, bounds) == want, f"seed {seed} trial {trial}"
 
 
@@ -243,18 +271,15 @@ def test_short_rows_against_enumeration():
                     for r in range(wdfa.n_resources)]
         assert achievable_totals(wdfa, n) == want, f"trial {trial}"
 
-        ops, failed = mcr_filter(wdfa, doms, bounds)
-        assert (ops, failed) == ref_filter(wdfa, doms, [b[0] for b in bounds],
-                                           [b[1] for b in bounds]), f"trial {trial}"
-        cells = list(doms)
+        changes, failed = mcr_filter(wdfa, doms, bounds)
+        assert (changes, failed) == ref_changes(wdfa, doms, bounds), f"trial {trial}"
+        cells = [mask_of(dm) for dm in doms]
         zb = [list(b) for b in bounds]
-        for op, pos, arg in ops:
+        for pos, dom in changes:
             if pos < n:
-                cells[pos] = cells[pos] & arg
-            elif op is Store.set_min:
-                zb[pos - n][0] = arg
+                cells[pos] = dom
             else:
-                zb[pos - n][1] = arg
+                zb[pos - n] = [dom.start, dom.stop - 1]
         words = []
         for w in product(*doms):
             ok, totals = wdfa.run_weighted(w)
@@ -262,7 +287,7 @@ def test_short_rows_against_enumeration():
                 words.append((w, totals))
         assert not (failed and words), f"trial {trial}: failed with solutions"
         for w, totals in words:
-            assert all(v in cells[i] for i, v in enumerate(w)), f"trial {trial}"
+            assert all(cells[i] >> v & 1 for i, v in enumerate(w)), f"trial {trial}"
             assert all(lo <= t <= hi for t, (lo, hi) in zip(totals, zb)), \
                 f"trial {trial}"
 
@@ -293,8 +318,7 @@ def test_width_boundary(n, top):
                    [(-bound, bound)] * n_res, [(bound - 1, FAR)] * n_res,
                    [(-FAR, -bound - 1)] * n_res, [(0, 0)] * n_res,
                    [(bound, FAR), (-FAR, -bound), (-1, 1)]):
-        want = ref_filter(wdfa, doms, [b[0] for b in bounds], [b[1] for b in bounds])
-        assert mcr_filter(wdfa, doms, bounds) == want, bounds
-    ops, failed = mcr_filter(wdfa, doms, [(bound, bound)] * n_res)
+        assert mcr_filter(wdfa, doms, bounds) == ref_changes(wdfa, doms, bounds), bounds
+    changes, failed = mcr_filter(wdfa, doms, [(bound, bound)] * n_res)
     assert not failed
-    assert [arg for op, pos, arg in ops if pos < n] == [frozenset({0})] * n
+    assert [dom for pos, dom in changes if pos < n] == [mask_of({0})] * n
