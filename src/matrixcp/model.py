@@ -3,7 +3,8 @@ obeys per-value cardinality bounds.
 
 A model is lowered into a propagation store in one of three modes:
 
-- ``decomp``: row rule + column cardinalities + their channeling only.
+- ``decomp``: row rule + column value counts checked against their
+  declared bounds only.
 - ``wa``: decomp plus per-row measuring automata for string properties
   (word occurrences, stretch counts, stretch length extremes) and the
   necessary conditions tying their totals to the column count variables.
@@ -201,7 +202,7 @@ class Built:
         self.mode = mode
         self.store = Store()
         self.cells = []        # R x K cell variable ids
-        self.cards = []        # K x V cardinality variable ids
+        self.cards = []        # K x V cardinality variable ids (wa, cwa)
         self.rule_z = []       # R x n_resources rule resource ids
         self.prop_z = {}       # property -> per-row resource id lists
         self.branch_vars = []
@@ -224,6 +225,12 @@ class Built:
 
 def build(model, mode="decomp", aggregate_words=False, cross_cap=20000):
     """Lower a model into a store under the given mode.
+
+    Under ``decomp`` each column's ``GccColumn`` counts against the declared
+    bounds (``MatrixModel.card_bounds``) as constants, and ``Built.cards`` is
+    empty; under ``wa`` and ``cwa`` the counts are interval variables, which
+    the property conditions read.  A declared count range that is empty
+    makes the model root-infeasible under every mode.
 
     Under ``cwa`` each measuring automaton is crossed with the row rule for
     words of the row length K; ``cross_cap`` bounds the states of that
@@ -250,15 +257,15 @@ def _build_inner(b, model, mode, aggregate_words, cross_cap):
     ]
     b.branch_vars = [x for row in b.cells for x in row]
 
-    b.cards = []
     for k in range(K):
-        col = []
-        for v in range(V):
-            lo, hi = model.card_bounds(k, v)
-            col.append(store.new_interval(lo, hi, f"n[{v}@{k}]"))
-        b.cards.append(col)
+        cards = [model.card_bounds(k, v) for v in range(V)]
+        if mode != "decomp":
+            # The property conditions read the counts, so they are variables.
+            cards = [store.new_interval(lo, hi, f"n[{v}@{k}]")
+                     for v, (lo, hi) in enumerate(cards)]
+            b.cards.append(cards)
         column_cells = [b.cells[i][k] for i in range(R)]
-        store.register(GccColumn(column_cells, col, list(range(V))))
+        store.register(GccColumn(column_cells, cards, list(range(V))))
         if model.col_sums[k] is not None:
             lo, hi = model.col_sums[k]
             store.register(SumColumn(column_cells, model.values, lo, hi))

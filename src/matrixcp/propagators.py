@@ -198,48 +198,74 @@ def regular_dc(xs, dfa):
 
 
 class GccColumn(MemoFilter):
-    """Occurrence counting over one scope with cardinality variables.
+    """Occurrence counting over one scope against per-value count bounds.
 
-    cards[j] tracks how many scope variables take values[j]; both directions
-    are propagated (cards tightened from the cells, cells pruned or forced
-    when a cardinality bound becomes tight).  The cards sum to at least the
+    ``cards[j]`` bounds how many scope variables take ``values[j]``: either
+    an interval variable, which the filter narrows from the cells (for
+    columns whose counts other propagators read), or a constant ``(lo,
+    hi)`` pair, which it never changes (a declared empty pair raises
+    Inconsistent, as an empty interval variable does).  Cells are pruned or
+    forced when a count bound becomes tight.  The counts sum to at least the
     number of cells whose domain lies inside the counted values and to at
     most the number of cells that meet them: to the number of cells when
-    every value is counted.  The cards are interval variables, read by their
-    bounds, and the filter is a pure function of the counted values (the memo
-    ``kind``), the cell domains and those bounds (see ``MemoFilter``).
+    every value is counted.  The filter is a pure function of the counted
+    values and any constant bounds (the memo ``kind``), the cell domains and
+    the bounds of the card variables (see ``MemoFilter``).  A count bound
+    narrowed from some cells holds for every subset of them, so a filter
+    started from the constant bounds leaves the cells that one started from
+    card bounds narrowed earlier in the search leaves.
     """
 
     priority = 0
 
     def __init__(self, xs, cards, values):
-        if len(cards) != len(values):
-            raise ValueError("one cardinality variable per counted value")
         self.values = tuple(values)
+        if len(cards) != len(self.values):
+            raise ValueError("one cardinality per counted value")
         self.counted = mask_of(self.values)
-        super().__init__(xs, cards, self.values)
+        bounds = tuple(c for c in cards if type(c) is tuple)
+        if not bounds:
+            self.bounds = None
+            super().__init__(xs, cards, self.values)
+            return
+        if len(bounds) < len(cards):
+            raise ValueError("cardinalities must be all variables or all "
+                             "(lo, hi) bounds")
+        if any(lo > hi for lo, hi in bounds):
+            raise Inconsistent("a count bound admits no count")
+        self.bounds = bounds
+        super().__init__(xs, [], (self.values, bounds))
 
     def filter(self, cells, lo, hi):
-        """Count each value over ``cells`` against its bounds ``lo``/``hi``,
-        and the total against the cells, until no bound or cell changes.  A
-        bound change that empties a cardinality ends the list with ``failed``
-        set."""
+        """Count each value over ``cells`` against its bounds (the card
+        variables' ``lo``/``hi``, or the constant ones), and the total
+        against the cells, until no bound or cell changes.  Only card
+        variables get bound changes; one that empties a card ends the list
+        with ``failed`` set."""
         n = len(cells)
-        cells, lo, hi = list(cells), list(lo), list(hi)
+        cells = list(cells)
+        report = self.bounds is None
+        if report:
+            lo, hi = list(lo), list(hi)
+        else:
+            lo = [b[0] for b in self.bounds]
+            hi = [b[1] for b in self.bounds]
         counted = self.counted
         changes = []
 
         def narrow(j, least, most):
-            # Bound cards[j] to [least, most]; True once that empties it.
+            # Bound count j to [least, most]; True once that empties it.
             nonlocal changed
             if least > lo[j]:
-                changes.append((n + j, range(least, hi[j] + 1)))
+                if report:
+                    changes.append((n + j, range(least, hi[j] + 1)))
                 if least > hi[j]:
                     return True
                 lo[j] = least
                 changed = True
             if most < hi[j]:
-                changes.append((n + j, range(lo[j], most + 1)))
+                if report:
+                    changes.append((n + j, range(lo[j], most + 1)))
                 if most < lo[j]:
                     return True
                 hi[j] = most
@@ -733,11 +759,14 @@ class StretchLengthWindows(Propagator):
         return MaxE([ConstE(0), SumE([self.cards[k], ScaleE(-1, nxt)])])
 
     def _build(self, a, b):
+        # A start window of one term reads max(0, c_k - c_(k-1)) <= c_k (an
+        # end window the same with c_(k+1)), which non-negative counts always
+        # meet, so neither is posted.
         K = len(self.cards)
         rels = []
         for k in range(K):
             j0 = max(0, k - a + 1)
-            if j0 <= k:
+            if j0 < k:
                 rels.append(
                     Relation(
                         "le",
@@ -746,7 +775,7 @@ class StretchLengthWindows(Propagator):
                     )
                 )
             j1 = min(K - 1, k + a - 1)
-            if j1 >= k:
+            if j1 > k:
                 rels.append(
                     Relation(
                         "le",

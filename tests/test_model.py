@@ -375,6 +375,36 @@ class TestBuilt:
         out = solve(m, mode="decomp")
         assert out.status == "unsat" and out.stats.root_failure
 
+    def test_only_property_modes_hold_counts_in_variables(self):
+        # Under decomp nothing but the column reads a count, so the column
+        # checks it against the declared bounds and no interval variable
+        # holds it; the property conditions of wa and cwa read the cards.
+        m = permutation_model(3)
+        for mode in MODES:
+            b = build(m, mode)
+            columns = [p for p in dict.fromkeys(
+                p for ws in b.store._watchers for p in ws)
+                if isinstance(p, GccColumn)]
+            assert len(columns) == 3
+            if mode == "decomp":
+                assert b.cards == []
+                assert not any(n.startswith("n[") for n in b.store.names)
+                assert all(p.zs == [] and p.bounds == ((0, 3), (1, 1))
+                           for p in columns)
+            else:
+                assert [p.zs for p in columns] == b.cards
+                assert all(p.bounds is None for p in columns)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("gcc", [{1: (2, 1)}, {0: (3, 5)}])
+    def test_empty_declared_count_range_is_root_infeasible(self, mode, gcc):
+        # (3, 5) is clamped to the 2 rows: (3, 2).
+        m = MatrixModel(2, 2, (0, 1), universal_dfa((0, 1)),
+                        col_gcc=[{}, gcc])
+        assert build(m, mode).root_infeasible
+        out = solve(m, mode)
+        assert out.status == "unsat" and out.stats.root_failure
+
     @staticmethod
     def big_cost_model(cost):
         """3x7 over one state where symbol 0 costs ``cost``: the row total

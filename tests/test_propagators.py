@@ -157,83 +157,143 @@ class TestGccColumn:
         st.propagate()
         assert (st.vmin(card1), st.vmax(card1)) == (2, 3)
 
-    def test_tight_upper_bound_prunes(self):
-        st = Store()
-        xs = [st.new_var(d) for d in ({1}, {0, 1}, {1})]
-        card1 = st.new_interval(0, 2)
-        st.register(GccColumn(xs, [card1], [1]))
-        st.propagate()
-        # two cells already fixed to 1, so the undecided cell loses it
-        assert set(st.dom(xs[1])) == {0}
-
-    def test_tight_lower_bound_forces(self):
-        st = Store()
-        xs = [st.new_var({0, 1}), st.new_var({0}), st.new_var({0, 1})]
-        card1 = st.new_interval(2, 2)
-        st.register(GccColumn(xs, [card1], [1]))
-        st.propagate()
-        assert set(st.dom(xs[0])) == {1} and set(st.dom(xs[2])) == {1}
-
-    def test_infeasible_count_fails(self):
-        st = Store()
-        xs = [st.new_var({1}), st.new_var({1})]
-        card1 = st.new_interval(1, 1)
-        st.register(GccColumn(xs, [card1], [1]))
-        assert st.propagate() == "failed"
+    # Each case below runs on both forms of the column: counts held in
+    # interval variables, and counts checked against constant bounds.
+    FORMS = (False, True)
 
     @staticmethod
-    def post(st, doms, values, bounds):
+    def post(st, doms, values, bounds, constant=False):
         xs = [st.new_var(dm) for dm in doms]
-        cards = [st.new_interval(lo, hi) for lo, hi in bounds]
+        if constant:
+            cards = [tuple(b) for b in bounds]
+        else:
+            cards = [st.new_interval(lo, hi) for lo, hi in bounds]
         st.register(GccColumn(xs, cards, values))
         return xs, cards
 
     @staticmethod
     def snapshot(st, xs, cards):
+        """Cell domains and count bounds; a constant count is its bounds."""
         return (tuple(tuple(sorted(st.dom(x))) for x in xs),
-                tuple((st.vmin(c), st.vmax(c)) for c in cards))
+                tuple(c if type(c) is tuple else (st.vmin(c), st.vmax(c))
+                      for c in cards))
+
+    def test_tight_upper_bound_prunes(self):
+        for constant in self.FORMS:
+            st = Store()
+            xs, _ = self.post(st, ({1}, {0, 1}, {1}), [1], [(0, 2)], constant)
+            st.propagate()
+            # two cells already fixed to 1, so the undecided cell loses it
+            assert set(st.dom(xs[1])) == {0}
+
+    def test_tight_lower_bound_forces(self):
+        for constant in self.FORMS:
+            st = Store()
+            xs, _ = self.post(st, ({0, 1}, {0}, {0, 1}), [1], [(2, 2)],
+                              constant)
+            st.propagate()
+            assert set(st.dom(xs[0])) == {1} and set(st.dom(xs[2])) == {1}
+
+    def test_infeasible_count_fails(self):
+        for constant in self.FORMS:
+            st = Store()
+            self.post(st, ({1}, {1}), [1], [(1, 1)], constant)
+            assert st.propagate() == "failed"
 
     def test_fuzz_sound_and_counts_exact(self):
-        rng = random.Random(404)
-        for trial, want in enumerate(GCC_SEED_RESULTS):
-            doms, values, bounds = gcc_case(rng)
-            n = len(doms)
-            sols = [w for w in product((0, 1, 2), repeat=n)
-                    if all(w[i] in doms[i] for i in range(n))
-                    and all(lo <= w.count(v) <= hi
-                            for v, (lo, hi) in zip(values, bounds))]
-            st = Store()
-            xs, cards = self.post(st, doms, values, bounds)
-            got = None
-            if st.propagate() == "stable":
-                got = self.snapshot(st, xs, cards)
-            assert got == want, f"trial {trial}"
-            assert (got is None) == (not sols), f"trial {trial}"
-            if got is None:
-                continue
-            for i in range(n):
-                assert {w[i] for w in sols} <= set(got[0][i]), f"trial {trial}"
-            for v, (lo, hi) in zip(values, got[1]):
-                counts = {w.count(v) for w in sols}
-                assert lo <= min(counts) and hi >= max(counts), f"trial {trial}"
+        # Both forms leave the same cells; only the card variables narrow.
+        for constant in self.FORMS:
+            rng = random.Random(404)
+            for trial, want in enumerate(GCC_SEED_RESULTS):
+                doms, values, bounds = gcc_case(rng)
+                n = len(doms)
+                sols = [w for w in product((0, 1, 2), repeat=n)
+                        if all(w[i] in doms[i] for i in range(n))
+                        and all(lo <= w.count(v) <= hi
+                                for v, (lo, hi) in zip(values, bounds))]
+                st = Store()
+                xs, cards = self.post(st, doms, values, bounds, constant)
+                got = None
+                if st.propagate() == "stable":
+                    got = self.snapshot(st, xs, cards)
+                if constant and want is not None:
+                    want = (want[0], tuple(bounds))
+                where = f"trial {trial}, constant {constant}"
+                assert got == want, where
+                assert (got is None) == (not sols), where
+                if got is None:
+                    continue
+                for i in range(n):
+                    assert {w[i] for w in sols} <= set(got[0][i]), where
+                for v, (lo, hi) in zip(values, got[1]):
+                    counts = {w.count(v) for w in sols}
+                    assert lo <= min(counts) and hi >= max(counts), where
 
     def test_memo_replays_cold_result(self):
         # A second column with the same input on the same store replays the
-        # first one's result, also the bound changes a failing input makes.
-        rng = random.Random(404)
-        partial_failures = 0
-        for trial in range(len(GCC_SEED_RESULTS)):
+        # first one's result, also the changes a failing input makes.  It
+        # counts failing inputs that commit changes before failing: to the
+        # count bounds in the card form, to the cells in the constant form.
+        for constant in self.FORMS:
+            part = 0 if constant else 1
+            rng = random.Random(404)
+            partial_failures = 0
+            for trial in range(len(GCC_SEED_RESULTS)):
+                doms, values, bounds = gcc_case(rng)
+                st = Store()
+                runs = []
+                for _ in range(2):
+                    row = self.post(st, doms, values, bounds, constant)
+                    posted = self.snapshot(st, *row)
+                    runs.append((st.propagate(), self.snapshot(st, *row)))
+                where = f"trial {trial}, constant {constant}"
+                assert len(st.memo) == 1, f"{where}: memo not reused"
+                assert runs[0] == runs[1], where
+                if runs[0][0] == "failed" and runs[0][1][part] != posted[part]:
+                    partial_failures += 1
+            assert partial_failures >= 3
+
+    def test_constant_bounds_leave_the_cells_card_variables_leave(self):
+        # Down a random branch of value removals, the constant form leaves
+        # the cells the card form leaves and fails where it fails, though
+        # the card form starts each step from the count bounds it narrowed
+        # at the steps before.
+        rng = random.Random(406)
+        failures = narrowed = steps = 0
+        for trial in range(400):
             doms, values, bounds = gcc_case(rng)
-            st = Store()
-            runs = []
-            for _ in range(2):
-                row = self.post(st, doms, values, bounds)
-                runs.append((st.propagate(), self.snapshot(st, *row)))
-            assert len(st.memo) == 1, f"trial {trial}: memo not reused"
-            assert runs[0] == runs[1], f"trial {trial}"
-            if runs[0][0] == "failed" and runs[0][1][1] != tuple(bounds):
-                partial_failures += 1
-        assert partial_failures >= 3
+            stores = [Store(), Store()]
+            rows = [self.post(st, doms, values, bounds, constant)
+                    for st, constant in zip(stores, (False, True))]
+            while True:
+                status = [st.propagate() for st in stores]
+                assert status[0] == status[1], f"trial {trial}"
+                if status[0] == "failed":
+                    failures += 1
+                    break
+                cards, constant = [self.snapshot(st, *row)
+                                   for st, row in zip(stores, rows)]
+                assert cards[0] == constant[0], f"trial {trial}"
+                narrowed += cards[1] != constant[1]
+                open_cells = [i for i, dm in enumerate(cards[0]) if len(dm) > 1]
+                if not open_cells:
+                    break
+                i = rng.choice(open_cells)
+                v = rng.choice(cards[0][i])
+                for st, (xs, _) in zip(stores, rows):
+                    st.remove_value(xs[i], v)
+                steps += 1
+        assert failures >= 40 and narrowed >= 600 and steps >= 500
+
+    def test_cards_are_all_variables_or_all_bounds(self):
+        st = Store()
+        xs = [st.new_var({0, 1}), st.new_var({0, 1})]
+        with pytest.raises(ValueError, match="all variables or all"):
+            GccColumn(xs, [st.new_interval(0, 2), (0, 2)], (0, 1))
+        with pytest.raises(ValueError, match="one cardinality per"):
+            GccColumn(xs, [(0, 2)], (0, 1))
+        with pytest.raises(Inconsistent):
+            GccColumn(xs, [(0, 2), (2, 1)], (0, 1))
 
     def test_column_total_needs_no_linear_eq(self):
         # A column that counts every value of its cells keeps its counts
@@ -622,9 +682,81 @@ class TestStretchLengthWindows:
             st.undo()
         assert built == [(1, 5), *dict.fromkeys(boxes)]
 
+    def test_one_term_windows_are_not_posted(self, monkeypatch):
+        """A start or end window of one term is a tautology; without them
+        the propagator prunes and fails on random card boxes exactly as the
+        full window set (``every_window``, kept here as the reference)."""
+
+        def every_window(self, a, b):
+            K = len(self.cards)
+            rels = []
+            for k in range(K):
+                j0 = max(0, k - a + 1)
+                if j0 <= k:
+                    rels.append(Relation(
+                        "le",
+                        SumE([self._ls_plus(j) for j in range(j0, k + 1)]),
+                        self.cards[k]))
+                j1 = min(K - 1, k + a - 1)
+                if j1 >= k:
+                    rels.append(Relation(
+                        "le",
+                        SumE([self._ls_minus(j) for j in range(k, j1 + 1)]),
+                        self.cards[k]))
+            if a <= b:
+                cap = ConstE((b - a + 1) * self.n_rows)
+                for k in range(0, K - b):
+                    rels.append(Relation(
+                        "le",
+                        SumE([self._ls_plus(k)]
+                             + [self.cards[k + j] for j in range(a, b + 1)]),
+                        cap))
+                for k in range(b, K):
+                    rels.append(Relation(
+                        "le",
+                        SumE([self._ls_minus(k)]
+                             + [self.cards[k - j] for j in range(a, b + 1)]),
+                        cap))
+            return rels
+
+        posted = {every_window: 0, StretchLengthWindows._build: 0}
+
+        def counted(build_windows):
+            def spy(self, a, b):
+                rels = build_windows(self, a, b)
+                posted[build_windows] += len(rels)
+                return rels
+            return spy
+
+        rng = random.Random(407)
+        pruned = failed = 0
+        for trial in range(600):
+            n_rows = rng.randint(1, 3)
+            cards = []
+            for _ in range(rng.randint(1, 7)):
+                lo = rng.randint(0, n_rows)
+                cards.append(range(lo, rng.randint(lo, n_rows) + 1))
+            a = rng.randint(0, len(cards) + 1)
+            zmin = range(a, len(cards) + 2)
+            zmax = range(0, rng.randint(0, len(cards)) + 1)
+            outcomes = []
+            for build_windows in posted:
+                with monkeypatch.context() as m:
+                    m.setattr(StretchLengthWindows, "_build",
+                              counted(build_windows))
+                    st = self.post(cards, zmin, zmax, n_rows)
+                    before = [d.values for d in st.domains]
+                    outcomes.append((st.propagate(),
+                                     [d.values for d in st.domains]))
+            assert outcomes[0] == outcomes[1], f"trial {trial}"
+            failed += outcomes[0][0] == "failed"
+            pruned += outcomes[0][0] == "stable" and outcomes[0][1] != before
+        assert posted[StretchLengthWindows._build] < posted[every_window]
+        assert pruned >= 80 and failed >= 200
+
     def test_prunes_rosters_at_the_fixpoint_of_the_rest(self, monkeypatch):
-        """With every stretch at least 1 long (the toy case) the start and
-        end windows are tautologies; with WORK and SHIFT 1 stretches at
+        """With every stretch at least 1 long (the toy case) no start or end
+        window is posted; with WORK and SHIFT 1 stretches at
         least 2 long the windows still prune 8 of the 25 toy rosters under
         cwa after every other propagator has reached its fixpoint."""
         pruned = 0
