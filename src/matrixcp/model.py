@@ -30,7 +30,7 @@ from .automata import (
     build_stretch_count,
     build_stretch_length_bounds,
 )
-from .engine import Inconsistent, Store, search
+from .engine import Inconsistent, SearchStats, Store, search
 from .propagators import (
     ConstE,
     GccColumn,
@@ -195,7 +195,11 @@ def achievable_totals(wdfa, n):
 
 
 class Built:
-    """A model lowered into a store, ready to propagate and search."""
+    """A model lowered into a store.  Under ``wa`` and ``cwa`` the
+    decomposition layer has already been propagated to its fixpoint and the
+    property propagators wait in the queue; under ``decomp`` every
+    propagator waits there.  Either way the caller's ``propagate`` (or
+    ``search``) finishes the root fixpoint."""
 
     def __init__(self, model, mode):
         self.model = model
@@ -236,6 +240,15 @@ def build(model, mode="decomp", aggregate_words=False, cross_cap=20000):
     words of the row length K; ``cross_cap`` bounds the states of that
     product, and a product that needs more falls back to the uncrossed
     measuring automaton.
+
+    Under ``wa`` and ``cwa`` the build is staged.  It posts the
+    decomposition layer first (cells, columns, row rules, the lex chain and
+    the ``rule_count_groups`` relations) and propagates it.  If that fails,
+    the model is root-infeasible and no measuring automaton, product or
+    property propagator is built.  Otherwise the property layer is posted
+    and its propagators stay queued for the caller.  The root fixpoint does
+    not depend on the order in which propagators run, so the staging moves
+    only where a refutation happens and how many runs it takes.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -289,18 +302,23 @@ def _build_inner(b, model, mode, aggregate_words, cross_cap):
     if mode == "decomp":
         return
 
-    props = model.properties
-    if props is None:
-        props = default_properties(V)
-    for prop in props:
-        _post_property(b, model, mode, prop, aggregate_words, cross_cap)
-
+    # The count groups read only column counts and rule resources, so they
+    # join the decomposition layer, which runs to its fixpoint before any
+    # measuring automaton or product is built.
     for group, rj in model.rule_count_groups:
         col_total = SumE(
             [VarE(b.cards[k][v]) for k in range(K) for v in group]
         )
         row_total = SumE([VarE(b.rule_z[i][rj]) for i in range(R)])
         store.register(Relation("eq", col_total, row_total))
+    if store.propagate() == "failed":
+        raise Inconsistent("the decomposition layer has no solution")
+
+    props = model.properties
+    if props is None:
+        props = default_properties(V)
+    for prop in props:
+        _post_property(b, model, mode, prop, aggregate_words, cross_cap)
 
 
 def _card_expr(b, k, vset):
@@ -477,12 +495,11 @@ def solve(model, mode="decomp", time_limit=None, aggregate_words=False,
     build left, and a build that uses it all up ends in "timeout" unless it
     already proved the model unsat.
     """
-    from .engine import SearchStats
-
     t0 = time.monotonic()
     b = build(model, mode, aggregate_words=aggregate_words)
+    stats = SearchStats()
+    stats.propagations = b.store.propagation_count  # run inside build
     if b.root_infeasible:
-        stats = SearchStats()
         stats.failures = 1
         stats.root_failure = True
         return SolveOutcome("unsat", None, stats, time.monotonic() - t0, b)
@@ -490,7 +507,7 @@ def solve(model, mode="decomp", time_limit=None, aggregate_words=False,
     if time_limit is not None:
         remaining = time_limit - (time.monotonic() - t0)
         if remaining <= 0:
-            return SolveOutcome("timeout", None, SearchStats(),
+            return SolveOutcome("timeout", None, stats,
                                 time.monotonic() - t0, b)
     wrapped = None
     if on_solution is not None:

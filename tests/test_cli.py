@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from matrixcp.canonical import dump_model, parse_model
@@ -49,6 +52,40 @@ class TestSolve:
         path = write_model(tmp_path / "m.txt", sat_model())
         assert main(["solve", path, "--mode", "wa", "--aggregate-words"]) == 0
         capsys.readouterr()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_session(first_line):
+    """The commands of the README code block that starts at ``first_line``,
+    each as an argument list with the output lines shown under it."""
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index(first_line):]
+    session = []
+    for line in block[:block.index("```")].splitlines():
+        if line.startswith("$ matrixcp "):
+            session.append((line.split()[2:], []))
+        else:
+            session[-1][1].append(line)
+    return session
+
+
+def without_time(lines):
+    return [re.sub(r" time=\S+", "", line) for line in lines]
+
+
+class TestReadme:
+    def test_solve_example_matches_a_real_run(self, tmp_path, capsys,
+                                              monkeypatch):
+        # Every field but the machine-dependent time must read as shown.
+        monkeypatch.chdir(tmp_path)
+        session = readme_session("$ matrixcp gen random")
+        assert [argv[0] for argv, _ in session] == ["gen", "solve", "oracle"]
+        for argv, shown in session:
+            assert main(argv) == 0
+            printed = capsys.readouterr().out.splitlines()
+            assert without_time(printed) == without_time(shown), argv
 
 
 class TestOracle:

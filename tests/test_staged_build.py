@@ -1,0 +1,79 @@
+"""The staged build of ``wa`` and ``cwa``: ``build`` propagates the
+decomposition layer before it posts the property layer.
+
+The reference order is built here only: ``build`` with ``Store.propagate``
+stubbed out posts every propagator before any of them runs, as an unstaged
+build would, and the root propagation then runs them all together.
+"""
+
+import random
+
+import pytest
+
+from matrixcp.automata import WeightedDfa
+from matrixcp.engine import Store, search
+from matrixcp.generators import gen_random
+from matrixcp.model import build, root_prune, solve
+from matrixcp.roster import gen_toy_rosters, roster_model
+
+
+def fuzz_models():
+    """The 200 criterion-4 fuzz models."""
+    return [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
+                       random.Random(200 + i).randint(2, 4),
+                       random.Random(300 + i).randint(2, 3))
+            for i in range(200)]
+
+
+def toy_models():
+    """The first 25 toy rosters of the benchmark pool."""
+    return [roster_model(inst, rules)
+            for inst, rules in gen_toy_rosters(4242, 25)]
+
+
+def unstaged(model, mode, monkeypatch):
+    """Root grid (None when refuted) and (status, nodes, backtracks) of a
+    build that posts every propagator before it runs any."""
+    with monkeypatch.context() as m:
+        m.setattr(Store, "propagate", lambda store: "stable")
+        b = build(model, mode)
+    if b.root_infeasible or b.store.propagate() == "failed":
+        return None, ("unsat", 0, 0)
+    grid = b.cell_domains_snapshot()
+    res = search(b.store, b.branch_vars)
+    return grid, (res.status, res.stats.nodes, res.stats.backtracks)
+
+
+@pytest.mark.parametrize("mode", ["wa", "cwa"])
+def test_staging_moves_no_root_domain_and_no_search(mode, monkeypatch):
+    refuted = searched = 0
+    for model in fuzz_models() + toy_models():
+        grid, counts = unstaged(model, mode, monkeypatch)
+        out = solve(model, mode)
+        assert root_prune(model, mode) == grid, f"{model.name} {mode}"
+        assert (out.status, out.stats.nodes, out.stats.backtracks) == counts, (
+            f"{model.name} {mode}")
+        refuted += out.built.root_infeasible
+        searched += out.stats.nodes > 0
+    # Both sides of the staging are exercised: 177 models fail inside build
+    # and 38 search, under either mode, when written.
+    assert refuted >= 170 and searched >= 30
+
+
+@pytest.mark.parametrize("mode", ["wa", "cwa"])
+def test_overload_roster_is_refuted_inside_build(mode, monkeypatch):
+    inst, rules = gen_toy_rosters(4242, 1)[0]
+    assert inst.name == "toy000_u"
+    model = roster_model(inst, rules)
+    products = []
+    product = WeightedDfa.product
+    monkeypatch.setattr(WeightedDfa, "product",
+                        lambda *a, **kw: products.append(a) or product(*a, **kw))
+    b = build(model, mode)
+    assert b.root_infeasible
+    assert b.prop_z == {}
+    assert products == []
+    out = solve(model, mode)
+    assert out.status == "unsat"
+    assert out.stats.root_failure
+    assert out.stats.propagations > 0
