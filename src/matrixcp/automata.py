@@ -486,7 +486,9 @@ def reachable(start, successors, max_states=None):
 #
 # The graph of the runs of length n has one layer per position; its arcs are
 # the compiled ``(q, v, q2, cost)`` tuples of ``WeightedDfa.arc_table``, held
-# in one list per layer.  ``Mcr`` and ``achievable_totals`` both run on it.
+# in one list per layer.  ``Mcr`` and ``achievable_totals`` both run on it,
+# in sweeps: ``sweep_forward`` and ``sweep_backward`` with cost envelopes,
+# ``layered_arcs`` and ``live_symbols`` without.
 
 
 class Packing:
@@ -558,80 +560,134 @@ class ArcTable:
         self.packing = packing
 
 
-def layered_arcs(wdfa, n, doms=None):
-    """Arcs reachable from the start state, using only symbols in doms[i] at
-    position i, a bitmask of symbols (every symbol when doms is None).
-    Returns the per-layer arc lists and the set of states reached after the
-    last layer."""
-    reach = (wdfa.dfa.start,)
+def layered_arcs(table, start, doms):
+    """The forward arc pass of a plain automaton: per layer, the arcs of
+    ``table`` (an ``ArcTable``) that leave a state reached from ``start``
+    and read a symbol of the mask doms[i].  Returns those lists and the set
+    of states reached after the last layer."""
+    reach = (start,)
     arcs = []
-    for i, table in enumerate(wdfa.arc_table(n).layers):
-        if doms is None:
-            layer = [a for q in reach for a in table[q]]
-        else:
-            dom = doms[i]
-            layer = [a for q in reach for a in table[q] if dom >> a[1] & 1]
+    for layer, dom in zip(table.layers, doms):
+        layer = [a for q in reach for a in layer[q] if dom >> a[1] & 1]
         arcs.append(layer)
         reach = {a[2] for a in layer}
     return arcs, set(reach)
 
 
-def trim_forward(arcs, start):
-    """Drop, in place, arcs whose source is no longer reachable from start;
-    returns the states reached after the last layer."""
-    reach = {start}
-    for i, layer in enumerate(arcs):
-        arcs[i] = layer = [a for a in layer if a[0] in reach]
-        reach = {a[2] for a in layer}
-    return reach
-
-
-def trim_backward(arcs, finals):
-    """Drop, in place, arcs whose target cannot reach a state of finals at
-    the end; returns the states that still start a run (the start state
-    alone, or nothing, when the arcs came from a forward pass)."""
+def live_symbols(arcs, finals):
+    """The backward pass of a plain automaton over the arcs of a forward
+    pass: per layer, the mask of the symbols of the arcs whose target still
+    reaches a state of ``finals`` after the last layer."""
+    masks = [0] * len(arcs)
     live = finals
     for i in range(len(arcs) - 1, -1, -1):
-        arcs[i] = layer = [a for a in arcs[i] if a[2] in live]
-        live = {a[0] for a in layer}
-    return live
+        mask = 0
+        sources = set()
+        for a in arcs[i]:
+            if a[2] in live:
+                mask |= 1 << a[1]
+                sources.add(a[0])
+        masks[i] = mask
+        live = sources
+    return masks
 
 
-def envelopes(arcs, seeds, packing, backward=False):
-    """Per-layer cost envelopes of the paths from the seed states.
+def sweep_forward(table, start, doms=None, arcs=None):
+    """The forward sweep of the layered graph: its arcs and their forward
+    cost envelopes, in one pass.
+
+    The sweep walks the per-layer arc lists ``arcs`` when given (the arcs a
+    backward sweep kept), else the arcs of ``table`` (an ``ArcTable``)
+    whose symbol the mask doms[i] holds (every arc when doms is None).
+    Either way it keeps only the arcs whose source it reached from
+    ``start``.  Returns the kept arc lists and the envelopes: ``env[i]``
+    maps each state reached at layer i to the envelope of the paths from
+    ``start`` to it, so its keys are the states reached there.
 
     An envelope packs the per-resource minimum and negated maximum path cost
-    ``(min_0.., -max_0..)`` into one int with the automaton's ``packing``
-    (``ArcTable.packing``), each slot offset by its bias: the seeds hold
-    ``packing.seed``.  Adding a packed arc cost is one ``+``, which moves both
-    bounds, and merging two envelopes is one slot-by-slot minimum
-    (``Packing.least``).  Since every path has at most ``len(arcs)`` arcs,
-    the fields stay within the packing's width and no borrow crosses a field.
-    Forward, ``out[i][q]`` covers the paths from the seeds at layer 0 to q at
-    layer i; backward, the paths from q at layer i to the seeds at the last
-    layer.
+    ``(min_0.., -max_0..)`` into one int with the table's ``packing``, each
+    slot offset by its bias: ``start`` holds ``packing.seed``.  Adding a
+    packed arc cost is one ``+``, which moves both bounds, and merging two
+    envelopes is one slot-by-slot minimum (``Packing.least``).  Since every
+    path has at most as many arcs as the table has layers, the fields stay
+    within the packing's width and no borrow crosses a field.
     """
+    packing = table.packing
     guard, shift = packing.guard, packing.width - 1
-    cur = dict.fromkeys(seeds, packing.seed)
-    out = [cur]
-    for layer in reversed(arcs) if backward else arcs:
+    cur = {start: packing.seed}
+    env = [cur]
+    kept = []
+    for i, layer in enumerate(table.layers if arcs is None else arcs):
+        if arcs is not None:
+            layer = [a for a in layer if a[0] in cur]
+        elif doms is None:
+            layer = [a for q in cur for a in layer[q]]
+        else:
+            dom = doms[i]
+            layer = [a for q in cur for a in layer[q] if dom >> a[1] & 1]
         nxt = {}
         for q, _, q2, cost in layer:
-            if backward:
-                q, q2 = q2, q
-            env = cur[q]
+            e = cur[q]
             if cost is not None:
-                env += cost
+                e += cost
             old = nxt.get(q2)
-            if old is not None and old != env:
-                g = ((old | guard) - env) & guard  # Packing.least, inlined
-                env = old ^ ((old ^ env) & (g - (g >> shift)))
-            nxt[q2] = env
-        out.append(nxt)
+            if old is not None and old != e:
+                g = ((old | guard) - e) & guard  # Packing.least, inlined
+                e = old ^ ((old ^ e) & (g - (g >> shift)))
+            nxt[q2] = e
+        kept.append(layer)
+        env.append(nxt)
         cur = nxt
-    if backward:
-        out.reverse()
-    return out
+    return kept, env
+
+
+def sweep_backward(arcs, env, finals, packing, ceiling=None):
+    """The backward sweep of the layered graph: the arcs on a path to
+    ``finals``, cut to the through-cost ``ceiling`` when one is given.
+
+    Seeded with ``packing.seed`` at the states of ``finals`` after the last
+    layer, it walks the arcs of a forward sweep (``sweep_forward``, whose
+    envelopes are ``env``) from the last layer back.  An arc whose target no
+    longer reaches ``finals`` is dropped.  Every other arc adds its cost to
+    its target's backward envelope and merges the sum into its source's.
+    With a ``ceiling`` (``Packing.ceiling``) the arc is also cut when its
+    through-cost, forward envelope + cost + backward envelope, exceeds the
+    ceiling in some slot.  A cut arc still merges into its source's
+    envelope, so every decision reads the envelopes of the graph as the
+    sweep found it.  Replaces each ``arcs[i]`` by the arcs kept there and
+    returns the mask of their symbols per layer and whether an arc was cut.
+    """
+    guard, shift = packing.guard, packing.width - 1
+    n = len(arcs)
+    masks = [0] * n
+    cut = False
+    cur = dict.fromkeys(finals, packing.seed)
+    for i in range(n - 1, -1, -1):
+        fwd = env[i]
+        nxt = {}
+        kept = []
+        mask = 0
+        for a in arcs[i]:
+            q, v, q2, cost = a
+            e = cur.get(q2)
+            if e is None:
+                continue
+            if cost is not None:
+                e += cost
+            if ceiling is not None and (ceiling - fwd[q] - e) & guard != guard:
+                cut = True
+            else:
+                kept.append(a)
+                mask |= 1 << v
+            old = nxt.get(q)
+            if old is not None and old != e:
+                g = ((old | guard) - e) & guard  # Packing.least, inlined
+                e = old ^ ((old ^ e) & (g - (g >> shift)))
+            nxt[q] = e
+        arcs[i] = kept
+        masks[i] = mask
+        cur = nxt
+    return masks, cut
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,29 @@ import random
 import sys
 
 from . import canonical, generators, oracle, roster
-from .model import solve
+from .model import MODES, solve
+
+
+def _at_least(least):
+    """An argparse type: an int of at least ``least``."""
+
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+
+    return count
+
+
+def _modes(text):
+    """An argparse type: a comma-separated list of filtering modes."""
+    modes = tuple(text.split(","))
+    for mode in modes:
+        if mode not in MODES:
+            raise argparse.ArgumentTypeError(
+                f"unknown mode {mode!r}; modes are {', '.join(MODES)}")
+    return modes
 
 
 def _read(path):
@@ -129,7 +151,6 @@ def cmd_gen(args):
 
 
 def cmd_bench(args):
-    modes = tuple(args.modes.split(","))
     if args.dir is not None:
         paths = sorted(
             p for p in os.listdir(args.dir)
@@ -145,7 +166,8 @@ def cmd_bench(args):
     else:
         pairs = roster.gen_toy_rosters(args.seed, args.toy)
         models = [roster.roster_model(inst, rules) for inst, rules in pairs]
-    records = roster.run_bench(models, modes=modes, time_limit=args.time_limit)
+    records = roster.run_bench(models, modes=args.modes,
+                               time_limit=args.time_limit)
     tsv = roster.bench_tsv(records)
     _write(args.out, tsv)
     if args.out not in (None, "-"):
@@ -164,7 +186,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve a model file")
     p.add_argument("model", help="model file path or - for stdin")
-    p.add_argument("--mode", choices=("decomp", "wa", "cwa"), default="wa")
+    p.add_argument("--mode", choices=MODES, default="wa")
     p.add_argument("--aggregate-words", action="store_true",
                    help="post only the aggregate word-count conditions")
     p.add_argument("--time-limit", type=float, default=180.0)
@@ -184,25 +206,27 @@ def build_parser():
         "roster"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--rows", type=int, default=4)
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--values", type=int, default=3)
-    p.add_argument("--states", type=int, default=3)
-    p.add_argument("--resources", type=int, default=1)
+    positive, nonnegative = _at_least(1), _at_least(0)
+    p.add_argument("--rows", type=positive, default=4)
+    p.add_argument("--cols", type=positive, default=4)
+    p.add_argument("--values", type=positive, default=3)
+    p.add_argument("--states", type=positive, default=3)
+    p.add_argument("--resources", type=nonnegative, default=1)
     p.add_argument("--tightness", type=float, default=0.4)
-    p.add_argument("--props", type=int, default=3)
-    p.add_argument("--clauses", type=int, default=4)
-    p.add_argument("--sets", type=int, default=4)
-    p.add_argument("--universe", type=int, default=3)
-    p.add_argument("--size", type=int, default=2, help="coordinate set size")
-    p.add_argument("--triples", type=int, default=4)
-    p.add_argument("--vertices", type=int, default=4)
-    p.add_argument("--edges", type=int, default=3)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--props", type=positive, default=3)
+    p.add_argument("--clauses", type=positive, default=4)
+    p.add_argument("--sets", type=positive, default=4)
+    p.add_argument("--universe", type=positive, default=3)
+    p.add_argument("--size", type=positive, default=2, help="coordinate set size")
+    p.add_argument("--triples", type=positive, default=4)
+    p.add_argument("--vertices", type=positive, default=4)
+    p.add_argument("--edges", type=nonnegative, default=3)
+    p.add_argument("--k", type=positive, default=2)
     p.add_argument("--variant", choices=("gcc", "sum"), default="gcc")
-    p.add_argument("--nurses", type=int, default=5)
-    p.add_argument("--days", type=int, default=7)
-    p.add_argument("--shifts", type=int, default=3)
+    p.add_argument("--nurses", type=positive, default=5)
+    p.add_argument("--days", type=positive, default=7)
+    p.add_argument("--shifts", type=_at_least(2), default=3,
+                   help="shifts per day, the off shift included")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser(
@@ -213,7 +237,7 @@ def build_parser():
                    help="directory of model files; omit to generate toys")
     p.add_argument("--toy", type=int, default=50, help="toy instance count")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--modes", default="decomp,wa,cwa")
+    p.add_argument("--modes", type=_modes, default=",".join(MODES))
     p.add_argument("--time-limit", type=float, default=180.0)
     p.add_argument("--out", default=None, help="TSV output path")
     p.set_defaults(func=cmd_bench)

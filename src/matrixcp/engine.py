@@ -81,6 +81,7 @@ class Store:
         self.domains: list[Domain] = []
         self.names: list[str] = []
         self.memo: OrderedDict = OrderedDict()
+        self.memo_tokens: dict = {}
         self._watchers: list[list] = []
         self._trail: list[tuple[int, int | range]] = []
         self._marks: list[int] = []
@@ -135,8 +136,14 @@ class Store:
         return bits & (bits - 1) == 0
 
     def value(self, vid):
-        (v,) = self.domains[vid].values
-        return v
+        """The value of a fixed variable; ValueError names an unfixed one."""
+        bits = self.domains[vid].bits
+        if type(bits) is range:
+            if len(bits) == 1:
+                return bits[0]
+        elif bits & (bits - 1) == 0:
+            return bits.bit_length() - 1
+        raise ValueError(f"variable {self.names[vid]} is not fixed")
 
     def watch(self, vid, prop):
         self._watchers[vid].append(prop)
@@ -215,6 +222,16 @@ class Store:
         del trail[back_to:]
 
     # -- filter memo ---------------------------------------------------------
+
+    def memo_token(self, kind):
+        """The token that stands for ``kind`` in this store's memo keys: one
+        plain object per distinct kind, equal kinds sharing it.  It hashes
+        and compares by identity, so a lookup never hashes a nested kind;
+        it lives in ``memo_tokens`` as long as the store and its memo."""
+        token = self.memo_tokens.get(kind)
+        if token is None:
+            token = self.memo_tokens[kind] = object()
+        return token
 
     def memoised(self, key, filter, *args):
         """``filter(*args)``, looked up under ``key`` in ``memo`` first.

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from .automata import (
     ProductTooLarge,
     WeightedDfa,
-    envelopes,
-    layered_arcs,
     build_sliding_word_counter,
     build_stretch_count,
     build_stretch_length_bounds,
+    sweep_forward,
 )
 from .engine import Inconsistent, SearchStats, Store, search
 from .propagators import (
@@ -176,12 +175,12 @@ def achievable_totals(wdfa, n):
     """Per-resource (lo, hi) of totals over accepted length-n words,
     intersected with the declared resource bounds; None when infeasible."""
     nres = wdfa.n_resources
-    arcs, reach = layered_arcs(wdfa, n)
-    finals = reach & wdfa.dfa.accepting
+    table = wdfa.arc_table(n)
+    last = sweep_forward(table, wdfa.dfa.start)[1][n]
+    finals = last.keys() & wdfa.dfa.accepting
     if not finals:
         return None
-    packing = wdfa.arc_table(n).packing
-    last = envelopes(arcs, (wdfa.dfa.start,), packing)[n]
+    packing = table.packing
     env = packing.unpack(packing.least(last[q] for q in finals))
     out = []
     for r in range(nres):

@@ -11,10 +11,10 @@ from bisect import bisect_left, bisect_right
 
 from .automata import (
     WeightedDfa,
-    envelopes,
     layered_arcs,
-    trim_backward,
-    trim_forward,
+    live_symbols,
+    sweep_backward,
+    sweep_forward,
 )
 from .engine import Inconsistent, Propagator, mask_of
 
@@ -38,6 +38,9 @@ class MemoFilter(Propagator):
     which outlives the search node that made it, and commits it on its own
     variables.  So every propagator of the same ``kind`` and arity that sees
     the same input anywhere in the search gets the result without filtering.
+    The key is the store's token for the kind (``Store.memo_token``, fetched
+    on the first run in a store), then the cell masks, then, if there are
+    interval variables, their lower and upper bounds.
     A variable may appear at one position only: two positions' domains would
     be computed apart, and the later commit would undo the earlier one.
     """
@@ -47,6 +50,8 @@ class MemoFilter(Propagator):
         self.zs = list(zs)
         self.kind = kind
         self._vars = self.xs + self.zs
+        # The memo_tokens of the store run in last, and our token there.
+        self._tokens = self._token = None
         if len(set(self._vars)) < len(self._vars):
             vs = self._vars
             dup = next(v for i, v in enumerate(vs) if v in vs[:i])
@@ -57,17 +62,26 @@ class MemoFilter(Propagator):
         return self._vars
 
     def run(self, store):
+        if self._tokens is not store.memo_tokens:
+            self._tokens = store.memo_tokens
+            self._token = store.memo_token(self.kind)
         domains = store.domains
         cells = [domains[x].bits for x in self.xs]
-        lo = []
-        hi = []
-        for z in self.zs:
-            r = domains[z].bits
-            lo.append(r[0])
-            hi.append(r[-1])
-        changes, failed = store.memoised(
-            (self.kind, *cells, *lo, *hi), self.filter, cells, lo, hi
-        )
+        if self.zs:
+            lo = []
+            hi = []
+            for z in self.zs:
+                r = domains[z].bits
+                lo.append(r[0])
+                hi.append(r[-1])
+            key = (self._token, *cells, *lo, *hi)
+        else:
+            lo = hi = ()
+            key = (self._token, *cells)
+        result = store.memo.get(key)
+        if result is None:
+            result = store.memoised(key, self.filter, cells, lo, hi)
+        changes, failed = result
         vs = self._vars
         commit = store._commit
         for pos, new in changes:
@@ -86,13 +100,19 @@ class Mcr(MemoFilter):
     (Pesant's regular, with the multi-resource envelopes of multicost-regular).
     The arcs come from the automaton's compiled arc table
     (``WeightedDfa.arc_table``), which the automaton owns and every row posted
-    with it shares.  The filter gathers the arcs reachable through the cell
-    domains once, then trims those lists until a fixpoint: arcs off every
-    accepting run go, the resource bounds are tightened to the path cost
-    envelope, and arcs whose per-resource through-cost interval misses the
-    resource bounds are cut.  Each row variable finally keeps the symbols of
-    its surviving arcs, ORed into one mask.  With zero resources this is
-    exact domain consistency for the plain automaton membership constraint.
+    with it shares.  The filter reaches a fixpoint in rounds of two sweeps.
+    The forward sweep (``automata.sweep_forward``) gathers the arcs from
+    reached states, through the cell domains in the first round and through
+    the arcs the last round kept after that, with their forward cost
+    envelopes.  The resource bounds are tightened to the envelope merged over
+    the accepting states reached.  The backward sweep
+    (``automata.sweep_backward``) drops the arcs off every accepting run and
+    cuts those whose per-resource through-cost interval misses the bounds;
+    a round that cuts an arc is followed by another.  Each row variable
+    keeps the symbols of the arcs the last backward sweep kept, ORed into
+    one mask.  With zero resources one forward arc pass and one backward
+    pass (``layered_arcs``, ``live_symbols``) give exact domain consistency
+    for the plain automaton membership constraint.
 
     Envelopes and arc costs are ints packed by the table's ``Packing``: one
     field per slot of ``(min_0.., -max_0..)``, offset by a bias larger than
@@ -126,24 +146,28 @@ class Mcr(MemoFilter):
         n = len(cells)
         d = self.wdfa.dfa
         nres = self.wdfa.n_resources
-        packing = self.wdfa.arc_table(n).packing
-        guard = packing.guard
+        table = self.wdfa.arc_table(n)
+        if nres == 0:
+            arcs, reach = layered_arcs(table, d.start, cells)
+            finals = reach & d.accepting
+            if not finals:
+                return [], True
+            masks = live_symbols(arcs, finals)
+            return [(i, m) for i, m in enumerate(masks) if m != cells[i]], False
+
+        packing = table.packing
         lo = list(lo)
         hi = list(hi)
         changes = []
-        arcs, reach = layered_arcs(self.wdfa, n, cells)
-
+        arcs, env = sweep_forward(table, d.start, cells)
         while True:
-            finals = reach & d.accepting
-            if d.start not in trim_backward(arcs, finals):
+            last = env[n]
+            finals = last.keys() & d.accepting
+            if not finals:
                 return changes, True
-            if nres == 0:
-                break
-
-            fwd = envelopes(arcs, (d.start,), packing)
-            env = packing.unpack(packing.least(fwd[n][q] for q in finals))
-            mins = env[:nres]
-            maxs = [-e for e in env[nres:]]
+            tight = packing.unpack(packing.least(last[q] for q in finals))
+            mins = tight[:nres]
+            maxs = [-e for e in tight[nres:]]
             for r in range(nres):
                 v = mins[r]
                 if v > lo[r]:
@@ -157,38 +181,19 @@ class Mcr(MemoFilter):
                     if v < lo[r]:
                         return changes, True
                     hi[r] = v
-            if lo == mins and hi == maxs:
-                # Every arc lies on a path whose total is within the bounds.
-                break
-
-            bwd = envelopes(arcs, finals, packing, backward=True)
-            # An arc's packed through-cost (min_r.., -max_r..) exceeds this in
-            # some slot exactly when min_r > zmax_r or max_r < zmin_r.  The
-            # bounds now lie within the envelope, so within the packing.
-            ceiling = packing.ceiling(hi + [-x for x in lo])
-            cut = False
-            for i, layer in enumerate(arcs):
-                f, b = fwd[i], bwd[i + 1]
-                kept = []
-                for a in layer:
-                    through = f[a[0]] + b[a[2]]
-                    if a[3] is not None:
-                        through += a[3]
-                    if (ceiling - through) & guard != guard:
-                        cut = True
-                    else:
-                        kept.append(a)
-                arcs[i] = kept
+            # Bounds equal to the envelope cut no arc: every arc then lies
+            # on a path whose total is within them.  Else an arc's packed
+            # through-cost (min_r.., -max_r..) exceeds the ceiling in some
+            # slot exactly when min_r > zmax_r or max_r < zmin_r; the bounds
+            # now lie within the envelope, so within the packing.
+            ceiling = None
+            if lo != mins or hi != maxs:
+                ceiling = packing.ceiling(hi + [-x for x in lo])
+            masks, cut = sweep_backward(arcs, env, finals, packing, ceiling)
             if not cut:
                 break
-            reach = trim_forward(arcs, d.start)
-
-        for i, layer in enumerate(arcs):
-            kept = 0
-            for a in layer:
-                kept |= 1 << a[1]
-            if kept != cells[i]:
-                changes.append((i, kept))
+            arcs, env = sweep_forward(table, d.start, arcs=arcs)
+        changes += [(i, m) for i, m in enumerate(masks) if m != cells[i]]
         return changes, False
 
 

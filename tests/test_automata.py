@@ -16,11 +16,11 @@ from matrixcp.automata import (
     build_stretch_length_counters,
     build_word_occurrence,
     dump_automaton,
-    layered_arcs,
     parse_automaton,
     sequence_window_dfa,
     stretch_length_dfa,
-    trim_backward,
+    sweep_backward,
+    sweep_forward,
     unfold_counters,
     universal_dfa,
 )
@@ -52,8 +52,9 @@ def random_positional(rng, n):
 
 def accepting_runs(wdfa, n):
     """The layered graph of the accepting runs of length n."""
-    arcs, reach = layered_arcs(wdfa, n)
-    trim_backward(arcs, reach & wdfa.dfa.accepting)
+    table = wdfa.arc_table(n)
+    arcs, env = sweep_forward(table, wdfa.dfa.start)
+    sweep_backward(arcs, env, env[n].keys() & wdfa.dfa.accepting, table.packing)
     return arcs
 
 

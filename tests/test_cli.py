@@ -168,7 +168,43 @@ class TestBench:
         assert out.count("toy00") >= 2
         assert "#Inst" in out
 
-    def test_unknown_mode_fails_loudly(self, tmp_path):
+    def test_unknown_mode_fails_loudly(self, tmp_path, capsys):
         write_model(tmp_path / "a.txt", sat_model())
-        with pytest.raises(Exception):
-            main(["bench", str(tmp_path), "--modes", "bogus"])
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tmp_path), "--modes", "decomp,bogus"])
+        assert exc.value.code == 2
+        assert "argument --modes: unknown mode 'bogus'" in capsys.readouterr().err
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "hitting", "--vertices", "0"],
+        ["gen", "exactcover", "--universe", "0"],
+        ["gen", "3sat", "--props", "0"],
+        ["gen", "3dm-bc", "--size", "0"],
+        ["gen", "random", "--states", "0"],
+        ["gen", "random", "--values", "0"],
+        ["gen", "random", "--rows", "-1"],
+        ["gen", "roster", "--nurses", "0"],
+        ["gen", "roster", "--shifts", "1"],
+        ["bench", "--modes", "foo"],
+    ])
+    def test_degenerate_argument_exits_2_naming_it(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "hitting", "--vertices", "1", "--edges", "0", "--k", "1"],
+        ["gen", "exactcover", "--universe", "1", "--sets", "1"],
+        ["gen", "3sat", "--props", "1", "--clauses", "1"],
+        ["gen", "3dm-dc", "--size", "1", "--triples", "1"],
+        ["gen", "random", "--values", "1", "--states", "1", "--rows", "1",
+         "--cols", "1", "--resources", "0"],
+        ["gen", "roster", "--nurses", "1", "--days", "1", "--shifts", "2"],
+    ])
+    def test_smallest_sizes_write_models_that_parse(self, tmp_path, argv):
+        out = tmp_path / "m.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        parse_model(out.read_text())

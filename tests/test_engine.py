@@ -25,6 +25,19 @@ class TestStore:
         st.assign(x, 1)
         assert st.is_fixed(x) and st.value(x) == 1
 
+    def test_value_of_unfixed_variable_names_it(self):
+        st = Store()
+        x = st.new_var({0, 2}, name="cell")
+        z = st.new_interval(4, 5, name="total")
+        for vid, name in ((x, "cell"), (z, "total")):
+            with pytest.raises(ValueError, match=f"variable {name} is not fixed"):
+                st.value(vid)
+        st.assign(x, 2)
+        st.set_min(z, 5)
+        assert (st.value(x), st.value(z)) == (2, 5)
+        big = st.new_var({70})
+        assert st.value(big) == 70
+
     def test_remove_last_value_fails(self):
         st = Store()
         x = st.new_var({4})

@@ -8,18 +8,26 @@ in magnitude, positional costs and rows of 1-40 cells, and with word
 enumeration on short rows.  Bounds come in three kinds: around the totals of
 one word, far outside every total (10**9), and cutting into the achievable
 range.  The reference lists ``Store`` operations; each is compared as the
-domain it leaves, which is what ``Mcr.filter`` returns.
+domain it leaves, which is what ``Mcr.filter`` returns.  A replay case feeds
+it the rows that solving benchmark instances filters.
 """
 
+import os
 import random
+import sys
 from itertools import product
 
 import pytest
 
 from matrixcp.automata import CostMatrices, Dfa, WeightedDfa
-from matrixcp.engine import Store, mask_of
-from matrixcp.model import achievable_totals
+from matrixcp.engine import Store, mask_of, members
+from matrixcp.model import achievable_totals, solve
 from matrixcp.propagators import Mcr
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench")
+sys.path.insert(0, BENCH)
+import workloads  # noqa: E402
 
 ALPHABET = (0, 1, 2)
 FAR = 10**9
@@ -322,3 +330,38 @@ def test_width_boundary(n, top):
     changes, failed = mcr_filter(wdfa, doms, [(bound, bound)] * n_res)
     assert not failed
     assert [dom for pos, dom in changes if pos < n] == [mask_of({0})] * n
+
+
+def test_replayed_benchmark_rows():
+    """Every row ``Mcr.filter`` gets while solving the first 3 satisfiable
+    rosters of the toy pool under ``cwa`` (the unsatisfiable ones are
+    refuted before any row filter runs), whose crossed products have
+    positional costs, up to 12 resources and hundreds of states, and one
+    3-SAT instance of the reductions pool under ``decomp`` (no resources),
+    replayed against the reference."""
+    calls = []
+    cold = Mcr.filter
+
+    def recorded(self, cells, lo, hi):
+        calls.append((self.wdfa, [frozenset(members(dm)) for dm in cells],
+                      list(zip(lo, hi))))
+        return cold(self, cells, lo, hi)
+
+    cases = [("toy-cwa", ["toy002_s", "toy003_s", "toy007_s"]),
+             ("reductions-decomp", ["002_3sat_5x21"])]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Mcr, "filter", recorded)
+        for name, picked in cases:
+            w = workloads.WORKLOADS[name]
+            instances, _ = workloads.setup(w, workloads.DEFAULT_GEN_SEED, 8,
+                                           workloads.EXPECTED_PATH)
+            for inst in instances:
+                if inst.name in picked:
+                    before = len(calls)
+                    assert solve(inst.model, w.mode).status == "sat"
+                    assert len(calls) > before, inst.name
+    assert {wdfa.n_resources for wdfa, _, _ in calls} >= {0, 12}
+    assert max(wdfa.dfa.n_states for wdfa, _, _ in calls) >= 200
+    assert any(wdfa.costs.positional for wdfa, _, _ in calls)
+    for k, (wdfa, doms, bounds) in enumerate(calls):
+        assert mcr_filter(wdfa, doms, bounds) == ref_changes(wdfa, doms, bounds), k
