@@ -8,8 +8,6 @@ oracles, hard-instance generators, and a rostering front end.
 from .automata import (
     AutomatonError,
     CostMatrices,
-    CounterDfa,
-    CounterSpec,
     Dfa,
     WeightedDfa,
     build_gcc_weights,
@@ -21,7 +19,6 @@ from .automata import (
     parse_automaton,
     sequence_window_dfa,
     stretch_length_dfa,
-    unfold_counters,
     universal_dfa,
 )
 
@@ -63,8 +60,6 @@ __all__ = [
     "CapExceeded",
     "CaseRules",
     "CostMatrices",
-    "CounterDfa",
-    "CounterSpec",
     "Dfa",
     "Inconsistent",
     "MatrixModel",
@@ -104,7 +99,6 @@ __all__ = [
     "sequence_window_dfa",
     "solve",
     "stretch_length_dfa",
-    "unfold_counters",
     "universal_dfa",
 ]
 

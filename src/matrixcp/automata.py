@@ -4,17 +4,13 @@ Automata here are total: every (state, symbol) pair has a transition, and dead
 states are explicit (``Dfa.from_partial`` completes a partial table with a
 sink).  A weighted automaton attaches, per resource, an integer cost to each
 transition, optionally position dependent; running it over a word yields one
-total per resource.  Counter automata carry bounded counters updated along
-transitions and are unfolded into weighted automata whose run totals equal the
-final counter values.
+total per resource.
 
 All objects are immutable after construction and safe to share between models.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from operator import add, sub
 
 
@@ -426,7 +422,7 @@ class WeightedDfa:
         )
         return WeightedDfa(dfa, costs, self.resource_bounds + other.resource_bounds)
 
-    def with_resources(self, keep, bounds=None):
+    def with_resources(self, keep):
         """Project onto the resources listed in ``keep`` (in that order)."""
         keep = list(keep)
         picked = {}
@@ -443,10 +439,8 @@ class WeightedDfa:
             key: {i: pick(vec) for i, vec in per.items()}
             for key, per in self.costs.positional.items()
         }
-        if bounds is None:
-            bounds = [self.resource_bounds[r] for r in keep]
         costs = CostMatrices._from_vectors(len(keep), base, positional)
-        return WeightedDfa(self.dfa, costs, bounds)
+        return WeightedDfa(self.dfa, costs, [self.resource_bounds[r] for r in keep])
 
 
 class ProductTooLarge(AutomatonError):
@@ -690,101 +684,6 @@ def sweep_backward(arcs, env, finals, packing, ceiling=None):
     return masks, cut
 
 
-@dataclass(frozen=True)
-class CounterSpec:
-    """One bounded counter: values 0..size-1, starting at init."""
-
-    size: int
-    init: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.init < self.size:
-            raise AutomatonError("counter initial value out of range")
-
-
-class CounterDfa:
-    """A Dfa with bounded counters updated on every transition.
-
-    ``update(q, v, counters)`` returns the new counter tuple for the
-    transition out of state q on symbol v.  Updates must stay within each
-    counter's range; unfolding validates this.
-    """
-
-    __slots__ = ("dfa", "counters", "update")
-
-    def __init__(self, dfa, counters, update):
-        self.dfa = dfa
-        self.counters = tuple(counters)
-        self.update = update
-
-    def run(self, word):
-        """Return (accepted, final counter values)."""
-        q = self.dfa.start
-        d = tuple(c.init for c in self.counters)
-        for v in word:
-            d = self._checked_update(q, v, d)
-            q = self.dfa.step(q, v)
-        return q in self.dfa.accepting, d
-
-    def _checked_update(self, q, v, d):
-        d2 = tuple(self.update(q, v, d))
-        if len(d2) != len(self.counters):
-            raise AutomatonError("counter update changed the counter count")
-        for x, spec in zip(d2, self.counters):
-            if not 0 <= x < spec.size:
-                raise AutomatonError(
-                    f"counter value {x} escapes range 0..{spec.size - 1}"
-                )
-        return d2
-
-
-def unfold_counters(cdfa):
-    """Unfold a counter automaton into a weighted one.
-
-    The result has one resource per counter and accepts exactly the words the
-    counter automaton accepts, with run totals equal to the final counter
-    values.  States are reachable (state, counters) pairs, at most
-    prod(counter sizes) * |Q| of them; nonzero initial counters cost one extra
-    start state whose outgoing costs fold in the initial values.
-    """
-    dfa = cdfa.dfa
-    alphabet = dfa.alphabet
-    init = tuple(c.init for c in cdfa.counters)
-
-    def successors(key):
-        q, d = key
-        return [
-            (q2, cdfa._checked_update(q, v, d))
-            for v, q2 in zip(alphabet, dfa._rows[q])
-        ]
-
-    order, rows = reachable((dfa.start, init), successors)
-    # A transition costs the change of the counters along it.
-    base = {
-        (i, v): tuple(map(sub, order[j][1], d))
-        for i, (_, d) in enumerate(order)
-        for v, j in zip(alphabet, rows[i])
-    }
-    accepting = [i for i, (q, _) in enumerate(order) if q in dfa.accepting]
-    start = 0
-    if any(init):
-        # A fresh copy of the start state (never re-entered) carries the
-        # initial counter values on its outgoing costs, so totals equal the
-        # final counter values rather than the change.
-        start = len(rows)
-        rows.append(rows[0])
-        for v in alphabet:
-            base[(start, v)] = tuple(map(add, base[(0, v)], init))
-        if dfa.start in dfa.accepting:
-            accepting.append(start)
-    bounds = [(0, c.size - 1) for c in cdfa.counters]
-    return WeightedDfa(
-        Dfa.from_rows(alphabet, rows, start, accepting),
-        CostMatrices._from_vectors(len(init), base, {}),
-        bounds,
-    )
-
-
 def universal_dfa(alphabet):
     """One accepting state, every symbol loops."""
     alphabet = tuple(alphabet)
@@ -814,13 +713,19 @@ def build_gcc_weights(alphabet, groups=None, bounds=None):
     return WeightedDfa(dfa, CostMatrices(len(groups), base), bounds)
 
 
-def _in_stretch_dfa(vhat, alphabet):
-    """Two accepting states: 1 after a symbol of vhat, 0 after any other.
-    vhat must be a proper nonempty subset of the alphabet."""
+def _check_stretch_set(vhat, alphabet):
+    """Raise AutomatonError unless the set vhat is a proper nonempty subset
+    of the alphabet."""
     if not vhat or not vhat < set(alphabet):
         raise AutomatonError(
             "stretch symbol set must be a proper nonempty subset of the alphabet"
         )
+
+
+def _in_stretch_dfa(vhat, alphabet):
+    """Two accepting states: 1 after a symbol of vhat, 0 after any other.
+    vhat must be a proper nonempty subset of the alphabet."""
+    _check_stretch_set(vhat, alphabet)
     trans = {(q, v): int(v in vhat) for q in (0, 1) for v in alphabet}
     return Dfa(2, alphabet, trans, 0, {0, 1})
 
@@ -924,47 +829,46 @@ def build_sliding_word_counter(pattern, n, alphabet, with_total=False):
     return WeightedDfa(dfa, CostMatrices(n_res, {}, positional), bounds)
 
 
-def build_stretch_length_counters(vhat, alphabet, n):
-    """Counter automaton extracting min/max maximal-stretch lengths.
-
-    Counters: current run length, min over completed runs, an effective
-    minimum (min over completed runs and the current trailing run), and the
-    maximum.  Sentinel n+1 on the minimum side means "no stretch".  Unfold and
-    keep resources (2, 3) to get (min length, max length) totals.
-    """
-    alphabet = tuple(alphabet)
-    vhat = frozenset(vhat)
-    dfa = _in_stretch_dfa(vhat, alphabet)
-    sentinel = n + 1
-    counters = (
-        CounterSpec(n + 1),            # cur: current run length 0..n
-        CounterSpec(n + 2, sentinel),  # completed-run minimum, sentinel = none
-        CounterSpec(n + 2, sentinel),  # effective minimum incl. trailing run
-        CounterSpec(n + 1),            # maximum length seen
-    )
-
-    def update(q, v, d):
-        cur, mnc, _, mx = d
-        if v in vhat:
-            # saturate at n: states past the intended word length are
-            # explored during unfolding but never reached by length-n runs
-            cur2 = min(cur + 1, n)
-            return (cur2, mnc, min(mnc, cur2), max(mx, cur2))
-        mnc2 = min(mnc, cur) if cur else mnc
-        return (0, mnc2, mnc2, mx)
-
-    return CounterDfa(dfa, counters, update)
-
-
 def build_stretch_length_bounds(vhat, alphabet, n):
     """Weighted automaton with (min stretch length, max stretch length) totals.
 
     The min resource reads n+1 when the word has no stretch at all, so a case
     rule "every stretch of vhat is at least lo long" is the interval
     [lo, n+1] and "at most hi" is [0, hi] on the max resource.
+
+    A state is the start None or (current run length, saturating at n;
+    shortest finished run, n+1 for none; longest run).  A transition costs
+    the change in (min, max), where min counts the current run too, and the
+    transitions out of the start pay the full values.  Every state accepts.
     """
-    w = unfold_counters(build_stretch_length_counters(vhat, alphabet, n))
-    return w.with_resources([2, 3], [(1, n + 1), (0, n)])
+    alphabet = tuple(alphabet)
+    vhat = frozenset(vhat)
+    _check_stretch_set(vhat, alphabet)
+
+    def successors(key):
+        cur, shortest, longest = key or (0, n + 1, 0)
+        run = min(cur + 1, n)
+        extend = (run, shortest, max(longest, run))
+        finish = (0, min(shortest, cur or n + 1), longest)
+        return [extend if v in vhat else finish for v in alphabet]
+
+    def totals(key):
+        if key is None:
+            return (0, 0)
+        cur, shortest, longest = key
+        return (min(shortest, cur or n + 1), longest)
+
+    order, rows = reachable(None, successors)
+    base = {
+        (q, v): tuple(map(sub, totals(order[q2]), totals(key)))
+        for q, key in enumerate(order)
+        for v, q2 in zip(alphabet, rows[q])
+    }
+    return WeightedDfa(
+        Dfa.from_rows(alphabet, rows, 0, range(len(order))),
+        CostMatrices._from_vectors(2, base, {}),
+        [(1, n + 1), (0, n)],
+    )
 
 
 def stretch_length_dfa(vhat, alphabet, lo, hi=None):
@@ -1082,6 +986,14 @@ def check_fields(parts, fields):
         raise ValueError(f"{parts[0]} needs fields {fields}: {' '.join(parts)}")
 
 
+def check_once(seen, what, no):
+    """Record in ``seen`` that line ``no`` sets ``what``; raise ValueError
+    naming the earlier line if one already did."""
+    if what in seen:
+        raise ValueError(f"{what} already set on line {seen[what]}")
+    seen[what] = no
+
+
 # The fields after each automaton line's tag (see ``check_fields``).
 AUTOMATON_FIELDS = {
     "wdfa": "states start",
@@ -1169,9 +1081,7 @@ def parse_automaton(text):
                             for r, _ in costs]
                     positional.update(((r, q, v, x), c) for r, c in costs)
             for what in sets:
-                if what in seen:
-                    raise ValueError(f"{what} already set on line {seen[what]}")
-                seen[what] = no
+                check_once(seen, what, no)
         except ValueError as exc:
             raise AutomatonError(f"line {no}: {exc}") from exc
     if alphabet is None or accept is None:

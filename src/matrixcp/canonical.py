@@ -42,6 +42,7 @@ from __future__ import annotations
 from .automata import (
     AutomatonError,
     check_fields,
+    check_once,
     clean_lines,
     dump_automaton,
     parse_automaton,
@@ -51,6 +52,7 @@ from .model import (
     StretchCountProp,
     StretchLengthProp,
     WordProp,
+    check_property,
 )
 from .roster import (
     RULE_FIELDS,
@@ -138,6 +140,7 @@ def _parse_roster(lines):
     rules = None
     name = ""
     cover = []
+    seen = {}  # what a line sets -> the number of the line that set it
     for no, ln in lines:
         parts = ln.split()
         tag = parts[0]
@@ -150,11 +153,12 @@ def _parse_roster(lines):
                                      f"and 2 shifts (one off duty): {ln}")
                 rules = CaseRules(shifts=[ShiftRule() for _ in range(s)])
             elif tag == "NAME":
+                check_once(seen, tag, no)
                 name = " ".join(parts[1:])
             elif tag == "COVER":
                 cover.append([int(x) for x in parts[1:]])
             elif tag in RULE_FIELDS:
-                parse_rule_line(parts, rules)
+                check_once(seen, parse_rule_line(parts, rules), no)
             else:
                 raise ValueError(f"unknown roster line: {ln}")
         except ValueError as exc:
@@ -184,6 +188,7 @@ def parse_model(text):
     groups = []
     props = []
     rule = None
+    seen = {}  # what a line sets -> the number of the line that set it
     i = 0
     while i < len(lines):
         no, ln = lines[i]
@@ -192,6 +197,8 @@ def parse_model(text):
         try:
             if tag in MODEL_FIELDS:
                 check_fields(parts, MODEL_FIELDS[tag])
+            if tag in ("MATRIX", "VALUES", "NAME", "LEX", "ROW_DFA"):
+                check_once(seen, tag, no)
             if tag == "MATRIX":
                 header = (int(parts[1]), int(parts[2]), int(parts[3]))
             elif tag == "VALUES":
@@ -200,14 +207,20 @@ def parse_model(text):
                 name = " ".join(parts[1:])
             elif tag == "DOMAIN":
                 r, k = int(parts[1]), int(parts[2])
+                check_once(seen, f"DOMAIN of cell ({r}, {k})", no)
                 doms.append((no, r, k, [int(x) for x in parts[3:]]))
             elif tag == "COL_GCC":
                 k, v = int(parts[1]), int(parts[2])
+                check_once(seen, f"COL_GCC of value {v} in column {k}", no)
                 gcc.append((no, k, v, (int(parts[3]), int(parts[4]))))
             elif tag == "COL_SUM":
-                sums.append((no, int(parts[1]), (int(parts[2]), int(parts[3]))))
+                k = int(parts[1])
+                check_once(seen, f"COL_SUM of column {k}", no)
+                sums.append((no, k, (int(parts[2]), int(parts[3]))))
             elif tag == "LEX":
-                lex = bool(int(parts[1]))
+                if parts[1] not in ("0", "1"):
+                    raise ValueError(f"LEX takes 0 or 1: {ln}")
+                lex = parts[1] == "1"
             elif tag == "COUNTGROUP":
                 groups.append((no, int(parts[1]), [int(x) for x in parts[2:]]))
             elif tag == "PROPERTY":
@@ -273,14 +286,23 @@ def parse_model(text):
     if props:
         properties = []
         for no, kind, args in props:
-            if kind == "word":
-                properties.append(WordProp(tuple(parse_set(no, a) for a in args)))
-            elif kind == "stretchcount":
-                properties.append(StretchCountProp(parse_set(no, args[0])))
-            elif kind == "stretchlen":
-                properties.append(StretchLengthProp(parse_set(no, args[0])))
-            else:
-                raise FormatError(f"line {no}: unknown property kind {kind!r}")
+            try:
+                if kind == "word":
+                    prop = WordProp(tuple(parse_set(no, a) for a in args))
+                elif kind in ("stretchcount", "stretchlen"):
+                    if len(args) != 1:
+                        raise ValueError(f"PROPERTY {kind} takes one set, "
+                                         f"not {len(args)}")
+                    prop = (StretchCountProp if kind == "stretchcount"
+                            else StretchLengthProp)(parse_set(no, args[0]))
+                else:
+                    raise ValueError(f"unknown property kind {kind!r}")
+                check_property(prop, V)
+            except ValueError as exc:
+                if isinstance(exc, FormatError):
+                    raise
+                raise FormatError(f"line {no}: {exc}") from exc
+            properties.append(prop)
     try:
         return MatrixModel(
             R, K, values, rule,

@@ -41,6 +41,14 @@ def _read(path):
         return fh.read()
 
 
+def _load(path):
+    """Parse the model file at ``path``; a FormatError names the file."""
+    try:
+        return canonical.parse_model(_read(path))
+    except canonical.FormatError as exc:
+        raise canonical.FormatError(f"{path}: {exc}") from exc
+
+
 def _write(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -54,7 +62,7 @@ def _grid_text(grid):
 
 
 def cmd_solve(args):
-    model = canonical.parse_model(_read(args.model))
+    model = _load(args.model)
     out = solve(
         model,
         mode=args.mode,
@@ -74,7 +82,7 @@ def cmd_solve(args):
 
 
 def cmd_oracle(args):
-    model = canonical.parse_model(_read(args.model))
+    model = _load(args.model)
     if args.count:
         sols = oracle.brute_solutions(model, cap=args.cap)
         print(f"status {'sat' if sols else 'unsat'}")
@@ -156,10 +164,7 @@ def cmd_bench(args):
             p for p in os.listdir(args.dir)
             if os.path.isfile(os.path.join(args.dir, p))
         )
-        models = [
-            canonical.parse_model(_read(os.path.join(args.dir, p)))
-            for p in paths
-        ]
+        models = [_load(os.path.join(args.dir, p)) for p in paths]
         for p, m in zip(paths, models):
             if not m.name:
                 m.name = p
@@ -246,7 +251,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Exit 1 means unsat to solve and oracle, so bad input exits 3.  A
+    # FormatError names its file (see _load), an OSError names it itself.
+    try:
+        return args.func(args)
+    except oracle.CapExceeded as exc:  # only the oracle command raises it
+        print(f"matrixcp oracle: {args.model}: {exc}", file=sys.stderr)
+    except (canonical.FormatError, OSError) as exc:
+        print(f"matrixcp {args.cmd}: {exc}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -80,6 +80,31 @@ class StretchLengthProp:
         object.__setattr__(self, "vhat", frozenset(self.vhat))
 
 
+def check_property(prop, n_values):
+    """Raise a ValueError naming ``prop`` unless its measuring automaton can
+    be built over the value indices 0..n_values-1: every symbol set nonempty
+    and within them, a word at least one set long, and a stretch set short
+    of every value."""
+    if isinstance(prop, WordProp):
+        sets = prop.pattern
+    elif isinstance(prop, (StretchCountProp, StretchLengthProp)):
+        sets = (prop.vhat,)
+    else:
+        raise ValueError(f"unknown property {prop!r}")
+    values = frozenset(range(n_values))
+    if not sets:
+        problem = "the word is empty"
+    elif not all(sets):
+        problem = "a symbol set is empty"
+    elif not all(map(values.issuperset, sets)):
+        problem = f"a symbol set holds a value index outside 0..{n_values - 1}"
+    elif not isinstance(prop, WordProp) and prop.vhat == values:
+        problem = "the stretch set holds every value"
+    else:
+        return
+    raise ValueError(f"{prop}: {problem}")
+
+
 def default_properties(n_values):
     """Singleton words, repeated pairs, stretch counts and lengths per value."""
     props = []
@@ -143,6 +168,8 @@ class MatrixModel:
             self.cell_domains = [[frozenset(d) for d in row]
                                  for row in cell_domains]
         self.properties = None if properties is None else list(properties)
+        for prop in self.properties or ():
+            check_property(prop, nv)
         self.rule_count_groups = [
             (frozenset(g), r) for g, r in (rule_count_groups or [])
         ]

@@ -17,6 +17,7 @@ from .automata import (
     WeightedDfa,
     build_gcc_weights,
     check_fields,
+    check_once,
     clean_lines,
     stretch_length_dfa,
 )
@@ -82,34 +83,41 @@ def parse_rule_line(parts, rules):
     """Set the rule that one split ``WORK`` or ``SHIFT`` line gives.
 
     ``WORK`` sets the working-shift group's rule in ``rules``, ``SHIFT s``
-    that of shift s in 1..S; stretch_hi may be '-' for unbounded.  Raises
-    ValueError on a line without exactly its ``RULE_FIELDS`` or naming a
-    shift out of range.
+    that of shift s in 1..S; stretch_hi may be '-' for unbounded.  Returns
+    what the line sets, ``WORK`` or ``SHIFT s``.  Raises ValueError on a line
+    without exactly its ``RULE_FIELDS``, naming a shift out of range, or
+    with an occurrence or stretch-length interval that holds no value.
     """
     tag = parts[0]
     check_fields(parts, RULE_FIELDS[tag])
     lo, hi, slo, shi = parts[-4:]
     rule = ShiftRule(int(lo), int(hi), int(slo),
                      None if shi == "-" else int(shi))
+    if rule.occ_lo > rule.occ_hi:
+        raise ValueError(f"empty occurrence interval: {' '.join(parts)}")
+    if rule.stretch_hi is not None and rule.stretch_hi < max(rule.stretch_lo, 1):
+        raise ValueError(f"empty stretch-length interval: {' '.join(parts)}")
     if tag == "WORK":
         rules.work = rule
-        return
+        return tag
     s, n_shifts = int(parts[1]), len(rules.shifts)
     if not 1 <= s <= n_shifts:
         raise ValueError(f"SHIFT {s} out of range 1..{n_shifts}")
     rules.shifts[s - 1] = rule
+    return f"SHIFT {s}"
 
 
 def parse_case(text, n_shifts):
     """Case file: one ``WORK`` line plus one ``SHIFT`` line per shift, as
     ``parse_rule_line`` reads them."""
     rules = CaseRules(shifts=[ShiftRule() for _ in range(n_shifts)])
+    seen = {}
     for no, ln in clean_lines(text):
         parts = ln.split()
         try:
             if parts[0] not in RULE_FIELDS:
                 raise ValueError(f"unknown case line: {ln}")
-            parse_rule_line(parts, rules)
+            check_once(seen, parse_rule_line(parts, rules), no)
         except ValueError as exc:
             raise ValueError(f"line {no}: {exc}") from exc
     return rules

@@ -17,9 +17,8 @@ from matrixcp.automata import (
     Dfa,
     WeightedDfa,
     build_sliding_word_counter,
-    build_stretch_length_counters,
+    build_stretch_length_bounds,
     build_word_occurrence,
-    unfold_counters,
 )
 from matrixcp.engine import Store
 from matrixcp.generators import (
@@ -326,14 +325,19 @@ def test_criterion_6_automata_algebra():
         okp, cp = p.run_weighted(w)
         assert okp == (oka and okb) and cp == ca + cb
 
+    def stretch_lengths(w, vhat):
+        # (shortest, longest) maximal run of vhat in w; len(w)+1 and 0 for none
+        runs = [len(r) for r in "".join(
+            "x" if v in vhat else " " for v in w).split()]
+        return (min(runs, default=len(w) + 1), max(runs, default=0))
+
     for _ in range(500):
         alpha = tuple(range(rng.randint(2, 3)))
         vhat = set(rng.sample(alpha, rng.randint(1, len(alpha) - 1)))
         n = rng.randint(1, 5)
-        cdfa = build_stretch_length_counters(vhat, alpha, n)
-        flat = unfold_counters(cdfa)
         w = tuple(rng.choice(alpha) for _ in range(n))
-        assert cdfa.run(w) == flat.run_weighted(w)
+        assert (build_stretch_length_bounds(vhat, alpha, n).run_weighted(w)
+                == (True, stretch_lengths(w, vhat)))
 
     for _ in range(500):
         alpha = tuple(range(rng.randint(2, 3)))

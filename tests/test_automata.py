@@ -13,7 +13,6 @@ from matrixcp.automata import (
     build_sliding_word_counter,
     build_stretch_count,
     build_stretch_length_bounds,
-    build_stretch_length_counters,
     build_word_occurrence,
     dump_automaton,
     parse_automaton,
@@ -21,9 +20,9 @@ from matrixcp.automata import (
     stretch_length_dfa,
     sweep_backward,
     sweep_forward,
-    unfold_counters,
     universal_dfa,
 )
+from matrixcp.roster import gen_toy_rosters, roster_model
 
 ABC = (0, 1, 2)
 
@@ -176,11 +175,32 @@ class TestStretchLength:
 
     def test_bounds_filter_short_runs(self):
         # every stretch at least 2 long
-        wa = build_stretch_length_bounds({1}, ABC, 4).with_resources(
-            [0, 1], [(2, 5), (0, 4)])
+        wa = build_stretch_length_bounds({1}, ABC, 4)
+        wa = WeightedDfa(wa.dfa, wa.costs, [(2, 5), (0, 4)])
         assert wa.accepts_within_bounds((0, 1, 1, 0))
         assert wa.accepts_within_bounds((0, 0, 0, 0))
         assert not wa.accepts_within_bounds((0, 1, 0, 0))
+
+    @pytest.mark.parametrize("vhat", [set(), {0, 1, 2}])
+    def test_rejects_empty_or_full_set(self, vhat):
+        with pytest.raises(AutomatonError, match="proper nonempty subset"):
+            build_stretch_length_bounds(vhat, ABC, 4)
+
+    # Sizes measured on the earlier build through counter unfolding; the
+    # direct build must give the same automaton.
+    @pytest.mark.parametrize("vhat,n_values,n,states", [
+        ({0}, 3, 7, 177), ({1}, 3, 7, 177), ({2}, 3, 7, 177),
+        ({0}, 4, 14, 1136), ({0, 1}, 4, 14, 1136), ({3}, 4, 14, 1136),
+    ])
+    def test_state_count(self, vhat, n_values, n, states):
+        wa = build_stretch_length_bounds(vhat, range(n_values), n)
+        assert wa.dfa.n_states == states
+
+    def test_product_with_toy_roster_rule(self):
+        rule = roster_model(*gen_toy_rosters(4242, 1)[0]).row_rule
+        sizes = [rule.product(build_stretch_length_bounds({v}, ABC, 7), 7)
+                 .dfa.n_states for v in ABC]
+        assert sizes == [240, 224, 232]
 
 
 class TestSlidingWordCounter:
@@ -341,27 +361,6 @@ class TestProduct:
             for m in range(n + 1):
                 for w in product(ABC, repeat=m):
                     assert cut.run_weighted(w) == full.run_weighted(w)
-
-
-class TestCounterUnfolding:
-    def test_unfold_matches_counter_run(self):
-        n = 5
-        cdfa = build_stretch_length_counters({1}, ABC, n)
-        flat = unfold_counters(cdfa)
-        for w in product((0, 1), repeat=n):
-            ok_c, counters = cdfa.run(w)
-            ok_f, totals = flat.run_weighted(w)
-            assert ok_c == ok_f
-            assert totals == counters
-
-    def test_unfold_fuzz(self):
-        rng = random.Random(71)
-        n = 6
-        cdfa = build_stretch_length_counters({0, 2}, ABC, n)
-        flat = unfold_counters(cdfa)
-        for _ in range(200):
-            w = tuple(rng.choice(ABC) for _ in range(n))
-            assert cdfa.run(w) == flat.run_weighted(w)
 
 
 class TestFilters:

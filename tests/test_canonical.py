@@ -181,6 +181,33 @@ class TestParseErrors:
                            match=f"^line {no}: {re.escape(message)}$"):
             parse_model(text)
 
+    @pytest.mark.parametrize("line, message", [
+        ("MATRIX 2 2 2", "MATRIX already set on line 1"),
+        ("VALUES 0 1", "VALUES already set on line 2"),
+        ("NAME a\nNAME b", "NAME already set on line 3"),
+        ("LEX 1\nLEX 0", "LEX already set on line 3"),
+        ("DOMAIN 0 1 1\nDOMAIN 0 1 0", "DOMAIN of cell (0, 1) already set on line 3"),
+        ("COL_GCC 1 0 0 1\nCOL_GCC 1 0 1 2",
+         "COL_GCC of value 0 in column 1 already set on line 3"),
+        ("COL_SUM 0 0 1\nCOL_SUM 0 1 2", "COL_SUM of column 0 already set on line 3"),
+        ("LEX 2", "LEX takes 0 or 1: LEX 2"),
+        ("PROPERTY stretchcount 1 0", "PROPERTY stretchcount takes one set, not 2"),
+        ("PROPERTY stretchlen 0,1", "the stretch set holds every value"),
+        ("PROPERTY stretchlen ,", "invalid literal"),
+    ], ids=["MATRIX", "VALUES", "NAME", "LEX", "DOMAIN", "COL_GCC", "COL_SUM",
+            "LEX-flag", "stretchcount-sets", "stretchlen-full", "set-empty"])
+    def test_bad_or_repeated_line_named(self, line, message):
+        text = SAT_2X2.replace("ROW_DFA", line + "\nROW_DFA")
+        no = 2 + line.count("\n") + 1
+        with pytest.raises(FormatError, match=f"^line {no}: .*{re.escape(message)}"):
+            parse_model(text)
+
+    def test_second_row_dfa_rejected(self):
+        text = SAT_2X2 + "ROW_DFA\nwdfa 1 0\nalphabet 0 1\naccept 0\nEND\n"
+        with pytest.raises(FormatError,
+                           match="^line 12: ROW_DFA already set on line 3$"):
+            parse_model(text)
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(FormatError, match="at least one row"):
             parse_model(SAT_2X2.replace("MATRIX 2 2 2", "MATRIX 2 0 2"))
@@ -215,6 +242,20 @@ class TestRosterFiles:
         inst, rules = gen_toy_rosters(8, 1)[0]
         text = dump_roster(inst, rules) + "SHIFT 9 0 1 1 -\n"
         with pytest.raises(FormatError, match="SHIFT 9"):
+            parse_model(text)
+
+    @pytest.mark.parametrize("extra, message", [
+        ("NAME b\n", "NAME already set on line"),
+        ("WORK 3 5 1 4\n", "WORK already set on line"),
+        ("SHIFT 2 0 3 1 2\n", "SHIFT 2 already set on line"),
+        ("WORK 5 3 1 4\n", "empty occurrence interval: WORK 5 3 1 4"),
+    ], ids=["NAME", "WORK", "SHIFT", "WORK-interval"])
+    def test_bad_or_repeated_line_named(self, extra, message):
+        # The toy roster's own file already sets NAME, WORK and every SHIFT.
+        inst, rules = gen_toy_rosters(8, 1)[0]
+        text = dump_roster(inst, rules) + extra
+        no = len(text.splitlines())
+        with pytest.raises(FormatError, match=f"^line {no}: {message}"):
             parse_model(text)
 
     @pytest.mark.parametrize("text, no, fields", [

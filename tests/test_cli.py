@@ -208,3 +208,34 @@ class TestArgumentChecks:
         out = tmp_path / "m.txt"
         assert main(argv + ["--out", str(out)]) == 0
         parse_model(out.read_text())
+
+
+class TestBadInput:
+    """A file that cannot be read or solved exits 3, never 1 (unsat)."""
+
+    MALFORMED = "MATRIX 1 1 2\nFOO 1\n"
+
+    @pytest.mark.parametrize("cmd", ["solve", "oracle", "bench"])
+    def test_malformed_file(self, tmp_path, capsys, cmd):
+        (tmp_path / "bad.txt").write_text(self.MALFORMED)
+        arg = tmp_path if cmd == "bench" else tmp_path / "bad.txt"
+        assert main([cmd, str(arg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"matrixcp {cmd}: {tmp_path / 'bad.txt'}: "
+                       "line 2: unknown line: FOO 1"]
+
+    @pytest.mark.parametrize("cmd", ["solve", "oracle", "bench"])
+    def test_missing_file(self, tmp_path, capsys, cmd):
+        missing = str(tmp_path / "missing")
+        assert main([cmd, missing]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"matrixcp {cmd}: ") and missing in err[0]
+
+    @pytest.mark.parametrize("count", [[], ["--count"]])
+    def test_oracle_cap(self, tmp_path, capsys, count):
+        path = write_model(tmp_path / "m.txt", gen_3sat(
+            [(1, 2, 3), (-1, 2, -3), (1, -2, 3)], 3))
+        assert main(["oracle", path, "--cap", "5", *count]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"matrixcp oracle: {path}: brute search exceeded 5 nodes"]

@@ -90,6 +90,20 @@ class TestMatrixModel:
         with pytest.raises(ValueError):
             MatrixModel(2, 2, (0, 1), rule, **kwargs)
 
+    @pytest.mark.parametrize("prop, problem", [
+        (WordProp((frozenset({0}), frozenset({2}))), "outside 0..1"),
+        (StretchCountProp(frozenset({3})), "outside 0..1"),
+        (WordProp(()), "the word is empty"),
+        (WordProp((frozenset(),)), "a symbol set is empty"),
+        (StretchLengthProp(frozenset()), "a symbol set is empty"),
+        (StretchCountProp(frozenset({0, 1})), "holds every value"),
+        (StretchLengthProp(frozenset({0, 1})), "holds every value"),
+    ], ids=["word-value", "stretchcount-value", "empty-word", "empty-word-set",
+            "stretchlen-empty", "stretchcount-full", "stretchlen-full"])
+    def test_malformed_property_rejected(self, prop, problem):
+        with pytest.raises(ValueError, match=f"^{type(prop).__name__}.*{problem}"):
+            MatrixModel(2, 2, (0, 1), universal_dfa((0, 1)), properties=[prop])
+
     @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (-1, 1)])
     def test_empty_matrix_rejected(self, shape):
         rule = universal_dfa((0, 1))

@@ -90,6 +90,22 @@ class TestCaseFormat:
                            "s occ_lo occ_hi stretch_lo stretch_hi"):
             parse_case("WORK 0 9 1 -\nSHIFT 1 0 3 1\n", 2)
 
+    @pytest.mark.parametrize("text, message", [
+        ("WORK 0 9 1 -\nSHIFT 1 0 3 1 -\nWORK 0 5 1 -\n",
+         "line 3: WORK already set on line 1"),
+        ("SHIFT 2 0 3 1 -\nSHIFT 2 0 2 1 2\n",
+         "line 2: SHIFT 2 already set on line 1"),
+        ("WORK 5 3 1 -\n", "line 1: empty occurrence interval: WORK 5 3 1 -"),
+        ("SHIFT 1 0 3 4 2\n",
+         "line 1: empty stretch-length interval: SHIFT 1 0 3 4 2"),
+        ("SHIFT 1 0 3 0 0\n",
+         "line 1: empty stretch-length interval: SHIFT 1 0 3 0 0"),
+    ], ids=["WORK-repeated", "SHIFT-repeated", "occurrence-empty",
+            "stretch-empty", "stretch-zero"])
+    def test_bad_line_named(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_case(text, 2)
+
     def test_unspecified_shift_defaults(self):
         rules = parse_case("WORK 0 9 1 -\n", 2)
         assert rules.shifts[0] == ShiftRule()
