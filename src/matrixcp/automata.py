@@ -7,11 +7,27 @@ transition, optionally position dependent; running it over a word yields one
 total per resource.
 
 All objects are immutable after construction and safe to share between models.
+Products and the measuring automata of the string properties are shared:
+``WeightedDfa.product`` looks its result up by the operands' content, and
+each measuring-automaton builder returns one automaton per argument tuple,
+so equal rules get one object and compile its arc tables once per process.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from functools import lru_cache
 from operator import add, sub
+
+# Most products the process keeps (``WeightedDfa.product``) and most
+# automata each measuring-automaton builder keeps; the least recently used
+# is evicted first.
+PRODUCT_CAP = 64
+SHARED_CAP = 256
+
+# (word length, content key, content key) -> product, least recently used
+# first.
+_PRODUCTS = OrderedDict()
 
 
 class AutomatonError(ValueError):
@@ -245,11 +261,15 @@ class WeightedDfa:
     positional one a position from 0; AutomatonError names an entry that
     does not.
 
-    The automaton also owns the compiled arc tables of its runs (see
-    ``arc_table``), built on first use for each run length and freed with it.
+    The automaton also owns what is derived from it on first use and freed
+    with it: the compiled arc tables of its runs (see ``arc_table``), one per
+    run length; its ``content_key``; the ``model.achievable_totals`` of each
+    run length (``_totals``); and the verdict on each count-group claim
+    (``count_claim_error``).
     """
 
-    __slots__ = ("dfa", "costs", "resource_bounds", "_tables")
+    __slots__ = ("dfa", "costs", "resource_bounds", "_tables", "_key",
+                 "_totals", "_claims")
 
     def __init__(self, dfa, costs=None, resource_bounds=()):
         resource_bounds = tuple((int(lo), int(hi)) for lo, hi in resource_bounds)
@@ -278,6 +298,9 @@ class WeightedDfa:
         self.costs = costs
         self.resource_bounds = resource_bounds
         self._tables = {}
+        self._key = None
+        self._totals = {}
+        self._claims = {}
 
     @classmethod
     def plain(cls, dfa):
@@ -305,6 +328,50 @@ class WeightedDfa:
         return all(
             lo <= t <= hi for t, (lo, hi) in zip(totals, self.resource_bounds)
         )
+
+    def content_key(self):
+        """A hashable key equal for two automata exactly when they have the
+        same alphabet order, rows, start, accepting states, base and
+        positional costs and resource bounds.  Computed once and kept."""
+        key = self._key
+        if key is None:
+            d, c = self.dfa, self.costs
+            key = self._key = (
+                d.alphabet, tuple(d._rows), d.start, tuple(sorted(d.accepting)),
+                tuple(sorted(c.base.items())),
+                tuple(sorted((qv, tuple(sorted(per.items())))
+                             for qv, per in c.positional.items())),
+                self.resource_bounds,
+            )
+        return key
+
+    def count_claim_error(self, r, group):
+        """None if resource r counts the symbols of ``group``, else one
+        transition that breaks the claim, as text.  The claim holds when
+        every transition leaving a state on some accepting run costs 1 on r
+        if it reads a symbol of the group and 0 otherwise, and no positional
+        entry of such a transition costs anything on r.  The verdict is kept
+        per (r, group)."""
+        group = frozenset(group)
+        if (r, group) in self._claims:
+            return self._claims[r, group]
+        d, costs = self.dfa, self.costs
+        seen = set(reachable(d.start, d._rows.__getitem__)[0])
+
+        def faults():
+            for q in sorted(seen & d._live_states()):
+                for v in d.alphabet:
+                    vec = costs.base.get((q, v))
+                    c, want = vec[r] if vec else 0, int(v in group)
+                    if c != want:
+                        yield f"transition ({q}, {v}) costs {c} on it, not {want}"
+                    per = costs.positional.get((q, v), {})
+                    for i in sorted(i for i in per if per[i][r]):
+                        yield (f"transition ({q}, {v}) costs {per[i][r]} more "
+                               f"on it at position {i}")
+
+        error = self._claims[r, group] = next(faults(), None)
+        return error
 
     def arc_table(self, n):
         """Compiled arcs of the runs of length n, cached on the automaton.
@@ -372,7 +439,29 @@ class WeightedDfa:
         its layered graph of accepting runs is the full product's.  With
         ``max_states`` the build stops with ProductTooLarge as soon as the
         product needs more states.
+
+        Products are shared.  The result is kept in one process-wide table
+        under n and both operands' ``content_key``, and a later call with
+        content-equal operands returns the same object, arc tables and all;
+        the table keeps the ``PRODUCT_CAP`` most recently used.  On such a
+        hit, a ``max_states`` below the product's state count raises
+        ProductTooLarge as the build would.  A build that raises is not kept.
         """
+        key = (n, self.content_key(), other.content_key())
+        out = _PRODUCTS.get(key)
+        if out is None:
+            out = self._build_product(other, n, max_states)
+            if len(_PRODUCTS) >= PRODUCT_CAP:
+                _PRODUCTS.popitem(last=False)
+            _PRODUCTS[key] = out
+        else:
+            _PRODUCTS.move_to_end(key)
+            if max_states is not None and out.dfa.n_states > max_states:
+                raise ProductTooLarge(f"automaton needs more than {max_states} states")
+        return out
+
+    def _build_product(self, other, n, max_states=None):
+        """``product`` built afresh, bypassing the shared table."""
         a, b = self.dfa, other.dfa
         if set(a.alphabet) != set(b.alphabet):
             raise AutomatonError("product operands must share the alphabet")
@@ -735,9 +824,14 @@ def build_stretch_count(vhat, alphabet, max_count=None):
 
     Cost 1 is paid on each transition that enters a run; every word is
     accepted, so the single resource totals the number of maximal stretches.
+    Shared: one automaton per (vhat, alphabet, max_count), of the
+    ``SHARED_CAP`` most recently used.
     """
-    alphabet = tuple(alphabet)
-    vhat = frozenset(vhat)
+    return _stretch_count(frozenset(vhat), tuple(alphabet), max_count)
+
+
+@lru_cache(maxsize=SHARED_CAP)
+def _stretch_count(vhat, alphabet, max_count):
     dfa = _in_stretch_dfa(vhat, alphabet)
     base = {(0, 0, v): 1 for v in alphabet if v in vhat}
     if max_count is None:
@@ -796,10 +890,16 @@ def build_sliding_word_counter(pattern, n, alphabet, with_total=False):
     (j = 0..n-len(pattern)); with ``with_total`` a final extra resource sums
     all the flags.  The state is the last len(pattern)-1 symbols read (padded
     with the first alphabet symbol before the word starts; padding can never
-    produce a flag because costs are position gated).
+    produce a flag because costs are position gated).  Shared: one
+    automaton per (pattern, n, alphabet, with_total), of the ``SHARED_CAP``
+    most recently used.
     """
-    alphabet = tuple(alphabet)
-    pattern = [frozenset(p) for p in pattern]
+    return _sliding_word_counter(tuple(frozenset(p) for p in pattern), n,
+                                 tuple(alphabet), with_total)
+
+
+@lru_cache(maxsize=SHARED_CAP)
+def _sliding_word_counter(pattern, n, alphabet, with_total):
     m = len(pattern)
     if m < 1 or m > n:
         raise AutomatonError("pattern length must be between 1 and the word length")
@@ -840,9 +940,14 @@ def build_stretch_length_bounds(vhat, alphabet, n):
     shortest finished run, n+1 for none; longest run).  A transition costs
     the change in (min, max), where min counts the current run too, and the
     transitions out of the start pay the full values.  Every state accepts.
+    Shared: one automaton per (vhat, alphabet, n), of the ``SHARED_CAP``
+    most recently used.
     """
-    alphabet = tuple(alphabet)
-    vhat = frozenset(vhat)
+    return _stretch_length_bounds(frozenset(vhat), tuple(alphabet), n)
+
+
+@lru_cache(maxsize=SHARED_CAP)
+def _stretch_length_bounds(vhat, alphabet, n):
     _check_stretch_set(vhat, alphabet)
 
     def successors(key):

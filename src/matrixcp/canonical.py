@@ -52,6 +52,7 @@ from .model import (
     StretchCountProp,
     StretchLengthProp,
     WordProp,
+    check_count_group,
     check_property,
 )
 from .roster import (
@@ -273,11 +274,15 @@ def parse_model(text):
     col_sums = [None] * K
     for no, k, b in sums:
         col_sums[in_range(no, "column", k, K)] = b
-    rule_count_groups = [
-        (frozenset(to_idx(no, e) for e in ext),
-         in_range(no, "rule resource", r, rule.n_resources))
-        for no, r, ext in groups
-    ]
+    rule_count_groups = []
+    for no, r, ext in groups:
+        group = frozenset(to_idx(no, e) for e in ext)
+        r = in_range(no, "rule resource", r, rule.n_resources)
+        try:
+            check_count_group(rule, group, r)
+        except ValueError as exc:
+            raise FormatError(f"line {no}: {exc}") from exc
+        rule_count_groups.append((group, r))
 
     def parse_set(no, tok):
         return frozenset(to_idx(no, int(x)) for x in tok.split(","))

@@ -105,6 +105,17 @@ def check_property(prop, n_values):
     raise ValueError(f"{prop}: {problem}")
 
 
+def check_count_group(rule, group, r):
+    """Raise a ValueError naming the resource, the group and one offending
+    transition unless resource r of the row rule counts the value indices
+    of ``group`` (see ``WeightedDfa.count_claim_error``).  The wa/cwa count
+    conditions trust the claim, so a false one would prune solutions."""
+    error = rule.count_claim_error(r, group)
+    if error is not None:
+        raise ValueError(f"rule resource {r} does not count value indices "
+                         f"{sorted(group)}: {error}")
+
+
 def default_properties(n_values):
     """Singleton words, repeated pairs, stretch counts and lengths per value."""
     props = []
@@ -124,7 +135,8 @@ class MatrixModel:
     of external cell values of column k.  cell_domains optionally restricts
     each cell to a subset of value indices.  rule_count_groups declares that a
     row-rule resource totals the occurrences of a value group, enabling the
-    aggregate count conditions.
+    aggregate count conditions; a claim the rule's costs do not bear out is
+    rejected (``check_count_group``).
     """
 
     def __init__(
@@ -181,6 +193,8 @@ class MatrixModel:
         if not all(map(frozenset(range(nv)).issuperset, used)):
             raise ValueError(f"a cell domain, col_gcc entry or count group "
                              f"holds a value index outside 0..{nv - 1}")
+        for g, r in self.rule_count_groups:
+            check_count_group(self.row_rule, g, r)
         self.lex_rows = lex_rows
         self.name = name
 
@@ -200,7 +214,16 @@ class MatrixModel:
 
 def achievable_totals(wdfa, n):
     """Per-resource (lo, hi) of totals over accepted length-n words,
-    intersected with the declared resource bounds; None when infeasible."""
+    intersected with the declared resource bounds; None when infeasible.
+    Computed once per run length and kept on the automaton, so a shared
+    rule or measuring automaton pays for it once per process."""
+    if n not in wdfa._totals:
+        wdfa._totals[n] = _achievable_totals(wdfa, n)
+    out = wdfa._totals[n]
+    return None if out is None else list(out)
+
+
+def _achievable_totals(wdfa, n):
     nres = wdfa.n_resources
     table = wdfa.arc_table(n)
     last = sweep_forward(table, wdfa.dfa.start)[1][n]
@@ -217,7 +240,7 @@ def achievable_totals(wdfa, n):
         if lo > hi:
             return None
         out.append((lo, hi))
-    return out
+    return tuple(out)
 
 
 class Built:

@@ -1,8 +1,10 @@
 import random
+from collections import OrderedDict
 from itertools import product
 
 import pytest
 
+from matrixcp import automata
 from matrixcp.automata import (
     AutomatonError,
     CostMatrices,
@@ -361,6 +363,98 @@ class TestProduct:
             for m in range(n + 1):
                 for w in product(ABC, repeat=m):
                     assert cut.run_weighted(w) == full.run_weighted(w)
+
+
+class TestSharedProducts:
+    """Products are kept in one process-wide table keyed by content.  Each
+    test starts from an empty table, so none depends on test order."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(automata, "_PRODUCTS", OrderedDict())
+
+    @staticmethod
+    def operands(cost=2, accepting=(0,), bound=(0, 9)):
+        """Two fresh automata over ABC: a 2-state parity automaton with one
+        resource, and a counter of symbol 1."""
+        trans = {(q, v): q ^ (v == 2) for q in (0, 1) for v in ABC}
+        a = WeightedDfa(Dfa(2, ABC, trans, 0, accepting),
+                        CostMatrices(1, {(0, 0, 0): cost, (0, 1, 1): 1},
+                                     {(0, 1, 0, 2): 1}),
+                        [bound])
+        return a, build_gcc_weights(ABC, groups=[{1}], bounds=[(0, 3)])
+
+    @staticmethod
+    def same_automaton(p, q, n):
+        d, e = p.dfa, q.dfa
+        assert (d.alphabet, d._rows, d.start, d.accepting) == \
+            (e.alphabet, e._rows, e.start, e.accepting)
+        assert p.costs.base == q.costs.base
+        assert p.costs.positional == q.costs.positional
+        assert p.resource_bounds == q.resource_bounds
+        assert p.arc_table(n).layers == q.arc_table(n).layers
+        assert p.arc_table(n).packing.width == q.arc_table(n).packing.width
+
+    def test_content_equal_operands_share_one_product(self):
+        a, b = self.operands()
+        a2, b2 = self.operands()
+        assert a is not a2 and b is not b2
+        p = a.product(b, 5)
+        assert a2.product(b2, 5) is p
+        assert a.product(b, 6) is not p
+
+    @pytest.mark.parametrize("change", [
+        {"cost": 3}, {"accepting": (0, 1)}, {"bound": (0, 8)},
+    ], ids=["cost", "accepting", "bound"])
+    def test_changed_operand_gives_new_product(self, change):
+        a, b = self.operands()
+        c, _ = self.operands(**change)
+        p, q = a.product(b, 5), c.product(b, 5)
+        assert q is not p
+        self.same_automaton(q, c._build_product(b, 5), 5)
+
+    def test_shared_product_equals_a_fresh_build(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            a, b = random_positional(rng, n), random_positional(rng, n)
+            p = a.product(b, n)
+            assert a.product(b, n) is p
+            self.same_automaton(p, a._build_product(b, n), n)
+
+    def test_hit_below_the_state_count_raises(self):
+        a, b = self.operands()
+        p = a.product(b, 5)
+        assert a.product(b, 5, max_states=p.dfa.n_states) is p
+        with pytest.raises(ProductTooLarge):
+            a.product(b, 5, max_states=p.dfa.n_states - 1)
+
+    def test_capped_build_that_raised_is_rebuilt(self):
+        a, b = self.operands()
+        with pytest.raises(ProductTooLarge):
+            a.product(b, 5, max_states=1)
+        assert not automata._PRODUCTS
+        p = a.product(b, 5)
+        assert p.dfa.n_states > 1
+        self.same_automaton(p, a._build_product(b, 5), 5)
+
+    def test_least_recently_used_product_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(automata, "PRODUCT_CAP", 2)
+        a, b = self.operands()
+        p4, p5 = a.product(b, 4), a.product(b, 5)
+        assert a.product(b, 4) is p4  # now p5 is the least recently used
+        a.product(b, 6)
+        assert a.product(b, 4) is p4
+        assert a.product(b, 5) is not p5
+
+    def test_measuring_builders_share_per_argument_tuple(self):
+        assert build_stretch_count([1], range(3)) is build_stretch_count({1}, ABC)
+        assert (build_stretch_length_bounds({0}, ABC, 7)
+                is build_stretch_length_bounds(frozenset({0}), [0, 1, 2], 7))
+        assert (build_sliding_word_counter([{2}, {2}], 4, ABC, with_total=True)
+                is build_sliding_word_counter(({2}, {2}), 4, ABC, True))
+        assert (build_sliding_word_counter(({2}, {2}), 4, ABC)
+                is not build_sliding_word_counter(({2}, {2}), 4, ABC, True))
 
 
 class TestFilters:

@@ -125,6 +125,12 @@ class TestParseErrors:
         with pytest.raises(FormatError, match=f"line 3: {message}"):
             parse_model(text)
 
+    def test_false_count_group_names_its_line(self):
+        text = SAT_2X2.replace("ROW_DFA", "COUNTGROUP 0 1\nCOUNTGROUP 0 0\nROW_DFA")
+        with pytest.raises(FormatError, match=r"line 4: rule resource 0 does "
+                           r"not count value indices \[0\]: transition"):
+            parse_model(text)
+
     @pytest.mark.parametrize("line, fields", [
         ("DOMAIN 0 1", "row col value ..."),
         ("COL_GCC 0 1", "col value lo hi"),

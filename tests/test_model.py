@@ -37,7 +37,12 @@ from matrixcp.model import (
 )
 from matrixcp.oracle import brute_solutions, brute_solve, check_solution
 from matrixcp.propagators import GccColumn, Mcr, MemoFilter
-from matrixcp.roster import gen_toy_rosters, roster_model
+from matrixcp.roster import (
+    NspInstance,
+    default_toy_case,
+    gen_toy_rosters,
+    roster_model,
+)
 
 
 def permutation_model(n):
@@ -110,6 +115,37 @@ class TestMatrixModel:
         with pytest.raises(ValueError, match="at least one row"):
             MatrixModel(*shape, (0, 1), rule)
 
+    def test_false_count_group_rejected(self):
+        # Resource 0 counts value 1, so the claim that it counts value 0
+        # would let wa/cwa refute what decomp solves.
+        rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(0, 0)])
+        with pytest.raises(ValueError, match=r"rule resource 0 does not count "
+                           r"value indices \[0\]: transition \(0, 0\) costs 0"):
+            MatrixModel(2, 2, (0, 1), rule, rule_count_groups=[({0}, 0)])
+        m = MatrixModel(2, 2, (0, 1), rule, rule_count_groups=[({1}, 0)])
+        assert {solve(m, mode).status for mode in MODES} == {"sat"}
+
+    def test_positional_cost_on_counted_resource_rejected(self):
+        dfa = universal_dfa((0, 1))
+        costs = CostMatrices(1, {(0, 0, 1): 1}, {(0, 0, 1, 2): 1})
+        rule = WeightedDfa(dfa, costs, [(0, 9)])
+        with pytest.raises(ValueError, match=r"transition \(0, 1\) costs 1 "
+                           "more on it at position 2"):
+            MatrixModel(2, 3, (0, 1), rule, rule_count_groups=[({1}, 0)])
+
+    def test_count_group_judged_on_accepting_runs_only(self):
+        # State 1 is reached by reading 1 twice in a row and never accepts,
+        # so the cost 5 it pays on 0 lies on no accepting run.
+        trans = {(0, 0): 0, (0, 1): 2, (2, 0): 0, (2, 1): 1,
+                 (1, 0): 1, (1, 1): 1}
+        base = {(0, 0, 1): 1, (0, 2, 1): 1, (0, 1, 0): 5}
+        rule = WeightedDfa(Dfa(3, (0, 1), trans, 0, {0, 2}),
+                           CostMatrices(1, base), [(0, 9)])
+        MatrixModel(2, 3, (0, 1), rule, rule_count_groups=[({1}, 0)])
+        with pytest.raises(ValueError, match=r"transition \(0, 0\) costs 0 "
+                           "on it, not 1"):
+            MatrixModel(2, 3, (0, 1), rule, rule_count_groups=[({0}, 0)])
+
     def test_default_properties_cover_each_value(self):
         props = default_properties(2)
         # per value: two word shapes, stretch count, stretch length
@@ -128,6 +164,15 @@ class TestAchievableTotals:
     def test_infeasible_returns_none(self):
         wd = build_gcc_weights((0, 1), groups=[{1}], bounds=[(5, 9)])
         assert achievable_totals(wd, 3) is None
+
+
+    def test_totals_kept_on_the_automaton(self, monkeypatch):
+        wd = build_gcc_weights((0, 1), groups=[{1}], bounds=[(0, 2)])
+        first = achievable_totals(wd, 3)
+        monkeypatch.setattr(matrixcp.model, "_achievable_totals", None)
+        assert achievable_totals(wd, 3) == first == [(0, 2)]
+        achievable_totals(wd, 3).append("scratch")
+        assert achievable_totals(wd, 3) == [(0, 2)]
 
 
 class TestSolve:
@@ -440,6 +485,41 @@ class TestBuilt:
     def test_huge_cost_totals_solve(self):
         out = solve(self.big_cost_model(10**9), "decomp")
         assert out.status == "sat"
+
+
+# Two rosters of one case, pinned as the cwa build made them when each
+# build made its own products and measuring automata: coverage per day and
+# shift, status, search nodes, and the root domains of the cells row by row
+# (value indices, one group per cell).
+SHARED_CASE_ROSTERS = [
+    ([[5, 0, 0], [5, 0, 0], [5, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0],
+      [1, 0, 0]], "sat", 8, "0 0 0 12 012 012 012"),
+    ([[0, 4, 0], [0, 0, 0], [1, 1, 0], [2, 1, 0], [1, 1, 0], [1, 1, 0],
+      [1, 1, 0]], "sat", 17, "012 012 012 012 012 012 012"),
+]
+
+
+def test_rosters_of_one_case_share_crossed_automata():
+    rules = default_toy_case(3)
+    models = [roster_model(NspInstance(5, 7, 3, cover), rules)
+              for cover, *_ in SHARED_CASE_ROSTERS]
+    assert models[0].row_rule is models[1].row_rule
+    built = [build(m, "cwa") for m in models]
+    props = default_properties(3)
+    for prop in props:
+        mcrs = []
+        for b in built:
+            z = b.prop_z[prop][0][0]
+            (p,) = [p for p in b.store._watchers[z] if isinstance(p, Mcr)]
+            assert p.zs[:len(b.rule_z[0])] == b.rule_z[0]  # crossed
+            mcrs.append(p)
+        assert mcrs[0].wdfa is mcrs[1].wdfa
+    for m, (_, status, nodes, row) in zip(models, SHARED_CASE_ROSTERS):
+        out = solve(m, "cwa")
+        assert (out.status, out.stats.nodes) == (status, nodes)
+        doms = root_prune(m, "cwa")
+        assert [" ".join("".join(map(str, sorted(d))) for d in cells)
+                for cells in doms] == [row] * m.n_rows
 
 
 def fixpoint_models():
