@@ -264,12 +264,13 @@ class WeightedDfa:
     The automaton also owns what is derived from it on first use and freed
     with it: the compiled arc tables of its runs (see ``arc_table``), one per
     run length; its ``content_key``; the ``model.achievable_totals`` of each
-    run length (``_totals``); and the verdict on each count-group claim
-    (``count_claim_error``).
+    run length (``_totals``); the verdict on each count-group claim
+    (``count_claim_error``); and its projection on each resource list
+    (``with_resources``).
     """
 
     __slots__ = ("dfa", "costs", "resource_bounds", "_tables", "_key",
-                 "_totals", "_claims")
+                 "_totals", "_claims", "_projections")
 
     def __init__(self, dfa, costs=None, resource_bounds=()):
         resource_bounds = tuple((int(lo), int(hi)) for lo, hi in resource_bounds)
@@ -301,6 +302,7 @@ class WeightedDfa:
         self._key = None
         self._totals = {}
         self._claims = {}
+        self._projections = {}
 
     @classmethod
     def plain(cls, dfa):
@@ -512,8 +514,15 @@ class WeightedDfa:
         return WeightedDfa(dfa, costs, self.resource_bounds + other.resource_bounds)
 
     def with_resources(self, keep):
-        """Project onto the resources listed in ``keep`` (in that order)."""
-        keep = list(keep)
+        """Project onto the resources listed in ``keep`` (in that order).
+
+        The projection is kept per resource list, so every call with the
+        same list returns one automaton, whose arc tables and totals are
+        then compiled once.
+        """
+        keep = tuple(keep)
+        if keep in self._projections:
+            return self._projections[keep]
         picked = {}
 
         def pick(vec):
@@ -529,7 +538,9 @@ class WeightedDfa:
             for key, per in self.costs.positional.items()
         }
         costs = CostMatrices._from_vectors(len(keep), base, positional)
-        return WeightedDfa(self.dfa, costs, [self.resource_bounds[r] for r in keep])
+        out = self._projections[keep] = WeightedDfa(
+            self.dfa, costs, [self.resource_bounds[r] for r in keep])
+        return out
 
 
 class ProductTooLarge(AutomatonError):
@@ -675,7 +686,7 @@ def live_symbols(arcs, finals):
     return masks
 
 
-def sweep_forward(table, start, doms=None, arcs=None):
+def sweep_forward(table, start, doms=None, arcs=None, env=None, first=0):
     """The forward sweep of the layered graph: its arcs and their forward
     cost envelopes, in one pass.
 
@@ -687,6 +698,16 @@ def sweep_forward(table, start, doms=None, arcs=None):
     maps each state reached at layer i to the envelope of the paths from
     ``start`` to it, so its keys are the states reached there.
 
+    Given ``arcs``, the envelopes ``env`` of the sweep they came from and
+    the lowest layer ``first`` where the backward sweep cut an arc
+    (``sweep_backward``), it resumes there: it keeps ``arcs[:first]`` and
+    ``env[:first + 1]`` and sweeps the layers from ``first`` on.  That is
+    exact.  Below ``first`` the backward sweep dropped only arcs off every
+    accepting run, and a path to the source of a kept arc passes only
+    states on an accepting run, so it kept every such path: the source's
+    envelope is unchanged.  ``env[:first + 1]`` may still hold states that
+    are off every run; no kept arc leaves them, so no sweep reads them.
+
     An envelope packs the per-resource minimum and negated maximum path cost
     ``(min_0.., -max_0..)`` into one int with the table's ``packing``, each
     slot offset by its bias: ``start`` holds ``packing.seed``.  Adding a
@@ -697,10 +718,15 @@ def sweep_forward(table, start, doms=None, arcs=None):
     """
     packing = table.packing
     guard, shift = packing.guard, packing.width - 1
-    cur = {start: packing.seed}
-    env = [cur]
-    kept = []
-    for i, layer in enumerate(table.layers if arcs is None else arcs):
+    env = [{start: packing.seed}] if env is None else env[:first + 1]
+    cur = env[-1]
+    if arcs is None:
+        kept = []
+        layers = table.layers
+    else:
+        kept = arcs[:first]
+        layers = arcs[first:]
+    for i, layer in enumerate(layers, first):
         if arcs is not None:
             layer = [a for a in layer if a[0] in cur]
         elif doms is None:
@@ -738,12 +764,13 @@ def sweep_backward(arcs, env, finals, packing, ceiling=None):
     ceiling in some slot.  A cut arc still merges into its source's
     envelope, so every decision reads the envelopes of the graph as the
     sweep found it.  Replaces each ``arcs[i]`` by the arcs kept there and
-    returns the mask of their symbols per layer and whether an arc was cut.
+    returns the mask of their symbols per layer and the lowest layer where
+    an arc was cut, or None when none was.
     """
     guard, shift = packing.guard, packing.width - 1
     n = len(arcs)
     masks = [0] * n
-    cut = False
+    first = None
     cur = dict.fromkeys(finals, packing.seed)
     for i in range(n - 1, -1, -1):
         fwd = env[i]
@@ -758,7 +785,7 @@ def sweep_backward(arcs, env, finals, packing, ceiling=None):
             if cost is not None:
                 e += cost
             if ceiling is not None and (ceiling - fwd[q] - e) & guard != guard:
-                cut = True
+                first = i
             else:
                 kept.append(a)
                 mask |= 1 << v
@@ -770,7 +797,7 @@ def sweep_backward(arcs, env, finals, packing, ceiling=None):
         arcs[i] = kept
         masks[i] = mask
         cur = nxt
-    return masks, cut
+    return masks, first
 
 
 def universal_dfa(alphabet):

@@ -3,8 +3,8 @@
 Value variables hold small non-negative integers as an int bitmask (bit v set
 iff v is in the domain); interval variables hold a ``range`` and are reasoned
 on by their bounds.  Propagators subscribe to variables and are woken on any
-domain change; a two-priority FIFO queue (cheap counting propagators first)
-runs them to a fixpoint.  Changes are trailed so search can backtrack without
+domain change; three FIFO tiers, cheapest first (see ``Propagator``), run
+them to a fixpoint.  Changes are trailed so search can backtrack without
 copying the store.  The store also owns a memo of pure propagator filter
 results that lives as long as the store, capped at ``MEMO_CAP`` entries (see
 ``Store.memo``).
@@ -67,7 +67,12 @@ class Domain:
 
 
 class Store:
-    """Variable store with trailing and two-priority propagation queues.
+    """Variable store with trailing and three FIFO propagation tiers.
+
+    ``propagate`` always runs the oldest propagator of the lowest non-empty
+    tier (``Propagator.priority``), so a propagator of a later tier runs
+    only once every earlier tier is quiet.  A fixpoint does not depend on
+    the order of the runs, so the tiers move only how many runs it takes.
 
     ``memo`` maps the full input of a pure propagator filter to its result
     (see ``memoised``), so a propagator that sees an input again anywhere in
@@ -85,7 +90,7 @@ class Store:
         self._watchers: list[list] = []
         self._trail: list[tuple[int, int | range]] = []
         self._marks: list[int] = []
-        self._queue = [deque(), deque()]
+        self._tiers = (deque(), deque(), deque())
         self._queued = set()
         self._running = None
         self.propagation_count = 0
@@ -255,7 +260,7 @@ class Store:
         if prop in self._queued:
             return
         self._queued.add(prop)
-        self._queue[prop.priority].append(prop)
+        self._tiers[prop.priority].append(prop)
 
     def register(self, prop):
         """Subscribe a propagator to its variables and schedule its first run."""
@@ -266,15 +271,16 @@ class Store:
     def propagate(self):
         """Run queued propagators to a fixpoint.
 
-        Returns "stable" or "failed"; on failure pending queue entries are
-        dropped (the search undoes the trail anyway).
+        Returns "stable" or "failed"; on failure every tier is emptied
+        (the search undoes the trail anyway).
         """
+        tiers = self._tiers
         try:
             while True:
-                if self._queue[0]:
-                    prop = self._queue[0].popleft()
-                elif self._queue[1]:
-                    prop = self._queue[1].popleft()
+                for tier in tiers:
+                    if tier:
+                        prop = tier.popleft()
+                        break
                 else:
                     return "stable"
                 self._queued.discard(prop)
@@ -285,8 +291,8 @@ class Store:
                 finally:
                     self._running = None
         except Inconsistent:
-            self._queue[0].clear()
-            self._queue[1].clear()
+            for tier in tiers:
+                tier.clear()
             self._queued.clear()
             return "failed"
 
@@ -294,7 +300,15 @@ class Store:
 class Propagator:
     """Base class: subclasses implement variables(), and either run(store)
     or one pass ``_pass(store)`` that returns whether it changed a domain,
-    which run repeats to the propagator's local fixpoint."""
+    which run repeats to the propagator's local fixpoint.
+
+    ``priority`` is the class's queue tier, cheap and decisive work first:
+    0 for the counting decomposition (``GccColumn``, ``SumColumn``,
+    ``LexLe``, ``model.CountGroupEq``), 1 for the row filters (``Mcr``, the default), 2 for the
+    interval relations that link the property layer to the column counts
+    (``Relation``, ``StretchLengthWindows``), which read the bounds the
+    row filters leave and seldom prune, so they run once those are quiet.
+    """
 
     priority = 1
 

@@ -309,6 +309,14 @@ def build(model, mode="decomp", aggregate_words=False, cross_cap=20000):
     return b
 
 
+class CountGroupEq(Relation):
+    """A ``rule_count_groups`` equality: column counts against the rule's
+    resource totals.  It belongs to the decomposition layer, so it runs in
+    that layer's tier, before the row filters."""
+
+    priority = 0
+
+
 def _build_inner(b, model, mode, aggregate_words, cross_cap):
     store = b.store
     R, K, V = model.n_rows, model.n_cols, model.n_values
@@ -359,7 +367,7 @@ def _build_inner(b, model, mode, aggregate_words, cross_cap):
             [VarE(b.cards[k][v]) for k in range(K) for v in group]
         )
         row_total = SumE([VarE(b.rule_z[i][rj]) for i in range(R)])
-        store.register(Relation("eq", col_total, row_total))
+        store.register(CountGroupEq("eq", col_total, row_total))
     if store.propagate() == "failed":
         raise Inconsistent("the decomposition layer has no solution")
 

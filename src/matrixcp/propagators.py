@@ -108,7 +108,8 @@ class Mcr(MemoFilter):
     the accepting states reached.  The backward sweep
     (``automata.sweep_backward``) drops the arcs off every accepting run and
     cuts those whose per-resource through-cost interval misses the bounds;
-    a round that cuts an arc is followed by another.  Each row variable
+    a round that cuts an arc is followed by another, whose forward sweep
+    resumes at the lowest layer with a cut arc.  Each row variable
     keeps the symbols of the arcs the last backward sweep kept, ORed into
     one mask.  With zero resources one forward arc pass and one backward
     pass (``layered_arcs``, ``live_symbols``) give exact domain consistency
@@ -189,10 +190,11 @@ class Mcr(MemoFilter):
             ceiling = None
             if lo != mins or hi != maxs:
                 ceiling = packing.ceiling(hi + [-x for x in lo])
-            masks, cut = sweep_backward(arcs, env, finals, packing, ceiling)
-            if not cut:
+            masks, first = sweep_backward(arcs, env, finals, packing, ceiling)
+            if first is None:
                 break
-            arcs, env = sweep_forward(table, d.start, arcs=arcs)
+            arcs, env = sweep_forward(table, d.start, arcs=arcs, env=env,
+                                      first=first)
         changes += [(i, m) for i, m in enumerate(masks) if m != cells[i]]
         return changes, False
 
@@ -582,10 +584,12 @@ class Relation(Propagator):
 
     ``left - right`` is compiled once into a program (``Program``), and
     each pass sweeps its bounds bottom-up, then requires the root to be at
-    most 0 (exactly 0 for ``eq``) top-down (``require``).
+    most 0 (exactly 0 for ``eq``) top-down (``require``).  Relations link
+    the property layer's measured totals to the column counts, so they run
+    in the last tier (see ``Propagator``).
     """
 
-    priority = 0
+    priority = 2
 
     def __init__(self, op, left, right):
         if op not in ("le", "eq"):
@@ -735,10 +739,11 @@ class StretchLengthWindows(Propagator):
     zmin/zmax are shared stretch-length extremes over all rows.  The windows
     are instantiated at the weakest sound point of the current zmin/zmax box
     (zmin at its lower bound, zmax at its upper bound) and re-derived whenever
-    that point moves, so they tighten as the length bounds tighten.
+    that point moves, so they tighten as the length bounds tighten.  A
+    property link, so it runs in the last tier (see ``Propagator``).
     """
 
-    priority = 0
+    priority = 2
 
     def __init__(self, cards, zmin, zmax, n_rows):
         self.cards = list(cards)

@@ -457,6 +457,44 @@ class TestSharedProducts:
                 is not build_sliding_word_counter(({2}, {2}), 4, ABC, True))
 
 
+class TestSweeps:
+    def test_resumed_forward_sweep_equals_a_full_one(self):
+        """After a cutting backward sweep, a forward sweep resumed at the
+        first cut layer keeps the arcs a full sweep keeps, with the same
+        envelopes at their sources and at the last layer."""
+        rng = random.Random(5150)
+        resumed = 0
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            wdfa = random_positional(rng, n)
+            nres = wdfa.n_resources
+            table = wdfa.arc_table(n)
+            packing = table.packing
+            doms = [rng.randint(1, 7) for _ in range(n)]
+            arcs, env = sweep_forward(table, wdfa.dfa.start, doms)
+            finals = env[n].keys() & wdfa.dfa.accepting
+            if not finals:
+                continue
+            tight = packing.unpack(packing.least(env[n][q] for q in finals))
+            lo = [rng.randint(m, -x) for m, x in zip(tight[:nres], tight[nres:])]
+            hi = [rng.randint(a, -x) for a, x in zip(lo, tight[nres:])]
+            ceiling = packing.ceiling(hi + [-x for x in lo])
+            _, first = sweep_backward(arcs, env, finals, packing, ceiling)
+            if first is None:
+                continue
+            resumed += 1
+            full_arcs, full_env = sweep_forward(
+                table, wdfa.dfa.start, arcs=[list(layer) for layer in arcs])
+            got_arcs, got_env = sweep_forward(table, wdfa.dfa.start, arcs=arcs,
+                                              env=env, first=first)
+            assert got_arcs == full_arcs
+            assert got_env[first + 1:] == full_env[first + 1:]
+            for i, layer in enumerate(full_arcs):
+                for q, *_ in layer:
+                    assert got_env[i][q] == full_env[i][q]
+        assert resumed > 50
+
+
 class TestFilters:
     def test_stretch_length_dfa_table(self):
         d = stretch_length_dfa({1}, ABC, 2, 3)

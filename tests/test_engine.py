@@ -195,6 +195,67 @@ class TestPropagation:
         assert p.runs == runs  # nothing changed, queue stays empty
 
 
+class Logged(Propagator):
+    """Logs its runs; removes ``value`` from its variable, or fails, when
+    asked to."""
+
+    def __init__(self, vid, tier, log, value=None, fail=False):
+        self.vid = vid
+        self.priority = tier
+        self.log = log
+        self.value = value
+        self.fail = fail
+
+    def variables(self):
+        return (self.vid,)
+
+    def run(self, store):
+        self.log.append(self)
+        if self.fail:
+            raise Inconsistent("planted")
+        if self.value is not None:
+            store.remove_value(self.vid, self.value)
+
+
+class TestTiers:
+    def test_lowest_tier_first_fifo_within_a_tier(self):
+        st = Store()
+        x = st.new_var({0, 1, 2})
+        log = []
+        props = [Logged(x, tier, log) for tier in (2, 1, 0, 2, 0, 1)]
+        for p in props:
+            st.register(p)
+        assert st.propagate() == "stable"
+        assert log == [props[i] for i in (2, 4, 1, 5, 0, 3)]
+
+    def test_a_woken_lower_tier_runs_before_the_queued_later_one(self):
+        st = Store()
+        x = st.new_var({0, 1, 2})
+        log = []
+        first = Logged(x, 2, log, value=1)
+        later = Logged(x, 2, log)
+        cheap = Logged(x, 0, log)
+        st.watch(x, cheap)  # woken by first's removal, not queued before
+        st.register(first)
+        st.register(later)
+        assert st.propagate() == "stable"
+        assert log == [first, cheap, later]
+
+    def test_failure_empties_every_tier(self):
+        st = Store()
+        x = st.new_var({0, 1})
+        log = []
+        props = [Logged(x, 0, log, fail=True)] + [Logged(x, t, log)
+                                                   for t in (0, 1, 2)]
+        for p in props:
+            st.register(p)
+        assert st.propagate() == "failed"
+        assert log == props[:1]
+        assert not any(st._tiers) and not st._queued
+        assert st.propagate() == "stable"
+        assert log == props[:1]
+
+
 class TestSearch:
     def build_alldiff(self, n):
         st = Store()

@@ -522,6 +522,28 @@ def test_rosters_of_one_case_share_crossed_automata():
                 for cells in doms] == [row] * m.n_rows
 
 
+def test_aggregate_word_builds_share_the_projection():
+    """Two ``wa`` builds with ``aggregate_words`` post one projected word
+    automaton; status and nodes are pinned from before the projection was
+    kept (8 and 18)."""
+    rules = default_toy_case(3)
+    words = [p for p in default_properties(3) if isinstance(p, WordProp)]
+    assert words
+    for (cover, *_), nodes in zip(SHARED_CASE_ROSTERS, (8, 18)):
+        m = roster_model(NspInstance(5, 7, 3, cover), rules)
+        built = [build(m, "wa", aggregate_words=True) for _ in range(2)]
+        for prop in words:
+            posted = []
+            for b in built:
+                z = b.prop_z[prop][0][0]
+                (p,) = [p for p in b.store._watchers[z] if isinstance(p, Mcr)]
+                posted.append(p.wdfa)
+            assert posted[0] is posted[1]
+            assert posted[0].n_resources == 1
+        out = solve(m, "wa", aggregate_words=True)
+        assert (out.status, out.stats.nodes) == ("sat", nodes)
+
+
 def fixpoint_models():
     """The 200 criterion-4 fuzz models plus six toy rosters."""
     models = [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),

@@ -1,9 +1,11 @@
 """The staged build of ``wa`` and ``cwa``: ``build`` propagates the
-decomposition layer before it posts the property layer.
+decomposition layer before it posts the property layer; and the queue tiers
+(``Propagator.priority``), which order the layers at every propagation.
 
-The reference order is built here only: ``build`` with ``Store.propagate``
+The reference orders are built here only: ``build`` with ``Store.propagate``
 stubbed out posts every propagator before any of them runs, as an unstaged
-build would, and the root propagation then runs them all together.
+build would, and the root propagation then runs them all together; with
+every class's ``priority`` patched to 0 the store runs one FIFO queue.
 """
 
 import random
@@ -11,7 +13,7 @@ import random
 import pytest
 
 from matrixcp.automata import WeightedDfa
-from matrixcp.engine import Store, search
+from matrixcp.engine import Propagator, Store, search
 from matrixcp.generators import gen_random
 from matrixcp.model import build, root_prune, solve
 from matrixcp.roster import gen_toy_rosters, roster_model
@@ -31,17 +33,23 @@ def toy_models():
             for inst, rules in gen_toy_rosters(4242, 25)]
 
 
-def unstaged(model, mode, monkeypatch):
-    """Root grid (None when refuted) and (status, nodes, backtracks) of a
-    build that posts every propagator before it runs any."""
-    with monkeypatch.context() as m:
-        m.setattr(Store, "propagate", lambda store: "stable")
-        b = build(model, mode)
+def root_and_search(b):
+    """Root grid (None when refuted) and (status, nodes, backtracks) of the
+    built model ``b``."""
     if b.root_infeasible or b.store.propagate() == "failed":
         return None, ("unsat", 0, 0)
     grid = b.cell_domains_snapshot()
     res = search(b.store, b.branch_vars)
     return grid, (res.status, res.stats.nodes, res.stats.backtracks)
+
+
+def unstaged(model, mode, monkeypatch):
+    """``root_and_search`` of a build that posts every propagator before it
+    runs any."""
+    with monkeypatch.context() as m:
+        m.setattr(Store, "propagate", lambda store: "stable")
+        b = build(model, mode)
+    return root_and_search(b)
 
 
 @pytest.mark.parametrize("mode", ["wa", "cwa"])
@@ -77,3 +85,29 @@ def test_overload_roster_is_refuted_inside_build(mode, monkeypatch):
     assert out.status == "unsat"
     assert out.stats.root_failure
     assert out.stats.propagations > 0
+
+
+def single_fifo(monkeypatch):
+    """Put every propagator class in tier 0, so the store runs one FIFO."""
+    classes = [Propagator]
+    for cls in classes:  # grows while it is walked
+        classes += cls.__subclasses__()
+        if "priority" in vars(cls):
+            monkeypatch.setattr(cls, "priority", 0)
+
+
+def roster_pools():
+    """The 50 criterion-7 rosters (gen seed 4242; the first 25 are the
+    toy-cwa pool) and the 25 held-out ones (gen seed 1201)."""
+    return [roster_model(inst, rules)
+            for seed, count in ((4242, 50), (1201, 25))
+            for inst, rules in gen_toy_rosters(seed, count)]
+
+
+@pytest.mark.parametrize("mode", ["decomp", "wa", "cwa"])
+def test_tiers_move_no_root_domain_and_no_search(mode, monkeypatch):
+    models = fuzz_models() + (roster_pools() if mode != "decomp" else [])
+    tiered = [root_and_search(build(model, mode)) for model in models]
+    single_fifo(monkeypatch)
+    for model, want in zip(models, tiered):
+        assert root_and_search(build(model, mode)) == want, f"{model.name} {mode}"
