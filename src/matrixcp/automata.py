@@ -266,11 +266,14 @@ class WeightedDfa:
     run length; its ``content_key``; the ``model.achievable_totals`` of each
     run length (``_totals``); the verdict on each count-group claim
     (``count_claim_error``); and its projection on each resource list
-    (``with_resources``).
+    (``with_resources``).  Its ``memo_token``, a plain object made with it,
+    stands for it in the keys of the process's filter memo
+    (``engine.MEMO``), so the memo never keeps the automaton alive, and an
+    automaton built again, equal in content or not, gets a new token.
     """
 
-    __slots__ = ("dfa", "costs", "resource_bounds", "_tables", "_key",
-                 "_totals", "_claims", "_projections")
+    __slots__ = ("dfa", "costs", "resource_bounds", "memo_token", "_tables",
+                 "_key", "_totals", "_claims", "_projections", "__weakref__")
 
     def __init__(self, dfa, costs=None, resource_bounds=()):
         resource_bounds = tuple((int(lo), int(hi)) for lo, hi in resource_bounds)
@@ -298,6 +301,7 @@ class WeightedDfa:
         self.dfa = dfa
         self.costs = costs
         self.resource_bounds = resource_bounds
+        self.memo_token = object()
         self._tables = {}
         self._key = None
         self._totals = {}

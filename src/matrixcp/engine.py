@@ -5,9 +5,15 @@ iff v is in the domain); interval variables hold a ``range`` and are reasoned
 on by their bounds.  Propagators subscribe to variables and are woken on any
 domain change; three FIFO tiers, cheapest first (see ``Propagator``), run
 them to a fixpoint.  Changes are trailed so search can backtrack without
-copying the store.  The store also owns a memo of pure propagator filter
-results that lives as long as the store, capped at ``MEMO_CAP`` entries (see
-``Store.memo``).
+copying the store.
+
+Pure propagator filter results are kept in one memo per process (``MEMO``,
+see ``memoised``), which every store uses.  A result depends on its input
+only, never on the store, so the memo serves every search node of a solve,
+every re-solve of a model (``root_prune`` then ``solve``) and every model
+built from the same automata (the rosters of one rule set).  It holds at
+most ``MEMO_CAP`` entries.  The library is single-threaded: nothing guards
+the memo against concurrent use.
 """
 
 from __future__ import annotations
@@ -15,8 +21,59 @@ from __future__ import annotations
 import time
 from collections import OrderedDict, deque
 
-# Most filter results a store keeps; the oldest is evicted first.
+# Most entries the filter memo and its token table each keep; the oldest is
+# evicted first.
 MEMO_CAP = 1 << 14
+
+# The process's filter memo, key -> (changes, failed), and the tokens of the
+# hashable memo kinds (see ``memo_token``).
+MEMO: OrderedDict = OrderedDict()
+TOKENS: OrderedDict = OrderedDict()
+
+# The one entry every filter result that changes nothing and holds shares.
+NO_CHANGE = ((), False)
+
+
+def memo_token(kind):
+    """The token that stands for the hashable ``kind`` in memo keys: one
+    plain object per distinct kind in ``TOKENS``, equal kinds sharing it.
+    It hashes and compares by identity, so a lookup never hashes a nested
+    kind.  ``TOKENS`` keeps at most ``MEMO_CAP`` kinds, evicting the oldest
+    first; a kind interned again after its eviction gets a new token, which
+    loses the entries made under the old one but never confuses two kinds.
+    """
+    token = TOKENS.get(kind)
+    if token is None:
+        if len(TOKENS) >= MEMO_CAP:
+            TOKENS.popitem(last=False)
+        token = TOKENS[kind] = object()
+    return token
+
+
+def memoised(key, filter, *args):
+    """``filter(*args)``, looked up under ``key`` in ``MEMO`` first.
+
+    ``key`` must determine the result, in every store.  A new result
+    ``(changes, failed)`` is kept as ``(tuple(changes), failed)``, or as
+    ``NO_CHANGE`` when it changes nothing and holds, and inserted after
+    evicting the oldest entry if the memo holds ``MEMO_CAP`` already (an
+    ``OrderedDict``, since finding a plain dict's first key scans the slots
+    its earlier deletions left).
+    """
+    result = MEMO.get(key)
+    if result is None:
+        changes, failed = filter(*args)
+        result = (tuple(changes), failed) if changes or failed else NO_CHANGE
+        if len(MEMO) >= MEMO_CAP:
+            MEMO.popitem(last=False)
+        MEMO[key] = result
+    return result
+
+
+def clear_memo():
+    """Empty the filter memo and its token table."""
+    MEMO.clear()
+    TOKENS.clear()
 
 
 class Inconsistent(Exception):
@@ -74,19 +131,16 @@ class Store:
     only once every earlier tier is quiet.  A fixpoint does not depend on
     the order of the runs, so the tiers move only how many runs it takes.
 
-    ``memo`` maps the full input of a pure propagator filter to its result
-    (see ``memoised``), so a propagator that sees an input again anywhere in
-    the search, in this subtree or another one, commits the result instead of
-    filtering again.  A result depends on its input only, so it stays valid
-    after backtracking: ``undo`` leaves the memo alone, and the memo is
-    bounded by ``MEMO_CAP`` entries instead, evicting the oldest first.
+    The store keeps no filter results: they live in the process memo
+    (``MEMO``), which ``undo`` leaves alone.  A result depends on its input
+    only, so it stays valid after backtracking and in every other store, and
+    a propagator that sees an input again, in another subtree, another solve
+    or another model, commits the result instead of filtering again.
     """
 
     def __init__(self):
         self.domains: list[Domain] = []
         self.names: list[str] = []
-        self.memo: OrderedDict = OrderedDict()
-        self.memo_tokens: dict = {}
         self._watchers: list[list] = []
         self._trail: list[tuple[int, int | range]] = []
         self._marks: list[int] = []
@@ -225,34 +279,6 @@ class Store:
         for vid, bits in reversed(trail[back_to:]):
             domains[vid].bits = bits
         del trail[back_to:]
-
-    # -- filter memo ---------------------------------------------------------
-
-    def memo_token(self, kind):
-        """The token that stands for ``kind`` in this store's memo keys: one
-        plain object per distinct kind, equal kinds sharing it.  It hashes
-        and compares by identity, so a lookup never hashes a nested kind;
-        it lives in ``memo_tokens`` as long as the store and its memo."""
-        token = self.memo_tokens.get(kind)
-        if token is None:
-            token = self.memo_tokens[kind] = object()
-        return token
-
-    def memoised(self, key, filter, *args):
-        """``filter(*args)``, looked up under ``key`` in ``memo`` first.
-
-        ``key`` must determine the result.  A new result is inserted after
-        evicting the oldest entry if the memo holds ``MEMO_CAP`` already (an
-        ``OrderedDict``, since finding a plain dict's first key scans the
-        slots its earlier deletions left).
-        """
-        memo = self.memo
-        result = memo.get(key)
-        if result is None:
-            if len(memo) >= MEMO_CAP:
-                memo.popitem(last=False)
-            result = memo[key] = filter(*args)
-        return result
 
     # -- propagation ---------------------------------------------------------
 

@@ -16,7 +16,14 @@ from .automata import (
     sweep_backward,
     sweep_forward,
 )
-from .engine import Inconsistent, Propagator, mask_of
+from .engine import (
+    MEMO,
+    Inconsistent,
+    Propagator,
+    mask_of,
+    memo_token,
+    memoised,
+)
 
 
 def _ceil_div(a, b):
@@ -33,25 +40,33 @@ class MemoFilter(Propagator):
     cells first and then the interval variables, each domain the variable's
     new one (a mask for a cell, a ``range`` for an interval variable, empty
     where a crossing bound empties it); ``failed`` says that the constraint
-    has no solution once they are committed.  ``run`` looks the result up
-    under its input and ``kind`` in the store's memo (``Store.memoised``),
-    which outlives the search node that made it, and commits it on its own
-    variables.  So every propagator of the same ``kind`` and arity that sees
-    the same input anywhere in the search gets the result without filtering.
-    The key is the store's token for the kind (``Store.memo_token``, fetched
-    on the first run in a store), then the cell masks, then, if there are
-    interval variables, their lower and upper bounds.
+    has no solution once they are committed.  Besides its input, the result
+    depends on the propagator's memo kind only (an automaton, counted values,
+    bounds), never on the store.  So ``run`` looks it up in the process memo
+    (``engine.memoised``), which every store uses, and commits it on its own
+    variables: every propagator of the same kind and arity that sees the
+    same input, in any search node of any store, gets the result without
+    filtering.
+
+    The key is the kind's ``token``, fetched once when the propagator is
+    built (an automaton's ``memo_token``, or ``engine.memo_token`` of a
+    hashable kind), then the cell masks, then, if there are interval
+    variables, their lower and upper bounds.  A key tells the arities of one
+    kind apart by its length only if the kind fixes the number of interval
+    variables, so a subclass passes that number as ``n_bounds``, computed
+    from the kind alone, and a scope with another number is rejected.
     A variable may appear at one position only: two positions' domains would
     be computed apart, and the later commit would undo the earlier one.
     """
 
-    def __init__(self, xs, zs, kind):
+    def __init__(self, xs, zs, token, n_bounds):
         self.xs = list(xs)
         self.zs = list(zs)
-        self.kind = kind
+        self._token = token
         self._vars = self.xs + self.zs
-        # The memo_tokens of the store run in last, and our token there.
-        self._tokens = self._token = None
+        if len(self.zs) != n_bounds:
+            raise ValueError(f"{type(self).__name__}: {len(self.zs)} interval "
+                             f"variables, its kind fixes {n_bounds}")
         if len(set(self._vars)) < len(self._vars):
             vs = self._vars
             dup = next(v for i, v in enumerate(vs) if v in vs[:i])
@@ -62,9 +77,6 @@ class MemoFilter(Propagator):
         return self._vars
 
     def run(self, store):
-        if self._tokens is not store.memo_tokens:
-            self._tokens = store.memo_tokens
-            self._token = store.memo_token(self.kind)
         domains = store.domains
         cells = [domains[x].bits for x in self.xs]
         if self.zs:
@@ -78,9 +90,9 @@ class MemoFilter(Propagator):
         else:
             lo = hi = ()
             key = (self._token, *cells)
-        result = store.memo.get(key)
+        result = MEMO.get(key)
         if result is None:
-            result = store.memoised(key, self.filter, cells, lo, hi)
+            result = memoised(key, self.filter, cells, lo, hi)
         changes, failed = result
         vs = self._vars
         commit = store._commit
@@ -124,18 +136,20 @@ class Mcr(MemoFilter):
     borrows across no field and reads every slot's verdict from its guard
     bit.  Only the envelope merged over the final states is unpacked.
 
-    The filter is a pure function of the automaton (the memo ``kind``), the
-    cell domains and the resource bounds, so every row posted with the same
-    automaton shares the results in the store's memo (see ``MemoFilter``).
+    The filter is a pure function of the automaton (the memo kind, keyed by
+    its ``memo_token``), the cell domains and the resource bounds, so every
+    row posted with the same automaton shares the results in the process
+    memo (see ``MemoFilter``): the rows of one model, of a model solved again
+    and of every roster built from the same rule set, whose automata are
+    built once per process.  The automaton fixes the number of resource
+    variables, one per cost matrix.
     """
 
     priority = 1
 
     def __init__(self, xs, zs, wdfa):
-        super().__init__(xs, zs, wdfa)
+        super().__init__(xs, zs, wdfa.memo_token, wdfa.n_resources)
         self.wdfa = wdfa
-        if len(self.zs) != wdfa.n_resources:
-            raise ValueError("one resource variable per cost matrix required")
 
     def filter(self, cells, lo, hi):
         """Filter cell domains ``cells`` and resource bounds ``lo``/``hi``
@@ -233,7 +247,8 @@ class GccColumn(MemoFilter):
         bounds = tuple(c for c in cards if type(c) is tuple)
         if not bounds:
             self.bounds = None
-            super().__init__(xs, cards, self.values)
+            super().__init__(xs, cards, memo_token((GccColumn, self.values)),
+                             len(self.values))
             return
         if len(bounds) < len(cards):
             raise ValueError("cardinalities must be all variables or all "
@@ -241,7 +256,8 @@ class GccColumn(MemoFilter):
         if any(lo > hi for lo, hi in bounds):
             raise Inconsistent("a count bound admits no count")
         self.bounds = bounds
-        super().__init__(xs, [], (self.values, bounds))
+        super().__init__(xs, [], memo_token((GccColumn, self.values, bounds)),
+                         0)
 
     def filter(self, cells, lo, hi):
         """Count each value over ``cells`` against its bounds (the card
@@ -695,7 +711,8 @@ class SumColumn(MemoFilter):
         self.values = tuple(values)
         self.lo = lo
         self.hi = hi
-        super().__init__(xs, [], (self.values, lo, hi))
+        super().__init__(xs, [], memo_token((SumColumn, self.values, lo, hi)),
+                         0)
 
     def filter(self, cells, _lo, _hi):
         """Each pass keeps in every cell the values whose external value fits

@@ -109,7 +109,7 @@ class TestStore:
 
     def test_memo_keeps_at_most_cap_entries_oldest_out_first(self, monkeypatch):
         monkeypatch.setattr(engine, "MEMO_CAP", 3)
-        st = Store()
+        memo = engine.MEMO
         filtered = []
 
         def filter(k):
@@ -117,22 +117,30 @@ class TestStore:
             return [], k
 
         for k in range(6):
-            assert st.memoised(k, filter, k) == ([], k)
-            assert len(st.memo) <= 3
-        assert list(st.memo) == [3, 4, 5]
+            assert engine.memoised(k, filter, k) == ((), k)
+            assert len(memo) <= 3
+        assert list(memo) == [3, 4, 5]
         # A hit neither filters nor reorders.
-        assert st.memoised(4, filter, 4) == ([], 4)
-        assert filtered == [0, 1, 2, 3, 4, 5] and list(st.memo) == [3, 4, 5]
+        assert engine.memoised(4, filter, 4) == ((), 4)
+        assert filtered == [0, 1, 2, 3, 4, 5] and list(memo) == [3, 4, 5]
         # An evicted key is filtered again and evicts the oldest in turn.
-        st.memoised(0, filter, 0)
-        assert filtered[-1] == 0 and list(st.memo) == [4, 5, 0]
+        engine.memoised(0, filter, 0)
+        assert filtered[-1] == 0 and list(memo) == [4, 5, 0]
 
     def test_undo_keeps_memo(self):
         st = Store()
         st.mark()
-        st.memoised("k", lambda: ([], False))
+        engine.memoised("k", lambda: ([], False))
         st.undo()
-        assert list(st.memo) == ["k"]
+        assert list(engine.MEMO) == ["k"]
+
+    def test_memo_entries_are_compact(self):
+        # Changes are kept as a tuple, and every result that changes nothing
+        # and holds is the one shared NO_CHANGE entry.
+        assert engine.memoised("a", lambda: ([(0, 1)], False)) == (((0, 1),), False)
+        assert engine.memoised("b", lambda: ([], False)) is engine.NO_CHANGE
+        assert engine.memoised("c", lambda: ([], False)) is engine.NO_CHANGE
+        assert engine.memoised("d", lambda: ([], True)) == ((), True)
 
 
 class ForbidValue(Propagator):

@@ -6,7 +6,7 @@ import random
 from itertools import product
 
 from matrixcp.automata import CostMatrices, Dfa, WeightedDfa
-from matrixcp.engine import Store
+from matrixcp.engine import MEMO, Store, clear_memo
 from matrixcp.model import achievable_totals
 from matrixcp.propagators import GccColumn, Mcr
 
@@ -211,17 +211,19 @@ def test_achievable_totals_with_positional_costs():
 
 
 def warm_and_cold(wa, doms, zb):
-    """Propagate a row on a fresh store, then a second row with the same
-    input (new variables) on the same store, whose memo now holds the first
-    row's result.  Returns both outcomes, each the status and the domains
-    left (after a failure too), and the memo sizes after each propagation."""
+    """Propagate a row on a fresh store with an empty process memo, then a
+    second row with the same input (new variables) on the same store, the
+    memo now holding the first row's result.  Returns both outcomes, each
+    the status and the domains left (after a failure too), and the memo
+    sizes after each propagation."""
+    clear_memo()
     st = Store()
     cold_row = post_row(st, wa, doms, zb)
     cold = st.propagate(), snapshot(st, cold_row)
-    size = len(st.memo)
+    size = len(MEMO)
     warm_row = post_row(st, wa, doms, zb)
     warm = st.propagate(), snapshot(st, warm_row)
-    return cold, warm, size, len(st.memo)
+    return cold, warm, size, len(MEMO)
 
 
 def test_warm_memo_replays_cold_result():
@@ -255,7 +257,7 @@ def test_memo_replay_is_positional():
     xb = [st.new_var(dm) for dm in reversed(doms)][::-1]
     st.register(Mcr(xb, [zb], wa))
     assert st.propagate() == "stable"
-    assert len(st.memo) == 1
+    assert len(MEMO) == 1
     assert snapshot(st, a) == snapshot(st, (xb, [zb]))
     assert snapshot(st, a)[0] == ((0,), (1,), (1,), (1,))
 
@@ -287,7 +289,7 @@ def test_entry_from_another_subtree_replays_without_filtering(monkeypatch):
 
     first = subtree()
     assert set(filtered) == {Mcr, GccColumn}
-    size = len(st.memo)
+    size = len(MEMO)
     filtered.clear()
     assert subtree() == first
-    assert filtered == [] and len(st.memo) == size
+    assert filtered == [] and len(MEMO) == size

@@ -623,20 +623,22 @@ def test_memo_cap_changes_no_search(monkeypatch):
     every search count and the solution stay the same."""
     m = small_reductions()[3]
     full = solve(m, "decomp")
+    full_size = len(engine.MEMO)
+    engine.clear_memo()
     monkeypatch.setattr(engine, "MEMO_CAP", 2)
     capped = solve(m, "decomp")
     assert full.stats.nodes > 100
     assert capped.stats.as_dict() == full.stats.as_dict()
     assert capped.grid == full.grid
-    assert len(full.built.store.memo) > 2 >= len(capped.built.store.memo)
+    assert full_size > 2 >= len(engine.MEMO)
 
 
 def test_search_nodes_are_local_fixpoints(monkeypatch):
     """At every stable search node, running any propagator once more with a
     fresh memo changes nothing, and every solution passes
     ``check_solution``.  So the filter results that propagation replayed
-    from the store memo, which outlives the node that made them, were as
-    good as fresh ones."""
+    from the process memo, which outlives the node, the store and the solve
+    that made them, were as good as fresh ones."""
     posted = []
     where = ""
     undone = checking = False
@@ -653,7 +655,8 @@ def test_search_nodes_are_local_fixpoints(monkeypatch):
         status = propagate(store)
         if status == "stable":
             checking = True
-            memo, store.memo = store.memo, OrderedDict()
+            memo = OrderedDict(engine.MEMO)
+            engine.MEMO.clear()
             before = [d.values for d in store.domains]
             for prop in posted:
                 store.mark()
@@ -661,7 +664,8 @@ def test_search_nodes_are_local_fixpoints(monkeypatch):
                 assert [d.values for d in store.domains] == before, (
                     f"{where}: {type(prop).__name__} was not at its fixpoint")
                 store.undo()
-            store.memo = memo
+            engine.MEMO.clear()
+            engine.MEMO.update(memo)
             checking = False
             stable += 1
             reruns += len(posted)

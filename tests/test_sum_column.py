@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from matrixcp.engine import Store
+from matrixcp.engine import MEMO, Store
 from matrixcp.propagators import SumColumn
 
 FAR = 10**9
@@ -85,5 +85,5 @@ def test_equal_columns_share_one_memo_entry():
     for col in cols:
         st.register(SumColumn(col, (-1, 0, 4), 11, 12))
     assert st.propagate() == "stable"
-    assert len(st.memo) == 1
+    assert len(MEMO) == 1
     assert [[st.dom(x) for x in col] for col in cols] == [[{2}] * 3] * 2
