@@ -264,16 +264,16 @@ class WeightedDfa:
     The automaton also owns what is derived from it on first use and freed
     with it: the compiled arc tables of its runs (see ``arc_table``), one per
     run length; its ``content_key``; the ``model.achievable_totals`` of each
-    run length (``_totals``); the verdict on each count-group claim
-    (``count_claim_error``); and its projection on each resource list
-    (``with_resources``).  Its ``memo_token``, a plain object made with it,
-    stands for it in the keys of the process's filter memo
-    (``engine.MEMO``), so the memo never keeps the automaton alive, and an
-    automaton built again, equal in content or not, gets a new token.
+    run length (``_totals``); its ``count_groups``; and its projection on
+    each resource list (``with_resources``).  Its ``memo_token``, a plain
+    object made with it, stands for it in the keys of the process's filter
+    memo (``engine.MEMO``), so the memo never keeps the automaton alive,
+    and an automaton built again, equal in content or not, gets a new
+    token.
     """
 
     __slots__ = ("dfa", "costs", "resource_bounds", "memo_token", "_tables",
-                 "_key", "_totals", "_claims", "_projections", "__weakref__")
+                 "_key", "_totals", "_groups", "_projections", "__weakref__")
 
     def __init__(self, dfa, costs=None, resource_bounds=()):
         resource_bounds = tuple((int(lo), int(hi)) for lo, hi in resource_bounds)
@@ -305,7 +305,7 @@ class WeightedDfa:
         self._tables = {}
         self._key = None
         self._totals = {}
-        self._claims = {}
+        self._groups = None
         self._projections = {}
 
     @classmethod
@@ -351,33 +351,35 @@ class WeightedDfa:
             )
         return key
 
-    def count_claim_error(self, r, group):
-        """None if resource r counts the symbols of ``group``, else one
-        transition that breaks the claim, as text.  The claim holds when
-        every transition leaving a state on some accepting run costs 1 on r
-        if it reads a symbol of the group and 0 otherwise, and no positional
-        entry of such a transition costs anything on r.  The verdict is kept
-        per (r, group)."""
-        group = frozenset(group)
-        if (r, group) in self._claims:
-            return self._claims[r, group]
-        d, costs = self.dfa, self.costs
-        seen = set(reachable(d.start, d._rows.__getitem__)[0])
-
-        def faults():
-            for q in sorted(seen & d._live_states()):
-                for v in d.alphabet:
-                    vec = costs.base.get((q, v))
-                    c, want = vec[r] if vec else 0, int(v in group)
-                    if c != want:
-                        yield f"transition ({q}, {v}) costs {c} on it, not {want}"
-                    per = costs.positional.get((q, v), {})
-                    for i in sorted(i for i in per if per[i][r]):
-                        yield (f"transition ({q}, {v}) costs {per[i][r]} more "
-                               f"on it at position {i}")
-
-        error = self._claims[r, group] = next(faults(), None)
-        return error
+    def count_groups(self):
+        """The value groups the resources count, as ``(group, r)`` in
+        resource order.  Resource r counts the nonempty symbol set ``group``
+        when every transition leaving a state on some accepting run costs 1
+        on r if it reads a symbol of the group and 0 otherwise, and no
+        positional entry of such a transition costs anything on r.  Computed
+        once and kept."""
+        groups = self._groups
+        if groups is None:
+            d, costs, n = self.dfa, self.costs, self.n_resources
+            states = set(reachable(d.start, d._rows.__getitem__)[0])
+            states &= d._live_states()
+            zero = (0,) * n
+            rows = {tuple(costs.base.get((q, v), zero) for v in d.alphabet)
+                    for q in states}
+            positional = {r for (q, _), per in costs.positional.items()
+                          if q in states
+                          for vec in per.values() for r in range(n) if vec[r]}
+            groups = []
+            for r in range(n):
+                # r's cost on each symbol, one tuple per distinct state row
+                per_state = {tuple(vec[r] for vec in row) for row in rows}
+                if len(per_state) == 1 and r not in positional:
+                    (col,) = per_state
+                    if {0, 1} >= set(col) and 1 in col:
+                        group = frozenset(v for v, c in zip(d.alphabet, col) if c)
+                        groups.append((group, r))
+            groups = self._groups = tuple(groups)
+        return groups
 
     def arc_table(self, n):
         """Compiled arcs of the runs of length n, cached on the automaton.

@@ -9,7 +9,6 @@ A model file looks like:
     COL_GCC 1 0 0 2        # column 1: value 0 occurs 0..2 times
     COL_SUM 3 -1 3         # column 3: cell sum between -1 and 3
     LEX 1                  # order the rows lexicographically
-    COUNTGROUP 0 1         # rule resource 0 counts occurrences of value 1
     PROPERTY word 2 2      # property specs; sets are comma-joined values
     PROPERTY stretchcount 1,2
     PROPERTY stretchlen 2
@@ -31,10 +30,12 @@ front end:
     SHIFT 2 0 3 1 2
     SHIFT 3 2 4 1 3
 
-Blank lines and '#' comments are ignored.  DOMAIN/COL_GCC/COL_SUM/COUNTGROUP/
-PROPERTY use external values; the ROW_DFA block (the dump_automaton format)
-runs over the internal indices 0..V-1 of the ascending VALUES table.  Files
-without PROPERTY lines get the default property set in wa/cwa modes.
+Blank lines and '#' comments are ignored.  DOMAIN/COL_GCC/COL_SUM/PROPERTY
+use external values; the ROW_DFA block (the dump_automaton format) runs over
+the internal indices 0..V-1 of the ascending VALUES table.  Files without
+PROPERTY lines get the default property set in wa/cwa modes.  No line
+declares which value group a row-rule resource counts: the groups are read
+off the rule (``WeightedDfa.count_groups``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .model import (
     StretchCountProp,
     StretchLengthProp,
     WordProp,
-    check_count_group,
     check_property,
 )
 from .roster import (
@@ -78,7 +78,6 @@ MODEL_FIELDS = {
     "COL_GCC": "col value lo hi",
     "COL_SUM": "col lo hi",
     "LEX": "flag",
-    "COUNTGROUP": "resource value ...",
     "PROPERTY": "kind set ...",
 }
 
@@ -106,9 +105,6 @@ def dump_model(model):
             lines.append(f"COL_SUM {k} {lo} {hi}")
     if model.lex_rows:
         lines.append("LEX 1")
-    for group, r in model.rule_count_groups:
-        ext = " ".join(str(model.values[v]) for v in sorted(group))
-        lines.append(f"COUNTGROUP {r} {ext}")
     for prop in model.properties or []:
         if isinstance(prop, WordProp):
             sets = [
@@ -186,7 +182,6 @@ def parse_model(text):
     gcc = []
     sums = []
     lex = False
-    groups = []
     props = []
     rule = None
     seen = {}  # what a line sets -> the number of the line that set it
@@ -222,8 +217,6 @@ def parse_model(text):
                 if parts[1] not in ("0", "1"):
                     raise ValueError(f"LEX takes 0 or 1: {ln}")
                 lex = parts[1] == "1"
-            elif tag == "COUNTGROUP":
-                groups.append((no, int(parts[1]), [int(x) for x in parts[2:]]))
             elif tag == "PROPERTY":
                 props.append((no, parts[1], parts[2:]))
             elif tag == "ROW_DFA":
@@ -274,15 +267,6 @@ def parse_model(text):
     col_sums = [None] * K
     for no, k, b in sums:
         col_sums[in_range(no, "column", k, K)] = b
-    rule_count_groups = []
-    for no, r, ext in groups:
-        group = frozenset(to_idx(no, e) for e in ext)
-        r = in_range(no, "rule resource", r, rule.n_resources)
-        try:
-            check_count_group(rule, group, r)
-        except ValueError as exc:
-            raise FormatError(f"line {no}: {exc}") from exc
-        rule_count_groups.append((group, r))
 
     def parse_set(no, tok):
         return frozenset(to_idx(no, int(x)) for x in tok.split(","))
@@ -315,7 +299,6 @@ def parse_model(text):
             col_sums=col_sums,
             cell_domains=cell_domains,
             properties=properties,
-            rule_count_groups=rule_count_groups,
             lex_rows=lex,
             name=name,
         )

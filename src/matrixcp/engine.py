@@ -330,10 +330,11 @@ class Propagator:
 
     ``priority`` is the class's queue tier, cheap and decisive work first:
     0 for the counting decomposition (``GccColumn``, ``SumColumn``,
-    ``LexLe``, ``model.CountGroupEq``), 1 for the row filters (``Mcr``, the default), 2 for the
-    interval relations that link the property layer to the column counts
-    (``Relation``, ``StretchLengthWindows``), which read the bounds the
-    row filters leave and seldom prune, so they run once those are quiet.
+    ``LexLe`` and the count-group equalities ``model.CountGroupEq``), 1 for
+    the row filters (``Mcr``, the default), 2 for the interval relations
+    that link the property layer to the column counts (``Relation``,
+    ``StretchLengthWindows``), which read the bounds the row filters leave
+    and seldom prune, so they run once those are quiet.
     """
 
     priority = 1

@@ -43,6 +43,7 @@ from .propagators import (
     SumE,
     VarE,
     post_lex_chain,
+    stretch_edge,
 )
 
 MODES = ("decomp", "wa", "cwa")
@@ -105,17 +106,6 @@ def check_property(prop, n_values):
     raise ValueError(f"{prop}: {problem}")
 
 
-def check_count_group(rule, group, r):
-    """Raise a ValueError naming the resource, the group and one offending
-    transition unless resource r of the row rule counts the value indices
-    of ``group`` (see ``WeightedDfa.count_claim_error``).  The wa/cwa count
-    conditions trust the claim, so a false one would prune solutions."""
-    error = rule.count_claim_error(r, group)
-    if error is not None:
-        raise ValueError(f"rule resource {r} does not count value indices "
-                         f"{sorted(group)}: {error}")
-
-
 def default_properties(n_values):
     """Singleton words, repeated pairs, stretch counts and lengths per value."""
     props = []
@@ -133,10 +123,10 @@ class MatrixModel:
     col_gcc[k] maps value indices to (lo, hi) occurrence bounds in column k
     (missing values are unconstrained).  col_sums[k] optionally bounds the sum
     of external cell values of column k.  cell_domains optionally restricts
-    each cell to a subset of value indices.  rule_count_groups declares that a
-    row-rule resource totals the occurrences of a value group, enabling the
-    aggregate count conditions; a claim the rule's costs do not bear out is
-    rejected (``check_count_group``).
+    each cell to a subset of value indices.  The aggregate count conditions
+    of the wa/cwa modes tie each row-rule resource that totals the
+    occurrences of a value group to the column counts of that group; the
+    groups are read off the rule (``WeightedDfa.count_groups``).
     """
 
     def __init__(
@@ -149,7 +139,6 @@ class MatrixModel:
         col_sums=None,
         cell_domains=None,
         properties=None,
-        rule_count_groups=None,
         lex_rows=False,
         name="",
     ):
@@ -182,19 +171,10 @@ class MatrixModel:
         self.properties = None if properties is None else list(properties)
         for prop in self.properties or ():
             check_property(prop, nv)
-        self.rule_count_groups = [
-            (frozenset(g), r) for g, r in (rule_count_groups or [])
-        ]
-        for g, r in self.rule_count_groups:
-            if not 0 <= r < self.row_rule.n_resources:
-                raise ValueError(f"count group names no rule resource: {r}")
-        used = self.col_gcc + [g for g, _ in self.rule_count_groups]
-        used += [d for row in self.cell_domains or () for d in row]
+        used = self.col_gcc + [d for row in self.cell_domains or () for d in row]
         if not all(map(frozenset(range(nv)).issuperset, used)):
-            raise ValueError(f"a cell domain, col_gcc entry or count group "
-                             f"holds a value index outside 0..{nv - 1}")
-        for g, r in self.rule_count_groups:
-            check_count_group(self.row_rule, g, r)
+            raise ValueError(f"a cell domain or col_gcc entry holds a value "
+                             f"index outside 0..{nv - 1}")
         self.lex_rows = lex_rows
         self.name = name
 
@@ -292,7 +272,7 @@ def build(model, mode="decomp", aggregate_words=False, cross_cap=20000):
 
     Under ``wa`` and ``cwa`` the build is staged.  It posts the
     decomposition layer first (cells, columns, row rules, the lex chain and
-    the ``rule_count_groups`` relations) and propagates it.  If that fails,
+    the count-group relations) and propagates it.  If that fails,
     the model is root-infeasible and no measuring automaton, product or
     property propagator is built.  Otherwise the property layer is posted
     and its propagators stay queued for the caller.  The root fixpoint does
@@ -310,9 +290,10 @@ def build(model, mode="decomp", aggregate_words=False, cross_cap=20000):
 
 
 class CountGroupEq(Relation):
-    """A ``rule_count_groups`` equality: column counts against the rule's
-    resource totals.  It belongs to the decomposition layer, so it runs in
-    that layer's tier, before the row filters."""
+    """A count-group equality: the column counts of a value group against
+    the totals of the rule resource that counts it (see
+    ``WeightedDfa.count_groups``).  It belongs to the decomposition layer,
+    so it runs in that layer's tier, before the row filters."""
 
     priority = 0
 
@@ -362,7 +343,7 @@ def _build_inner(b, model, mode, aggregate_words, cross_cap):
     # The count groups read only column counts and rule resources, so they
     # join the decomposition layer, which runs to its fixpoint before any
     # measuring automaton or product is built.
-    for group, rj in model.rule_count_groups:
+    for group, rj in model.row_rule.count_groups():
         col_total = SumE(
             [VarE(b.cards[k][v]) for k in range(K) for v in group]
         )
@@ -470,15 +451,10 @@ def _post_property(b, model, mode, prop, aggregate_words, cross_cap):
         rows = _post_measuring_rows(b, model, mode, wd, cross_cap)
         b.prop_z[prop] = rows
 
-        def cardv(k):
-            if k < 0 or k >= K:
-                return ConstE(0)
-            return _card_expr(b, k, vhat)
+        cards = [_card_expr(b, k, vhat) for k in range(K)]
 
-        def ls(k, d):
-            return MaxE(
-                [ConstE(0), SumE([cardv(k), ScaleE(-1, cardv(k + d))])]
-            )
+        def cardv(k):
+            return cards[k] if 0 <= k < K else ConstE(0)
 
         def us(k, d):
             overlap = MaxE(
@@ -488,9 +464,8 @@ def _post_property(b, model, mode, prop, aggregate_words, cross_cap):
 
         tot = SumE([VarE(rows[i][0]) for i in range(R)])
         for d in (-1, 1):
-            store.register(
-                Relation("le", SumE([ls(k, d) for k in range(K)]), tot)
-            )
+            edges = SumE([stretch_edge(cards, k, d) for k in range(K)])
+            store.register(Relation("le", edges, tot))
             store.register(
                 Relation("le", tot, SumE([us(k, d) for k in range(K)]))
             )

@@ -749,6 +749,14 @@ class SumColumn(MemoFilter):
 # -- stretch-length window conditions -----------------------------------------
 
 
+def stretch_edge(cards, k, d):
+    """``max(0, c_k - c_(k+d))`` over the column count expressions ``cards``,
+    with c 0 outside the row: a lower bound on the number of stretches of
+    the counted symbols that start (d = -1) or end (d = 1) at column k."""
+    other = cards[k + d] if 0 <= k + d < len(cards) else ConstE(0)
+    return MaxE([ConstE(0), SumE([cards[k], ScaleE(-1, other)])])
+
+
 class StretchLengthWindows(Propagator):
     """Window conditions tying per-column counts to stretch-length bounds.
 
@@ -777,14 +785,6 @@ class StretchLengthWindows(Propagator):
     def variables(self):
         return self._vids
 
-    def _ls_plus(self, k):
-        prev = ConstE(0) if k == 0 else self.cards[k - 1]
-        return MaxE([ConstE(0), SumE([self.cards[k], ScaleE(-1, prev)])])
-
-    def _ls_minus(self, k):
-        nxt = ConstE(0) if k == len(self.cards) - 1 else self.cards[k + 1]
-        return MaxE([ConstE(0), SumE([self.cards[k], ScaleE(-1, nxt)])])
-
     def _build(self, a, b):
         # A start window of one term reads max(0, c_k - c_(k-1)) <= c_k (an
         # end window the same with c_(k+1)), which non-negative counts always
@@ -797,7 +797,8 @@ class StretchLengthWindows(Propagator):
                 rels.append(
                     Relation(
                         "le",
-                        SumE([self._ls_plus(j) for j in range(j0, k + 1)]),
+                        SumE([stretch_edge(self.cards, j, -1)
+                              for j in range(j0, k + 1)]),
                         self.cards[k],
                     )
                 )
@@ -806,7 +807,8 @@ class StretchLengthWindows(Propagator):
                 rels.append(
                     Relation(
                         "le",
-                        SumE([self._ls_minus(j) for j in range(k, j1 + 1)]),
+                        SumE([stretch_edge(self.cards, j, 1)
+                              for j in range(k, j1 + 1)]),
                         self.cards[k],
                     )
                 )
@@ -817,7 +819,7 @@ class StretchLengthWindows(Propagator):
                     Relation(
                         "le",
                         SumE(
-                            [self._ls_plus(k)]
+                            [stretch_edge(self.cards, k, -1)]
                             + [self.cards[k + j] for j in range(a, b + 1)]
                         ),
                         cap,
@@ -828,7 +830,7 @@ class StretchLengthWindows(Propagator):
                     Relation(
                         "le",
                         SumE(
-                            [self._ls_minus(k)]
+                            [stretch_edge(self.cards, k, 1)]
                             + [self.cards[k - j] for j in range(a, b + 1)]
                         ),
                         cap,

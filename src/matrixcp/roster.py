@@ -145,9 +145,16 @@ def roster_model(inst, rules):
     lower bounds.  The wa/cwa modes then measure, per shift, occurrence
     counts, words of length up to two, and stretch count and length (the
     default property set).  Rows are interchangeable, so they are
-    lex-ordered.
+    lex-ordered.  Raises ValueError unless there are at least two shifts
+    and the case gives rules for the instance's shifts.
     """
     N, D, S = inst.n_nurses, inst.n_days, inst.n_shifts
+    if S < 2:
+        raise ValueError(f"a roster needs at least 2 shifts (one off duty), "
+                         f"not {S}")
+    if len(rules.shifts) != S:
+        raise ValueError(f"the case gives rules for {len(rules.shifts)} "
+                         f"shifts, the instance has {S}")
     values = tuple(range(1, S + 1))
     alphabet = tuple(range(S))
     working = frozenset(range(S - 1))
@@ -180,13 +187,9 @@ def roster_model(inst, rules):
                 spec[s] = (lo, N)
         col_gcc.append(spec)
 
-    count_groups = [(frozenset((s,)), s) for s in range(S)]
-    count_groups.append((working, S))
-
     return MatrixModel(
         N, D, values, rule,
         col_gcc=col_gcc,
-        rule_count_groups=count_groups,
         lex_rows=True,
         name=inst.name or f"roster_{N}x{D}",
     )

@@ -289,6 +289,32 @@ class TestGccWeights:
         assert not wa.accepts_within_bounds((1,))
 
 
+class TestCountGroups:
+    def test_counting_resources_found_in_resource_order(self):
+        wa = build_gcc_weights(ABC, groups=[{0}, {1, 2}])
+        groups = wa.count_groups()
+        assert groups == ((frozenset({0}), 0), (frozenset({1, 2}), 1))
+        assert wa.count_groups() is groups  # kept on the automaton
+
+    @pytest.mark.parametrize("trans, base", [
+        ({(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0}, {(0, 0, 1): 1}),
+        ({(0, 0): 0, (0, 1): 0}, {(0, 0, 1): 2}),
+    ], ids=["state-dependent", "cost-2"])
+    def test_resource_that_counts_no_group(self, trans, base):
+        # Positional costs: test_model's
+        # test_positional_cost_on_counted_resource_rejected.
+        n_states = 1 + max(q for q, _ in trans)
+        dfa = Dfa(n_states, (0, 1), trans, 0, set(range(n_states)))
+        wa = WeightedDfa(dfa, CostMatrices(1, base), [(0, 9)])
+        assert wa.count_groups() == ()
+
+    def test_empty_group_skipped(self):
+        # Resource 0 costs nothing anywhere; resource 1 counts value 1.
+        wa = WeightedDfa(universal_dfa((0, 1)),
+                         CostMatrices(2, {(1, 0, 1): 1}), [(0, 9), (0, 9)])
+        assert wa.count_groups() == ((frozenset({1}), 1),)
+
+
 class TestProduct:
     def rand_weighted(self, rng, n_res=1):
         n = rng.randint(1, 3)

@@ -47,7 +47,6 @@ def full_featured_model():
             StretchCountProp(frozenset({2})),
             StretchLengthProp(frozenset({0})),
         ],
-        rule_count_groups=[({1}, 0), ({2}, 1)],
         lex_rows=True,
         name="featured",
     )
@@ -68,8 +67,19 @@ class TestModelRoundTrip:
         assert back.col_gcc == m.col_gcc
         assert back.col_sums == m.col_sums
         assert back.cell_domains == m.cell_domains
-        assert back.rule_count_groups == m.rule_count_groups
+        assert back.row_rule.count_groups() == m.row_rule.count_groups() == (
+            (frozenset({1}), 0), (frozenset({2}), 1))
         assert back.lex_rows == m.lex_rows
+
+    @pytest.mark.parametrize("mode", ["wa", "cwa"])
+    def test_roster_model_round_trips_with_its_count_groups(self, mode):
+        m = roster_model(*gen_toy_rosters(4242, 3)[2])  # sat after search
+        back = parse_model(dump_model(m))
+        assert back.row_rule.count_groups() == m.row_rule.count_groups()
+        assert len(m.row_rule.count_groups()) == 4
+        a, b = ((o.status, o.stats.nodes, o.stats.backtracks, o.stats.propagations)
+                for o in (solve(m, mode), solve(back, mode)))
+        assert a == b and a[0] == "sat" and a[1] > 0
 
     def test_parsed_model_solves_identically(self):
         m = gen_random(99, 2, 3, 2)
@@ -117,7 +127,6 @@ class TestParseErrors:
         ("COL_GCC 9 1 2 2", "column 9"),
         ("COL_SUM 9 5 5", "column 9"),
         ("DOMAIN 5 0 1", "row 5"),
-        ("COUNTGROUP 3 1", "rule resource 3"),
     ])
     def test_out_of_range_index_names_its_line(self, line, message):
         text = SAT_2X2.replace("ROW_DFA", line + "\nROW_DFA")
@@ -125,10 +134,12 @@ class TestParseErrors:
         with pytest.raises(FormatError, match=f"line 3: {message}"):
             parse_model(text)
 
-    def test_false_count_group_names_its_line(self):
-        text = SAT_2X2.replace("ROW_DFA", "COUNTGROUP 0 1\nCOUNTGROUP 0 0\nROW_DFA")
-        with pytest.raises(FormatError, match=r"line 4: rule resource 0 does "
-                           r"not count value indices \[0\]: transition"):
+    def test_countgroup_line_names_its_line(self):
+        # Count groups are read off the rule, so a line declaring one is
+        # unknown rather than silently ignored, even where it is true.
+        text = SAT_2X2.replace("ROW_DFA", "COUNTGROUP 0 1\nROW_DFA")
+        with pytest.raises(FormatError,
+                           match="^line 3: unknown line: COUNTGROUP 0 1$"):
             parse_model(text)
 
     @pytest.mark.parametrize("line, fields", [
@@ -138,10 +149,9 @@ class TestParseErrors:
         ("LEX", "flag"),
         ("LEX 1 1", "flag"),
         ("VALUES", "value ..."),
-        ("COUNTGROUP 0", "resource value ..."),
         ("PROPERTY word", "kind set ..."),
     ], ids=["DOMAIN", "COL_GCC", "COL_SUM", "LEX", "LEX-long", "VALUES",
-            "COUNTGROUP", "PROPERTY"])
+            "PROPERTY"])
     def test_short_line_names_its_fields(self, line, fields):
         text = SAT_2X2.replace("ROW_DFA", line + "\nROW_DFA")
         with pytest.raises(FormatError,

@@ -25,6 +25,7 @@ from matrixcp.generators import (
 )
 from matrixcp.model import (
     MODES,
+    CountGroupEq,
     MatrixModel,
     StretchCountProp,
     StretchLengthProp,
@@ -45,12 +46,17 @@ from matrixcp.roster import (
 )
 
 
+def count_group_eqs(built):
+    """The number of count-group equalities posted in a build."""
+    return len({id(p) for ws in built.store._watchers for p in ws
+                if isinstance(p, CountGroupEq)})
+
+
 def permutation_model(n):
     """Each row places exactly one 1; each column receives exactly one."""
     rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(1, 1)])
     return MatrixModel(n, n, (0, 1), rule,
-                       col_gcc=[{1: (1, 1)} for _ in range(n)],
-                       rule_count_groups=[({1}, 0)])
+                       col_gcc=[{1: (1, 1)} for _ in range(n)])
 
 
 class TestMatrixModel:
@@ -85,11 +91,8 @@ class TestMatrixModel:
         {"cell_domains": [[{0}], [{0}]]},
         {"cell_domains": [[{0}, {2}], [{0}, {1}]]},
         {"col_gcc": [{2: (0, 1)}, {}]},
-        {"rule_count_groups": [({1}, 1)]},
-        {"rule_count_groups": [({2}, 0)]},
     ], ids=["col_gcc-columns", "col_sums-columns", "cell_domains-rows",
-            "cell_domains-columns", "cell_domains-value", "col_gcc-value",
-            "countgroup-resource", "countgroup-value"])
+            "cell_domains-columns", "cell_domains-value", "col_gcc-value"])
     def test_malformed_model_rejected(self, kwargs):
         rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(0, 2)])
         with pytest.raises(ValueError):
@@ -115,36 +118,42 @@ class TestMatrixModel:
         with pytest.raises(ValueError, match="at least one row"):
             MatrixModel(*shape, (0, 1), rule)
 
-    def test_false_count_group_rejected(self):
-        # Resource 0 counts value 1, so the claim that it counts value 0
-        # would let wa/cwa refute what decomp solves.
-        rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(0, 0)])
-        with pytest.raises(ValueError, match=r"rule resource 0 does not count "
-                           r"value indices \[0\]: transition \(0, 0\) costs 0"):
-            MatrixModel(2, 2, (0, 1), rule, rule_count_groups=[({0}, 0)])
-        m = MatrixModel(2, 2, (0, 1), rule, rule_count_groups=[({1}, 0)])
-        assert {solve(m, mode).status for mode in MODES} == {"sat"}
-
     def test_positional_cost_on_counted_resource_rejected(self):
+        # Reading 1 costs 1 more at position 2, so resource 0 counts no
+        # value group and no count condition is posted.
         dfa = universal_dfa((0, 1))
         costs = CostMatrices(1, {(0, 0, 1): 1}, {(0, 0, 1, 2): 1})
         rule = WeightedDfa(dfa, costs, [(0, 9)])
-        with pytest.raises(ValueError, match=r"transition \(0, 1\) costs 1 "
-                           "more on it at position 2"):
-            MatrixModel(2, 3, (0, 1), rule, rule_count_groups=[({1}, 0)])
+        m = MatrixModel(2, 3, (0, 1), rule)
+        assert m.row_rule.count_groups() == ()
+        assert count_group_eqs(build(m, "wa")) == 0
 
     def test_count_group_judged_on_accepting_runs_only(self):
         # State 1 is reached by reading 1 twice in a row and never accepts,
-        # so the cost 5 it pays on 0 lies on no accepting run.
+        # so the cost 5 it pays on 0 lies on no accepting run; nor does the
+        # cost of unreachable state 3.
         trans = {(0, 0): 0, (0, 1): 2, (2, 0): 0, (2, 1): 1,
-                 (1, 0): 1, (1, 1): 1}
-        base = {(0, 0, 1): 1, (0, 2, 1): 1, (0, 1, 0): 5}
-        rule = WeightedDfa(Dfa(3, (0, 1), trans, 0, {0, 2}),
+                 (1, 0): 1, (1, 1): 1, (3, 0): 3, (3, 1): 3}
+        base = {(0, 0, 1): 1, (0, 2, 1): 1, (0, 1, 0): 5, (0, 3, 0): 1}
+        rule = WeightedDfa(Dfa(4, (0, 1), trans, 0, {0, 2, 3}),
                            CostMatrices(1, base), [(0, 9)])
-        MatrixModel(2, 3, (0, 1), rule, rule_count_groups=[({1}, 0)])
-        with pytest.raises(ValueError, match=r"transition \(0, 0\) costs 0 "
-                           "on it, not 1"):
-            MatrixModel(2, 3, (0, 1), rule, rule_count_groups=[({0}, 0)])
+        m = MatrixModel(2, 3, (0, 1), rule)
+        assert m.row_rule.count_groups() == ((frozenset({1}), 0),)
+
+    @pytest.mark.parametrize("mode, posted", [("decomp", 0), ("wa", 3),
+                                              ("cwa", 3)])
+    def test_build_posts_one_equality_per_inferred_group(self, mode, posted):
+        # Resources 0-2 count {1}, {0, 2} and every value; resource 3 pays 2
+        # for a 1, so it counts no group.
+        base = {(0, 0, 1): 1, (1, 0, 0): 1, (1, 0, 2): 1, (3, 0, 1): 2}
+        base.update({(2, 0, v): 1 for v in range(3)})
+        rule = WeightedDfa(universal_dfa((0, 1, 2)), CostMatrices(4, base),
+                           [(0, 9)] * 4)
+        m = MatrixModel(2, 3, (0, 1, 2), rule)
+        assert m.row_rule.count_groups() == (
+            (frozenset({1}), 0), (frozenset({0, 2}), 1),
+            (frozenset({0, 1, 2}), 2))
+        assert count_group_eqs(build(m, mode)) == posted
 
     def test_default_properties_cover_each_value(self):
         props = default_properties(2)
@@ -265,8 +274,7 @@ class TestModeContrast:
         # no single column constraint sees the shortfall
         rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(1, 1)])
         return MatrixModel(3, 3, (0, 1), rule,
-                           col_gcc=[{1: (0, 1)}, {1: (0, 1)}, {1: (0, 0)}],
-                           rule_count_groups=[({1}, 0)])
+                           col_gcc=[{1: (0, 1)}, {1: (0, 1)}, {1: (0, 0)}])
 
     def test_aggregate_count_conditions_fail_at_root(self):
         m = self.scarcity_model()
@@ -289,8 +297,7 @@ class TestExplicitProperties:
         rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(1, 2)])
         return MatrixModel(2, 3, (0, 1), rule,
                            col_gcc=[{1: (0, 2)} for _ in range(3)],
-                           properties=[WordProp((frozenset({1}), frozenset({1})))],
-                           rule_count_groups=[({1}, 0)])
+                           properties=[WordProp((frozenset({1}), frozenset({1})))])
 
     @pytest.mark.parametrize("aggregate", [False, True])
     def test_word_conditions_preserve_solutions(self, aggregate):

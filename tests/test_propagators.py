@@ -28,6 +28,7 @@ from matrixcp.propagators import (
     VarE,
     post_lex_chain,
     regular_dc,
+    stretch_edge,
 )
 from matrixcp.roster import gen_toy_rosters, roster_model
 
@@ -696,26 +697,28 @@ class TestStretchLengthWindows:
                 if j0 <= k:
                     rels.append(Relation(
                         "le",
-                        SumE([self._ls_plus(j) for j in range(j0, k + 1)]),
+                        SumE([stretch_edge(self.cards, j, -1)
+                              for j in range(j0, k + 1)]),
                         self.cards[k]))
                 j1 = min(K - 1, k + a - 1)
                 if j1 >= k:
                     rels.append(Relation(
                         "le",
-                        SumE([self._ls_minus(j) for j in range(k, j1 + 1)]),
+                        SumE([stretch_edge(self.cards, j, 1)
+                              for j in range(k, j1 + 1)]),
                         self.cards[k]))
             if a <= b:
                 cap = ConstE((b - a + 1) * self.n_rows)
                 for k in range(0, K - b):
                     rels.append(Relation(
                         "le",
-                        SumE([self._ls_plus(k)]
+                        SumE([stretch_edge(self.cards, k, -1)]
                              + [self.cards[k + j] for j in range(a, b + 1)]),
                         cap))
                 for k in range(b, K):
                     rels.append(Relation(
                         "le",
-                        SumE([self._ls_minus(k)]
+                        SumE([stretch_edge(self.cards, k, 1)]
                              + [self.cards[k - j] for j in range(a, b + 1)]),
                         cap))
             return rels

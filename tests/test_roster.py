@@ -118,8 +118,20 @@ class TestRosterModel:
         assert (m.n_rows, m.n_cols) == (3, 4)
         assert m.values == (1, 2, 3)
         assert m.lex_rows
-        # one count group per shift plus the working block
-        assert len(m.rule_count_groups) == 4
+        # one count group per shift plus the working block, read off the rule
+        assert m.row_rule.count_groups() == (
+            (frozenset({0}), 0), (frozenset({1}), 1), (frozenset({2}), 2),
+            (frozenset({0, 1}), 3))
+
+    @pytest.mark.parametrize("nsp, n_case, message", [
+        ("3 2 3\n1 0 0\n1 0 0", 2, "the case gives rules for 2 shifts, "
+         "the instance has 3"),
+        ("3 2 1\n1\n1", 1, r"a roster needs at least 2 shifts \(one off "
+         r"duty\), not 1"),
+    ], ids=["case-shift-count", "one-shift"])
+    def test_bad_shift_count_rejected(self, nsp, n_case, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            roster_model(parse_nsp(nsp), default_toy_case(n_case))
 
     def test_coverage_becomes_column_bounds(self):
         inst, rules = tiny_pair()
