@@ -60,6 +60,7 @@ from .roster import (
     CaseRules,
     NspInstance,
     ShiftRule,
+    check_roster,
     dump_case,
     parse_rule_line,
     roster_model,
@@ -137,6 +138,7 @@ def _parse_roster(lines):
     rules = None
     name = ""
     cover = []
+    cover_lines = []
     seen = {}  # what a line sets -> the number of the line that set it
     for no, ln in lines:
         parts = ln.split()
@@ -145,25 +147,24 @@ def _parse_roster(lines):
             if tag == "ROSTER" and rules is None:
                 check_fields(parts, "nurses days shifts")
                 n, d, s = (int(x) for x in parts[1:])
-                if n < 1 or d < 1 or s < 2:
-                    raise ValueError(f"ROSTER needs at least 1 nurse, 1 day "
-                                     f"and 2 shifts (one off duty): {ln}")
+                check_roster(n, d, s)
                 rules = CaseRules(shifts=[ShiftRule() for _ in range(s)])
             elif tag == "NAME":
                 check_once(seen, tag, no)
                 name = " ".join(parts[1:])
             elif tag == "COVER":
                 cover.append([int(x) for x in parts[1:]])
+                cover_lines.append(no)
             elif tag in RULE_FIELDS:
                 check_once(seen, parse_rule_line(parts, rules), no)
             else:
                 raise ValueError(f"unknown roster line: {ln}")
         except ValueError as exc:
             raise FormatError(f"line {no}: {exc}") from exc
-    if len(cover) != d:
-        raise FormatError(f"expected {d} COVER lines, found {len(cover)}")
-    if any(len(day) != s for day in cover):
-        raise FormatError("every COVER line needs one bound per shift")
+    try:
+        check_roster(n, d, s, cover, cover_lines)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     inst = NspInstance(n, d, s, cover, name=name)
     return roster_model(inst, rules)
 
@@ -197,6 +198,9 @@ def parse_model(text):
                 check_once(seen, tag, no)
             if tag == "MATRIX":
                 header = (int(parts[1]), int(parts[2]), int(parts[3]))
+                if header[0] < 1 or header[1] < 1:
+                    raise ValueError(f"a matrix needs at least one row and "
+                                     f"one column: {ln}")
             elif tag == "VALUES":
                 values = tuple(int(x) for x in parts[1:])
             elif tag == "NAME":

@@ -403,46 +403,39 @@ def _post_property(b, model, mode, prop, aggregate_words, cross_cap):
         wd = build_sliding_word_counter(pattern, K, range(model.n_values),
                                         with_total=True)
         n_flags = K - m + 1
-        if aggregate_words:
+        if aggregate_words or m == 1:
             wd = wd.with_resources([n_flags])
         rows = _post_measuring_rows(b, model, mode, wd, cross_cap)
         b.prop_z[prop] = rows
+        tot = SumE([VarE(rows[i][-1]) for i in range(R)])
+        if m == 1:
+            # The flag at k is [x[i,k] in pattern[0]], so a per-position
+            # equality narrows only what the column's GccColumn narrows from
+            # the cells: the total is the whole condition.
+            cards = SumE([_card_expr(b, k, pattern[0]) for k in range(K)])
+            store.register(Relation("eq", cards, tot))
+            return
 
         def lw(k):
             parts = [_card_expr(b, k + j, pattern[j]) for j in range(m)]
-            if m == 1:
-                return parts[0]
             return MaxE(
                 [ConstE(0), SumE(parts + [ConstE(-(m - 1) * R)])]
             )
 
         def uw(k):
-            parts = [_card_expr(b, k + j, pattern[j]) for j in range(m)]
-            if m == 1:
-                return parts[0]
-            return MinE(parts)
+            return MinE([_card_expr(b, k + j, pattern[j]) for j in range(m)])
 
-        total_idx = len(rows[0]) - 1
         if not aggregate_words:
             for k in range(n_flags):
                 zsum = SumE([VarE(rows[i][k]) for i in range(R)])
-                if m == 1:
-                    store.register(Relation("eq", lw(k), zsum))
-                else:
-                    store.register(Relation("le", lw(k), zsum))
-                    store.register(Relation("le", zsum, uw(k)))
-        tot = SumE([VarE(rows[i][total_idx]) for i in range(R)])
-        if m == 1:
-            store.register(
-                Relation("eq", SumE([lw(k) for k in range(n_flags)]), tot)
-            )
-        else:
-            store.register(
-                Relation("le", SumE([lw(k) for k in range(n_flags)]), tot)
-            )
-            store.register(
-                Relation("le", tot, SumE([uw(k) for k in range(n_flags)]))
-            )
+                store.register(Relation("le", lw(k), zsum))
+                store.register(Relation("le", zsum, uw(k)))
+        store.register(
+            Relation("le", SumE([lw(k) for k in range(n_flags)]), tot)
+        )
+        store.register(
+            Relation("le", tot, SumE([uw(k) for k in range(n_flags)]))
+        )
         return
 
     if isinstance(prop, StretchCountProp):

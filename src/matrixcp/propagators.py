@@ -339,16 +339,16 @@ class GccColumn(MemoFilter):
 # and the indices of its children, which come after it.  One bottom-up sweep
 # (``sweep_bounds``) computes every node's bounds from its children's, and one
 # top-down sweep (``require``) hands each node's required bounds down to its
-# children.  ``Relation`` and ``Expr.bounds`` both run on these sweeps.
+# children.  ``Relation`` runs on these sweeps.
 
 CONST, VAR, SUM, SCALE, MAX, MIN = range(6)
 
 
 class Program:
-    """A compiled expression: ``ops``, ``args`` and ``kids`` in pre-order,
-    and for the bottom-up sweep the constants laid out by node (``consts``),
-    the variable leaves ``(node, vid)`` and the inner nodes ``(node, op,
-    arg, kids)`` in post-order, children first."""
+    """A compiled expression triple: ``ops``, ``args`` and ``kids`` in
+    pre-order, and for the bottom-up sweep the constants laid out by node
+    (``consts``), the variable leaves ``(node, vid)`` and the inner nodes
+    ``(node, op, arg, kids)`` in post-order, children first."""
 
     __slots__ = ("ops", "args", "kids", "consts", "leaves", "inner")
 
@@ -358,7 +358,7 @@ class Program:
 
         def emit(e):
             i = len(ops)
-            op, arg, children = e.node()
+            op, arg, children = e
             ops.append(op)
             args.append(arg)
             kids.append(())
@@ -511,88 +511,40 @@ def require(program, store, lo, hi, need_lo, need_hi):
     return changed
 
 
-class Expr:
-    """An interval expression over interval variables; ``node`` gives its
-    opcode, argument and children (see ``Program``)."""
-
-    __slots__ = ()
-
-    def node(self):
-        raise NotImplementedError
-
-    def vids(self):
-        return [vid for _, vid in Program(self).leaves]
-
-    def bounds(self, store):
-        lo, hi = sweep_bounds(Program(self), store)
-        return lo[0], hi[0]
+# The expression constructors.  Each returns the triple ``(op, arg,
+# children)`` that ``Program`` compiles, ``children`` a tuple of triples.
 
 
-class ConstE(Expr):
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        self.c = c
-
-    def node(self):
-        return CONST, self.c, ()
+def ConstE(c):
+    return CONST, c, ()
 
 
-class VarE(Expr):
-    __slots__ = ("vid",)
-
-    def __init__(self, vid):
-        self.vid = vid
-
-    def node(self):
-        return VAR, self.vid, ()
+def VarE(vid):
+    return VAR, vid, ()
 
 
-class SumE(Expr):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = list(children)
-
-    def node(self):
-        return SUM, None, self.children
+def SumE(children):
+    return SUM, None, tuple(children)
 
 
-class ScaleE(Expr):
-    __slots__ = ("coef", "child")
-
-    def __init__(self, coef, child):
-        if coef == 0:
-            raise ValueError("zero scale; use ConstE(0)")
-        self.coef = coef
-        self.child = child
-
-    def node(self):
-        return SCALE, self.coef, (self.child,)
+def ScaleE(coef, child):
+    if coef == 0:
+        raise ValueError("zero scale; use ConstE(0)")
+    return SCALE, coef, (child,)
 
 
-class MaxE(Expr):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = list(children)
-        if not self.children:
-            raise ValueError("max of nothing")
-
-    def node(self):
-        return MAX, None, self.children
+def MaxE(children):
+    children = tuple(children)
+    if not children:
+        raise ValueError("max of nothing")
+    return MAX, None, children
 
 
-class MinE(Expr):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = list(children)
-        if not self.children:
-            raise ValueError("min of nothing")
-
-    def node(self):
-        return MIN, None, self.children
+def MinE(children):
+    children = tuple(children)
+    if not children:
+        raise ValueError("min of nothing")
+    return MIN, None, children
 
 
 class Relation(Propagator):
@@ -637,28 +589,27 @@ class LinearEq(Relation):
 
 
 class LexLe(Propagator):
-    """xs lexicographically <= ys (strictly < with strict=True)."""
+    """xs lexicographically <= ys."""
 
     priority = 0
 
-    def __init__(self, xs, ys, strict=False):
+    def __init__(self, xs, ys):
         if len(xs) != len(ys):
             raise ValueError("lex rows must have equal length")
         self.xs = list(xs)
         self.ys = list(ys)
-        self.strict = strict
 
     def variables(self):
         return self.xs + self.ys
 
     def _suffix_ok(self, store, j):
-        # Can positions >= j still realize xs <= ys (or < when strict)?
+        # Can positions >= j still realize xs <= ys?
         for i in range(j, len(self.xs)):
             if store.vmin(self.xs[i]) < store.vmax(self.ys[i]):
                 return True
             if store.vmin(self.xs[i]) > store.vmax(self.ys[i]):
                 return False
-        return not self.strict
+        return True
 
     def _pass(self, store):
         n = len(self.xs)
@@ -671,8 +622,6 @@ class LexLe(Propagator):
         ):
             i += 1
         if i == n:
-            if self.strict:
-                raise Inconsistent("lex prefix exhausted")
             return False
         changed = store.set_max(self.xs[i], store.vmax(self.ys[i]))
         changed |= store.set_min(self.ys[i], store.vmin(self.xs[i]))
@@ -687,11 +636,11 @@ class LexLe(Propagator):
         return changed
 
 
-def post_lex_chain(store, rows, strict=False):
+def post_lex_chain(store, rows):
     """Order consecutive rows lexicographically; returns the propagators."""
     props = []
     for a, b in zip(rows, rows[1:]):
-        p = LexLe(a, b, strict=strict)
+        p = LexLe(a, b)
         store.register(p)
         props.append(p)
     return props
@@ -775,11 +724,8 @@ class StretchLengthWindows(Propagator):
         self.zmin = zmin
         self.zmax = zmax
         self.n_rows = n_rows
-        self._vids = list(
-            dict.fromkeys(
-                [v for c in self.cards for v in c.vids()] + [zmin, zmax]
-            )
-        )
+        leaves = [v for c in self.cards for _, v in Program(c).leaves]
+        self._vids = list(dict.fromkeys(leaves + [zmin, zmax]))
         self._windows = {}  # (zmin lower bound, zmax upper bound) -> relations
 
     def variables(self):
@@ -789,53 +735,22 @@ class StretchLengthWindows(Propagator):
         # A start window of one term reads max(0, c_k - c_(k-1)) <= c_k (an
         # end window the same with c_(k+1)), which non-negative counts always
         # meet, so neither is posted.
-        K = len(self.cards)
+        cards = self.cards
+        K = len(cards)
         rels = []
         for k in range(K):
-            j0 = max(0, k - a + 1)
-            if j0 < k:
-                rels.append(
-                    Relation(
-                        "le",
-                        SumE([stretch_edge(self.cards, j, -1)
-                              for j in range(j0, k + 1)]),
-                        self.cards[k],
-                    )
-                )
-            j1 = min(K - 1, k + a - 1)
-            if j1 > k:
-                rels.append(
-                    Relation(
-                        "le",
-                        SumE([stretch_edge(self.cards, j, 1)
-                              for j in range(k, j1 + 1)]),
-                        self.cards[k],
-                    )
-                )
+            for js, d in ((range(max(0, k - a + 1), k + 1), -1),
+                          (range(k, min(K, k + a)), 1)):
+                if len(js) > 1:
+                    edges = SumE([stretch_edge(cards, j, d) for j in js])
+                    rels.append(Relation("le", edges, cards[k]))
         if a <= b:
             cap = ConstE((b - a + 1) * self.n_rows)
-            for k in range(0, K - b):
-                rels.append(
-                    Relation(
-                        "le",
-                        SumE(
-                            [stretch_edge(self.cards, k, -1)]
-                            + [self.cards[k + j] for j in range(a, b + 1)]
-                        ),
-                        cap,
-                    )
-                )
-            for k in range(b, K):
-                rels.append(
-                    Relation(
-                        "le",
-                        SumE(
-                            [stretch_edge(self.cards, k, 1)]
-                            + [self.cards[k - j] for j in range(a, b + 1)]
-                        ),
-                        cap,
-                    )
-                )
+            for ks, d in ((range(K - b), -1), (range(b, K), 1)):
+                for k in ks:
+                    terms = [cards[k - d * j] for j in range(a, b + 1)]
+                    rels.append(Relation(
+                        "le", SumE([stretch_edge(cards, k, d)] + terms), cap))
         return rels
 
     def _pass(self, store):

@@ -50,19 +50,43 @@ class NspInstance:
     name: str = ""
 
 
+def check_roster(n, d, s, cover=None, lines=None):
+    """Raise ValueError unless n nurses, d days and s shifts make a roster
+    (at least 1 nurse, 1 day and 2 shifts, the last one off duty) and
+    ``cover``, if given, holds d days of s coverage lower bounds, none below
+    0.  A day's error starts with its line from ``lines`` (one number per
+    day) if given, else with the day, counted from 1."""
+    if n < 1 or d < 1 or s < 2:
+        raise ValueError(f"a roster needs at least 1 nurse, 1 day and 2 "
+                         f"shifts (one off duty), not {n} x {d} x {s}")
+    if cover is not None and len(cover) != d:
+        raise ValueError(f"expected {d} days of coverage, found {len(cover)}")
+    for j, day in enumerate(cover or ()):
+        where = f"line {lines[j]}" if lines else f"day {j + 1}"
+        if len(day) != s:
+            raise ValueError(f"{where}: expected {s} coverage bounds, one "
+                             f"per shift, found {len(day)}")
+        if min(day) < 0:
+            raise ValueError(f"{where}: coverage bound {min(day)} is below 0")
+
+
 def parse_nsp(text, name=""):
     """Instance file: header ``N D S`` then D coverage lines of S integers
-    (lower bounds per day and shift).  Preference lines after that are
-    ignored."""
-    toks = [tok for _, ln in clean_lines(text) for tok in ln.split()]
+    (lower bounds per day and shift), as ``check_roster`` requires them.
+    Preference lines after that are ignored."""
+    toks = [(no, tok) for no, ln in clean_lines(text) for tok in ln.split()]
     if len(toks) < 3:
         raise ValueError("instance header must give N D S")
-    n, d, s = int(toks[0]), int(toks[1]), int(toks[2])
-    need = d * s
-    body = [int(t) for t in toks[3:3 + need]]
-    if len(body) < need:
+    n, d, s = (int(tok) for _, tok in toks[:3])
+    try:
+        check_roster(n, d, s)
+    except ValueError as exc:
+        raise ValueError(f"line {toks[0][0]}: {exc}") from exc
+    body = toks[3:3 + d * s]
+    if len(body) < d * s:
         raise ValueError("instance file is missing coverage entries")
-    cover = [body[i * s:(i + 1) * s] for i in range(d)]
+    cover = [[int(tok) for _, tok in body[j * s:(j + 1) * s]] for j in range(d)]
+    check_roster(n, d, s, cover, [body[j * s][0] for j in range(d)])
     return NspInstance(n, d, s, cover, name=name)
 
 
@@ -145,13 +169,11 @@ def roster_model(inst, rules):
     lower bounds.  The wa/cwa modes then measure, per shift, occurrence
     counts, words of length up to two, and stretch count and length (the
     default property set).  Rows are interchangeable, so they are
-    lex-ordered.  Raises ValueError unless there are at least two shifts
-    and the case gives rules for the instance's shifts.
+    lex-ordered.  Raises ValueError unless the instance passes
+    ``check_roster`` and the case gives rules for the instance's shifts.
     """
     N, D, S = inst.n_nurses, inst.n_days, inst.n_shifts
-    if S < 2:
-        raise ValueError(f"a roster needs at least 2 shifts (one off duty), "
-                         f"not {S}")
+    check_roster(N, D, S, inst.cover)
     if len(rules.shifts) != S:
         raise ValueError(f"the case gives rules for {len(rules.shifts)} "
                          f"shifts, the instance has {S}")

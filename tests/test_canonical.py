@@ -228,6 +228,17 @@ class TestParseErrors:
         with pytest.raises(FormatError, match="at least one row"):
             parse_model(SAT_2X2.replace("MATRIX 2 2 2", "MATRIX 2 0 2"))
 
+    @pytest.mark.parametrize("header, extra", [
+        ("MATRIX -1 4 2", "DOMAIN 0 0 1\nDOMAIN 0 1 0\n"),
+        ("MATRIX 0 4 2", ""),
+    ], ids=["negative-rows-with-domains", "no-rows"])
+    def test_matrix_header_sizes_checked(self, header, extra):
+        text = SAT_2X2.replace("MATRIX 2 2 2", header).replace(
+            "ROW_DFA", extra + "ROW_DFA")
+        with pytest.raises(FormatError, match=f"^line 1: a matrix needs at "
+                           f"least one row and one column: {header}$"):
+            parse_model(text)
+
     def test_unknown_external_value(self):
         text = dump_model(gen_random(1, 2, 2, 2)) + "COL_GCC 0 9 0 1\n"
         with pytest.raises(FormatError, match="9"):
@@ -251,8 +262,19 @@ class TestRosterFiles:
         inst, rules = gen_toy_rosters(8, 1)[0]
         text = dump_roster(inst, rules)
         lines = [ln for ln in text.splitlines() if not ln.startswith("COVER")]
-        with pytest.raises(FormatError, match="COVER"):
+        with pytest.raises(FormatError,
+                           match="^expected 7 days of coverage, found 0$"):
             parse_model("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("cover, no, message", [
+        ("COVER 1 0\nCOVER -1 0\n", 3, "coverage bound -1 is below 0"),
+        ("COVER 1 0\nCOVER 1 0 0\n", 3,
+         "expected 2 coverage bounds, one per shift, found 3"),
+    ], ids=["negative", "too-long"])
+    def test_bad_cover_line_named(self, cover, no, message):
+        text = "ROSTER 2 2 2\n" + cover + "WORK 1 3 1 -\n"
+        with pytest.raises(FormatError, match=f"^line {no}: {message}$"):
+            parse_model(text)
 
     def test_shift_out_of_range(self):
         inst, rules = gen_toy_rosters(8, 1)[0]
@@ -293,8 +315,8 @@ class TestRosterFiles:
         "ROSTER 2 0 2\n",
     ], ids=["no-shifts", "one-shift", "no-nurses", "no-days"])
     def test_header_sizes_checked(self, text):
-        with pytest.raises(FormatError,
-                           match="line 1: ROSTER needs at least 1 nurse"):
+        with pytest.raises(FormatError, match="^line 1: a roster needs at least "
+                           r"1 nurse, 1 day and 2 shifts \(one off duty\)"):
             parse_model(text)
 
     def test_dashes_mean_unbounded(self):

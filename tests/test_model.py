@@ -37,7 +37,7 @@ from matrixcp.model import (
     solve,
 )
 from matrixcp.oracle import brute_solutions, brute_solve, check_solution
-from matrixcp.propagators import GccColumn, Mcr, MemoFilter
+from matrixcp.propagators import GccColumn, Mcr, MemoFilter, Relation, SumE, VarE
 from matrixcp.roster import (
     NspInstance,
     default_toy_case,
@@ -592,6 +592,38 @@ def test_root_is_a_local_fixpoint(monkeypatch):
                 st.undo()
                 reruns += 1
     assert stable >= 100 and reruns >= 5000  # 115 and 6,449 when written
+
+
+def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
+    """A one-symbol word posts only its total condition.  Its per-position
+    equalities ``n[v@k] == sum_i z[i,k]`` were dropped because the flag
+    ``z[i,k]`` is ``[x[i,k] = v]``: posting the full counter (crossed under
+    cwa) and those equalities on a model at its root fixpoint changes no
+    domain of the model's own variables."""
+    stable = 0
+    for m in fixpoint_models():
+        R, K = m.n_rows, m.n_cols
+        for mode in ("wa", "cwa"):
+            b = build(m, mode)
+            st = b.store
+            if b.root_infeasible or st.propagate() != "stable":
+                continue
+            stable += 1
+            before = [d.values for d in st.domains]
+            for v in range(m.n_values):
+                counter = build_sliding_word_counter(
+                    (frozenset((v,)),), K, range(m.n_values), with_total=True)
+                rows = matrixcp.model._post_measuring_rows(b, m, mode,
+                                                           counter, 20000)
+                for k in range(K + 1):
+                    flags = SumE([VarE(rows[i][k]) for i in range(R)])
+                    cards = [VarE(b.cards[j][v])
+                             for j in (range(K) if k == K else (k,))]
+                    st.register(Relation("eq", SumE(cards), flags))
+            assert st.propagate() == "stable", (m.name, mode)
+            assert [d.values for d in st.domains[:len(before)]] == before, (
+                m.name, mode)
+    assert stable >= 70  # 74 when written
 
 
 def small_reductions():

@@ -6,7 +6,23 @@ import random
 from itertools import product
 
 from matrixcp.engine import Store
-from matrixcp.propagators import ConstE, MaxE, MinE, Relation, ScaleE, SumE, VarE
+from matrixcp.propagators import (
+    CONST,
+    MAX,
+    MIN,
+    SCALE,
+    SUM,
+    VAR,
+    ConstE,
+    MaxE,
+    MinE,
+    Program,
+    Relation,
+    ScaleE,
+    SumE,
+    VarE,
+    sweep_bounds,
+)
 
 
 def random_expr(rng, vids, depth):
@@ -34,14 +50,15 @@ def random_case(rng):
 
 def value(e, x):
     """The value of expression e under the assignment x (vid -> int)."""
-    if isinstance(e, ConstE):
-        return e.c
-    if isinstance(e, VarE):
-        return x[e.vid]
-    if isinstance(e, ScaleE):
-        return e.coef * value(e.child, x)
-    vals = [value(ch, x) for ch in e.children]
-    return {SumE: sum, MaxE: max, MinE: min}[type(e)](vals)
+    op, arg, children = e
+    if op == CONST:
+        return arg
+    if op == VAR:
+        return x[arg]
+    vals = [value(ch, x) for ch in children]
+    if op == SCALE:
+        return arg * vals[0]
+    return {SUM: sum, MAX: max, MIN: min}[op](vals)
 
 
 def propagate(bounds, op, left, right):
@@ -76,7 +93,8 @@ def test_bounds_of_the_compiled_sweep():
     a = st.new_interval(-2, 3)
     b = st.new_interval(1, 4)
     e = SumE([MaxE([VarE(a), ScaleE(-2, VarE(b))]), MinE([VarE(b), ConstE(2)])])
-    assert e.bounds(st) == (-1, 5)
+    lo, hi = sweep_bounds(Program(e), st)
+    assert (lo[0], hi[0]) == (-1, 5)
     # Both ends are attained: a=-2, b=1 gives -1 and a=3 with b>=2 gives 5.
     assert {value(e, x) for x in product(range(-2, 4), range(1, 5))} >= {-1, 5}
 

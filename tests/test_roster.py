@@ -65,6 +65,17 @@ class TestNspFormat:
         with pytest.raises(ValueError):
             parse_nsp("2 5\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 1 -2\n", r"line 1: a roster needs at least 1 nurse, 1 day and 2 "
+         r"shifts \(one off duty\), not 1 x 1 x -2"),
+        ("2 1 3\n-1 0 0\n", "line 2: coverage bound -1 is below 0"),
+        ("# two days\n2 2 3\n1 0 0\n1 -3 0\n",
+         "line 4: coverage bound -3 is below 0"),
+    ], ids=["negative-shifts", "negative-cover", "negative-cover-named"])
+    def test_bad_shape_or_cover_named(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_nsp(text)
+
 
 class TestCaseFormat:
     def test_parse_fields(self):
@@ -123,15 +134,25 @@ class TestRosterModel:
             (frozenset({0}), 0), (frozenset({1}), 1), (frozenset({2}), 2),
             (frozenset({0, 1}), 3))
 
-    @pytest.mark.parametrize("nsp, n_case, message", [
-        ("3 2 3\n1 0 0\n1 0 0", 2, "the case gives rules for 2 shifts, "
-         "the instance has 3"),
-        ("3 2 1\n1\n1", 1, r"a roster needs at least 2 shifts \(one off "
-         r"duty\), not 1"),
+    @pytest.mark.parametrize("inst, n_case, message", [
+        (NspInstance(3, 2, 3, [[1, 0, 0]] * 2), 2,
+         "the case gives rules for 2 shifts, the instance has 3"),
+        (NspInstance(3, 2, 1, [[1]] * 2), 1, r"a roster needs at least "
+         r"1 nurse, 1 day and 2 shifts \(one off duty\), not 3 x 2 x 1"),
     ], ids=["case-shift-count", "one-shift"])
-    def test_bad_shift_count_rejected(self, nsp, n_case, message):
+    def test_bad_shift_count_rejected(self, inst, n_case, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            roster_model(parse_nsp(nsp), default_toy_case(n_case))
+            roster_model(inst, default_toy_case(n_case))
+
+    @pytest.mark.parametrize("cover, message", [
+        ([[1, 0, 0], [-1, 0, 0]], "day 2: coverage bound -1 is below 0"),
+        ([[1, 0, 0]], "expected 2 days of coverage, found 1"),
+        ([[1, 0, 0], [1, 0]], "day 2: expected 3 coverage bounds, one per "
+         "shift, found 2"),
+    ], ids=["negative", "short", "day-short"])
+    def test_bad_coverage_rejected(self, cover, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            roster_model(NspInstance(3, 2, 3, cover), default_toy_case(3))
 
     def test_coverage_becomes_column_bounds(self):
         inst, rules = tiny_pair()
