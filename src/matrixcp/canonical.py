@@ -144,7 +144,8 @@ def _parse_roster(lines):
         parts = ln.split()
         tag = parts[0]
         try:
-            if tag == "ROSTER" and rules is None:
+            if tag == "ROSTER":
+                check_once(seen, tag, no)
                 check_fields(parts, "nurses days shifts")
                 n, d, s = (int(x) for x in parts[1:])
                 check_roster(n, d, s)

@@ -8,8 +8,10 @@ does not reschedule the propagator that is currently running.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 
 from .automata import (
+    SHARED_CAP,
     WeightedDfa,
     layered_arcs,
     live_symbols,
@@ -24,10 +26,6 @@ from .engine import (
     memo_token,
     memoised,
 )
-
-
-def _ceil_div(a, b):
-    return -((-a) // b)
 
 
 class MemoFilter(Propagator):
@@ -334,185 +332,16 @@ class GccColumn(MemoFilter):
 
 # -- interval expressions ----------------------------------------------------
 #
-# An expression compiles once into a ``Program``: its nodes in pre-order, each
-# an opcode, an argument (the constant, the variable id or the coefficient)
-# and the indices of its children, which come after it.  One bottom-up sweep
-# (``sweep_bounds``) computes every node's bounds from its children's, and one
-# top-down sweep (``require``) hands each node's required bounds down to its
-# children.  ``Relation`` runs on these sweeps.
+# An expression is a plain ``(op, arg, children)`` triple.  A ``Relation``
+# runs on a kernel: a Python function generated for the *shape* of its
+# expression (the triple with each variable id replaced by its position), so
+# relations of one shape over different variables share one kernel.
 
 CONST, VAR, SUM, SCALE, MAX, MIN = range(6)
 
 
-class Program:
-    """A compiled expression triple: ``ops``, ``args`` and ``kids`` in
-    pre-order, and for the bottom-up sweep the constants laid out by node
-    (``consts``), the variable leaves ``(node, vid)`` and the inner nodes
-    ``(node, op, arg, kids)`` in post-order, children first."""
-
-    __slots__ = ("ops", "args", "kids", "consts", "leaves", "inner")
-
-    def __init__(self, expr):
-        ops, args, kids = self.ops, self.args, self.kids = [], [], []
-        consts, leaves, inner = self.consts, self.leaves, self.inner = [], [], []
-
-        def emit(e):
-            i = len(ops)
-            op, arg, children = e
-            ops.append(op)
-            args.append(arg)
-            kids.append(())
-            consts.append(arg if op == CONST else 0)
-            if op == VAR:
-                leaves.append((i, arg))
-            elif children:
-                ks = kids[i] = tuple([emit(ch) for ch in children])
-                inner.append((i, op, arg, ks))
-            return i
-
-        emit(expr)
-
-
-def sweep_bounds(program, store):
-    """Bounds of every node of ``program`` under the store's domains, as two
-    lists ``lo`` and ``hi``; each variable leaf reads its domain once."""
-    lo = program.consts[:]
-    hi = program.consts[:]
-    domains = store.domains
-    for i, vid in program.leaves:
-        bits = domains[vid].bits
-        if type(bits) is range:
-            lo[i] = bits[0]
-            hi[i] = bits[-1]
-        else:
-            lo[i] = (bits & -bits).bit_length() - 1
-            hi[i] = bits.bit_length() - 1
-    for i, op, c, ks in program.inner:
-        if op == SUM:
-            a = b = 0
-            for k in ks:
-                a += lo[k]
-                b += hi[k]
-            lo[i] = a
-            hi[i] = b
-        elif op == SCALE:
-            k = ks[0]
-            if c > 0:
-                lo[i] = c * lo[k]
-                hi[i] = c * hi[k]
-            else:
-                lo[i] = c * hi[k]
-                hi[i] = c * lo[k]
-        elif op == MAX:
-            a = b = None
-            for k in ks:
-                if a is None or lo[k] > a:
-                    a = lo[k]
-                if b is None or hi[k] > b:
-                    b = hi[k]
-            lo[i] = a
-            hi[i] = b
-        else:
-            a = b = None
-            for k in ks:
-                if a is None or lo[k] < a:
-                    a = lo[k]
-                if b is None or hi[k] < b:
-                    b = hi[k]
-            lo[i] = a
-            hi[i] = b
-    return lo, hi
-
-
-def require(program, store, lo, hi, need_lo, need_hi):
-    """Bound the program's root to ``need_lo..need_hi`` (None: unbounded)
-    and derive every node's required bounds from its parent's and the
-    bounds ``lo``/``hi`` of ``sweep_bounds``; variable leaves take theirs
-    with ``set_min``/``set_max``.  A child gets a bound only where it cuts
-    the child's own.  Returns whether a domain changed; raises Inconsistent
-    when a node's required bounds miss its bounds.
-
-    The rules: a sum bounds each child by the slack the other children
-    leave; a scale divides (floor for an upper bound, ceiling for a lower
-    one, swapped by a negative coefficient); a max bounds every child from
-    above, and from below only when a single child can still reach the lower
-    bound (min symmetrically).
-    """
-    if (need_lo is None or need_lo <= lo[0]) and (need_hi is None
-                                                  or need_hi >= hi[0]):
-        return False  # the root already meets them: nothing cuts below
-    ops, args, kids = program.ops, program.args, program.kids
-    n = len(ops)
-    want_lo = [None] * n
-    want_hi = [None] * n
-    want_lo[0] = need_lo
-    want_hi[0] = need_hi
-    changed = False
-    for i in range(n):
-        a = want_lo[i]
-        b = want_hi[i]
-        if a is None and b is None:
-            continue
-        if (a is not None and a > hi[i]) or (b is not None and b < lo[i]):
-            raise Inconsistent("expression misses its required bounds")
-        op = ops[i]
-        if op == VAR:
-            if a is not None:
-                changed |= store.set_min(args[i], a)
-            if b is not None:
-                changed |= store.set_max(args[i], b)
-        elif op == SUM:
-            ks = kids[i]
-            if b is not None:
-                slack = b - lo[i]
-                for k in ks:
-                    r = slack + lo[k]
-                    if r < hi[k]:
-                        want_hi[k] = r
-            if a is not None:
-                slack = a - hi[i]
-                for k in ks:
-                    r = slack + hi[k]
-                    if r > lo[k]:
-                        want_lo[k] = r
-        elif op == SCALE:
-            (k,) = kids[i]
-            c = args[i]
-            if c > 0:
-                up = None if b is None else b // c
-                down = None if a is None else _ceil_div(a, c)
-            else:
-                up = None if a is None else a // c
-                down = None if b is None else _ceil_div(b, c)
-            if up is not None and up < hi[k]:
-                want_hi[k] = up
-            if down is not None and down > lo[k]:
-                want_lo[k] = down
-        elif op == MAX:
-            ks = kids[i]
-            if b is not None:
-                for k in ks:
-                    if b < hi[k]:
-                        want_hi[k] = b
-            if a is not None:
-                able = [k for k in ks if hi[k] >= a]
-                if len(able) == 1 and a > lo[able[0]]:
-                    want_lo[able[0]] = a
-        elif op == MIN:
-            ks = kids[i]
-            if a is not None:
-                for k in ks:
-                    if a > lo[k]:
-                        want_lo[k] = a
-            if b is not None:
-                able = [k for k in ks if lo[k] <= b]
-                if len(able) == 1 and b < hi[able[0]]:
-                    want_hi[able[0]] = b
-    return changed
-
-
 # The expression constructors.  Each returns the triple ``(op, arg,
-# children)`` that ``Program`` compiles, ``children`` a tuple of triples.
+# children)``, ``children`` a tuple of triples.
 
 
 def ConstE(c):
@@ -547,14 +376,218 @@ def MinE(children):
     return MIN, None, children
 
 
+def shape_of(expr):
+    """``(shape, vids)``: ``expr`` with each variable id replaced by its
+    position of first pre-order appearance, and the ids in that order.
+
+    Constants and coefficients go into generated source (see
+    ``_kernel_source``), so one that is not an ``int`` (a bool included)
+    raises ValueError, as does an unknown op.
+    """
+    positions = {}
+
+    def walk(e):
+        op, arg, children = e
+        if op == VAR:
+            return VAR, positions.setdefault(arg, len(positions)), ()
+        if op == CONST or op == SCALE:
+            if type(arg) is not int:
+                what = "constant" if op == CONST else "coefficient"
+                raise ValueError(f"expression {what} {arg!r} is not an int")
+        elif op not in (SUM, MAX, MIN):
+            raise ValueError(f"unknown expression op {op!r}")
+        return op, arg, tuple(map(walk, children))
+
+    return walk(expr), list(positions)
+
+
+def _mask_bounds(bits):
+    return (bits & -bits).bit_length() - 1, bits.bit_length() - 1
+
+
+def _kernel_source(op, shape):
+    """The source of ``kernel(store, vids)`` for ``op`` ("le" or "eq") over
+    ``shape``, a ``SumE``; ``vids`` holds the variable ids by position.
+
+    The kernel reads the bounds ``x<p>``/``y<p>`` of each variable once and
+    computes the bounds ``l<i>``/``h<i>`` of each inner node ``i`` (numbered
+    in pre-order) bottom-up, one statement per node.  It returns False when
+    the root already meets ``<= 0`` (``== 0`` for "eq") and raises
+    Inconsistent when it misses it.  Otherwise it hands the required bounds
+    ``a<i>``/``b<i>`` down in pre-order, bounds the variable leaves with
+    ``set_min``/``set_max`` and returns whether a domain changed.  The
+    rules: a sum bounds each child by the slack the other children leave; a
+    scale divides (floor for an upper bound, ceiling for a lower one,
+    swapped by a negative coefficient); a max bounds every child from above,
+    and from below only when a single child can still reach the lower bound
+    (min symmetrically).
+
+    A node's rules run only where its parent cuts its bounds, and a leaf is
+    bounded only where the cut is strict, so the calls are those of an
+    interpreter that skips a node without a cut.  A side that is never
+    required (the lower one of an "le" root and what inherits it) emits no
+    code, and a required bound that cuts nothing is replaced by the node's
+    own, which cuts nothing below either.  Below a root whose bounds meet
+    its required ones every child's do too, so only the root can fail.
+    """
+    nodes = []  # pre-order (op, arg, kid indices)
+
+    def number(e):
+        i = len(nodes)
+        nodes.append(None)
+        nop, arg, children = e
+        nodes[i] = (nop, arg, [number(ch) for ch in children])
+        return i
+
+    number(shape)
+
+    def lo(i):
+        nop, arg, _ = nodes[i]
+        return f"({arg})" if nop == CONST else f"x{arg}" if nop == VAR else f"l{i}"
+
+    def hi(i):
+        nop, arg, _ = nodes[i]
+        return f"({arg})" if nop == CONST else f"y{arg}" if nop == VAR else f"h{i}"
+
+    def extreme(fn, cmp, terms):
+        if len(terms) == 1:
+            return terms[0]
+        if len(terms) == 2:
+            a, b = terms
+            return f"({a} if {a} {cmp} {b} else {b})"
+        return f"{fn}({', '.join(terms)})"
+
+    lines = ["def kernel(store, vids):", "    D = store.domains"]
+    for p in sorted({arg for nop, arg, _ in nodes if nop == VAR}):
+        lines += [f"    d = D[vids[{p}]].bits",
+                  f"    if type(d) is range: x{p} = d[0]; y{p} = d[-1]",
+                  f"    else: x{p}, y{p} = mask_bounds(d)"]
+    for i in reversed(range(len(nodes))):
+        nop, c, kids = nodes[i]
+        los = [lo(k) for k in kids]
+        his = [hi(k) for k in kids]
+        if nop == SUM:
+            low, high = " + ".join(los) or "0", " + ".join(his) or "0"
+        elif nop == SCALE:
+            if c < 0:
+                los, his = his, los
+            low, high = f"{c} * {los[0]}", f"{c} * {his[0]}"
+        elif nop == MAX:
+            low, high = extreme("max", ">", los), extreme("max", ">", his)
+        elif nop == MIN:
+            low, high = extreme("min", "<", los), extreme("min", "<", his)
+        else:
+            continue
+        lines.append(f"    l{i}, h{i} = {low}, {high}")
+    if op == "le":
+        lines += ["    if h0 <= 0: return False",
+                  "    if l0 > 0: raise Inconsistent(MISS)"]
+    else:
+        lines += ["    if l0 == 0 == h0: return False",
+                  "    if l0 > 0 or h0 < 0: raise Inconsistent(MISS)"]
+    lines.append("    changed = False")
+
+    def child(k, want_lo, if_lo, want_hi, if_hi, pad):
+        # Hand node k the required bounds ``want_lo``/``want_hi`` (source,
+        # None for no requirement), each where its source condition
+        # ``if_lo``/``if_hi`` holds (always where None).
+        nop, arg, _ = nodes[k]
+        if nop == CONST:
+            return
+        if nop == VAR:
+            for want, cond, cmp, own, call in (
+                    (want_lo, if_lo, ">", f"x{arg}", "set_min"),
+                    (want_hi, if_hi, "<", f"y{arg}", "set_max")):
+                if want is None:
+                    continue
+                test = f"{want} {cmp} {own}"
+                if not want.isidentifier():
+                    test = f"(w := {want}) {cmp} {own}"
+                    want = "w"
+                if cond is not None:
+                    test = f"{cond} and {test}"
+                lines.append(f"{pad}if {test}: "
+                             f"changed |= store.{call}(vids[{arg}], {want})")
+            return
+        mark = len(lines)
+        names = []
+        tests = []
+        for want, cond, name, cmp, own in ((want_lo, if_lo, "a", ">", lo(k)),
+                                           (want_hi, if_hi, "b", "<", hi(k))):
+            if want is not None and (cond is not None
+                                     or not want.isidentifier()):
+                if cond is not None:
+                    want = f"{want} if {cond} else {own}"
+                lines.append(f"{pad}{name}{k} = {want}")
+                want = f"{name}{k}"
+            names.append(want)
+            if want is not None:
+                tests.append(f"{want} {cmp} {own}")
+        lines.append(f"{pad}if {' or '.join(tests)}:")
+        body = len(lines)
+        block(k, *names, pad + "    ")
+        if len(lines) == body:
+            del lines[mark:]  # nothing below k can be bounded
+
+    def block(i, a, b, pad):
+        # The rules of inner node i, whose required bounds are the names or
+        # literals ``a`` and ``b`` (None: no requirement on that side).
+        nop, c, kids = nodes[i]
+        if nop == SUM:
+            if a is not None:
+                lines.append(f"{pad}t{i} = {a} - h{i}")
+            if b is not None:
+                lines.append(f"{pad}s{i} = {b} - l{i}")
+            for k in kids:
+                child(k, a and f"t{i} + {hi(k)}", None,
+                      b and f"s{i} + {lo(k)}", None, pad)
+        elif nop == SCALE:
+            if c < 0:
+                a, b = b, a
+            child(kids[0], a and f"-(-{a} // {c})", None,
+                  b and f"{b} // {c}", None, pad)
+        elif nop == MAX:
+            if a is not None:
+                lines.append(f"{pad}n{i} = "
+                             + " + ".join([f"({hi(k)} >= {a})" for k in kids]))
+            for k in kids:
+                child(k, a, a and f"n{i} == 1 and {hi(k)} >= {a}", b, None,
+                      pad)
+        else:
+            if b is not None:
+                lines.append(f"{pad}n{i} = "
+                             + " + ".join([f"({lo(k)} <= {b})" for k in kids]))
+            for k in kids:
+                child(k, a, None, b, b and f"n{i} == 1 and {lo(k)} <= {b}",
+                      pad)
+
+    block(0, "0" if op == "eq" else None, "0", "    ")
+    lines.append("    return changed")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=SHARED_CAP)
+def _kernel(op, shape):
+    """The compiled kernel of ``op`` over ``shape`` (see ``_kernel_source``):
+    one per (op, shape) in the process, of the ``SHARED_CAP`` most recently
+    used."""
+    namespace = {"Inconsistent": Inconsistent, "mask_bounds": _mask_bounds,
+                 "MISS": "expression misses its required bounds"}
+    exec(compile(_kernel_source(op, shape), f"<{op} kernel>", "exec"),
+         namespace)
+    return namespace["kernel"]
+
+
 class Relation(Propagator):
     """left <= right or left == right over interval expressions.
 
-    ``left - right`` is compiled once into a program (``Program``), and
-    each pass sweeps its bounds bottom-up, then requires the root to be at
-    most 0 (exactly 0 for ``eq``) top-down (``require``).  Relations link
-    the property layer's measured totals to the column counts, so they run
-    in the last tier (see ``Propagator``).
+    ``left - right`` is rewritten into its shape (``shape_of``), whose
+    kernel comes from the process-wide table ``_kernel``, compiled the first
+    time the shape is built.  Each pass is one kernel call: every node's
+    bounds bottom-up, then the root required to be at most 0 (exactly 0
+    for ``eq``) top-down.  Relations link the property layer's measured
+    totals to the column counts, so they run in the last tier (see
+    ``Propagator``).
     """
 
     priority = 2
@@ -563,16 +596,14 @@ class Relation(Propagator):
         if op not in ("le", "eq"):
             raise ValueError("op must be 'le' or 'eq'")
         self.op = op
-        self._program = Program(SumE([left, ScaleE(-1, right)]))
-        self._need_lo = 0 if op == "eq" else None
-        self._vids = list(dict.fromkeys(vid for _, vid in self._program.leaves))
+        shape, self._vids = shape_of(SumE([left, ScaleE(-1, right)]))
+        self._kernel = _kernel(op, shape)
 
     def variables(self):
         return self._vids
 
     def _pass(self, store):
-        lo, hi = sweep_bounds(self._program, store)
-        return require(self._program, store, lo, hi, self._need_lo, 0)
+        return self._kernel(store, self._vids)
 
 
 class LinearEq(Relation):
@@ -724,7 +755,7 @@ class StretchLengthWindows(Propagator):
         self.zmin = zmin
         self.zmax = zmax
         self.n_rows = n_rows
-        leaves = [v for c in self.cards for _, v in Program(c).leaves]
+        leaves = [v for c in self.cards for v in shape_of(c)[1]]
         self._vids = list(dict.fromkeys(leaves + [zmin, zmax]))
         self._windows = {}  # (zmin lower bound, zmax upper bound) -> relations
 

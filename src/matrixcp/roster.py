@@ -70,6 +70,19 @@ def check_roster(n, d, s, cover=None, lines=None):
             raise ValueError(f"{where}: coverage bound {min(day)} is below 0")
 
 
+def _ints(toks):
+    """The integers of the numbered tokens ``toks``; a token that is not one
+    raises ValueError naming its line."""
+    out = []
+    for no, tok in toks:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"line {no}: expected an integer, "
+                             f"found {tok!r}") from None
+    return out
+
+
 def parse_nsp(text, name=""):
     """Instance file: header ``N D S`` then D coverage lines of S integers
     (lower bounds per day and shift), as ``check_roster`` requires them.
@@ -77,7 +90,7 @@ def parse_nsp(text, name=""):
     toks = [(no, tok) for no, ln in clean_lines(text) for tok in ln.split()]
     if len(toks) < 3:
         raise ValueError("instance header must give N D S")
-    n, d, s = (int(tok) for _, tok in toks[:3])
+    n, d, s = _ints(toks[:3])
     try:
         check_roster(n, d, s)
     except ValueError as exc:
@@ -85,7 +98,7 @@ def parse_nsp(text, name=""):
     body = toks[3:3 + d * s]
     if len(body) < d * s:
         raise ValueError("instance file is missing coverage entries")
-    cover = [[int(tok) for _, tok in body[j * s:(j + 1) * s]] for j in range(d)]
+    cover = [_ints(body[j * s:(j + 1) * s]) for j in range(d)]
     check_roster(n, d, s, cover, [body[j * s][0] for j in range(d)])
     return NspInstance(n, d, s, cover, name=name)
 

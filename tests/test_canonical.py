@@ -287,7 +287,8 @@ class TestRosterFiles:
         ("WORK 3 5 1 4\n", "WORK already set on line"),
         ("SHIFT 2 0 3 1 2\n", "SHIFT 2 already set on line"),
         ("WORK 5 3 1 4\n", "empty occurrence interval: WORK 5 3 1 4"),
-    ], ids=["NAME", "WORK", "SHIFT", "WORK-interval"])
+        ("ROSTER 2 1 2\n", "ROSTER already set on line 1$"),
+    ], ids=["NAME", "WORK", "SHIFT", "WORK-interval", "ROSTER"])
     def test_bad_or_repeated_line_named(self, extra, message):
         # The toy roster's own file already sets NAME, WORK and every SHIFT.
         inst, rules = gen_toy_rosters(8, 1)[0]

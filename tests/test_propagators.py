@@ -20,7 +20,6 @@ from matrixcp.propagators import (
     MaxE,
     Mcr,
     MinE,
-    Program,
     Relation,
     ScaleE,
     StretchLengthWindows,
@@ -30,9 +29,9 @@ from matrixcp.propagators import (
     post_lex_chain,
     regular_dc,
     stretch_edge,
-    sweep_bounds,
 )
 from matrixcp.roster import gen_toy_rosters, roster_model
+from test_relation_differential import Program, sweep_bounds
 
 
 def no_mixing_dfa():
@@ -457,6 +456,8 @@ class TestLinearEq:
 
 
 def root_bounds(e, st):
+    # The root's bounds under the reference interpreter (see
+    # test_relation_differential), which the relation kernels match.
     lo, hi = sweep_bounds(Program(e), st)
     return lo[0], hi[0]
 

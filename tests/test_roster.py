@@ -71,7 +71,10 @@ class TestNspFormat:
         ("2 1 3\n-1 0 0\n", "line 2: coverage bound -1 is below 0"),
         ("# two days\n2 2 3\n1 0 0\n1 -3 0\n",
          "line 4: coverage bound -3 is below 0"),
-    ], ids=["negative-shifts", "negative-cover", "negative-cover-named"])
+        ("x 1 2\n", "line 1: expected an integer, found 'x'"),
+        ("2 1 2\n1 x\n", "line 2: expected an integer, found 'x'"),
+    ], ids=["negative-shifts", "negative-cover", "negative-cover-named",
+            "non-integer-header", "non-integer-cover"])
     def test_bad_shape_or_cover_named(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_nsp(text)
