@@ -264,16 +264,15 @@ class WeightedDfa:
     The automaton also owns what is derived from it on first use and freed
     with it: the compiled arc tables of its runs (see ``arc_table``), one per
     run length; its ``content_key``; the ``model.achievable_totals`` of each
-    run length (``_totals``); its ``count_groups``; and its projection on
-    each resource list (``with_resources``).  Its ``memo_token``, a plain
-    object made with it, stands for it in the keys of the process's filter
-    memo (``engine.MEMO``), so the memo never keeps the automaton alive,
-    and an automaton built again, equal in content or not, gets a new
-    token.
+    run length (``_totals``); and its ``count_groups``.  Its
+    ``memo_token``, a plain object made with it, stands for it in the keys
+    of the process's filter memo (``engine.MEMO``), so the memo never keeps
+    the automaton alive, and an automaton built again, equal in content or
+    not, gets a new token.
     """
 
     __slots__ = ("dfa", "costs", "resource_bounds", "memo_token", "_tables",
-                 "_key", "_totals", "_groups", "_projections", "__weakref__")
+                 "_key", "_totals", "_groups", "__weakref__")
 
     def __init__(self, dfa, costs=None, resource_bounds=()):
         resource_bounds = tuple((int(lo), int(hi)) for lo, hi in resource_bounds)
@@ -306,7 +305,6 @@ class WeightedDfa:
         self._key = None
         self._totals = {}
         self._groups = None
-        self._projections = {}
 
     @classmethod
     def plain(cls, dfa):
@@ -518,35 +516,6 @@ class WeightedDfa:
             self.n_resources + other.n_resources, base, positional
         )
         return WeightedDfa(dfa, costs, self.resource_bounds + other.resource_bounds)
-
-    def with_resources(self, keep):
-        """Project onto the resources listed in ``keep`` (in that order).
-
-        The projection is kept per resource list, so every call with the
-        same list returns one automaton, whose arc tables and totals are
-        then compiled once.
-        """
-        keep = tuple(keep)
-        if keep in self._projections:
-            return self._projections[keep]
-        picked = {}
-
-        def pick(vec):
-            # Vectors are shared tuples, so each distinct one is projected once.
-            out = picked.get(vec)
-            if out is None:
-                out = picked[vec] = tuple(vec[r] for r in keep)
-            return out
-
-        base = {key: pick(vec) for key, vec in self.costs.base.items()}
-        positional = {
-            key: {i: pick(vec) for i, vec in per.items()}
-            for key, per in self.costs.positional.items()
-        }
-        costs = CostMatrices._from_vectors(len(keep), base, positional)
-        out = self._projections[keep] = WeightedDfa(
-            self.dfa, costs, [self.resource_bounds[r] for r in keep])
-        return out
 
 
 class ProductTooLarge(AutomatonError):

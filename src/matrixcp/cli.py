@@ -12,11 +12,11 @@ from . import canonical, generators, oracle, roster
 from .model import MODES, solve
 
 
-def _at_least(least):
-    """An argparse type: an int of at least ``least``."""
+def _at_least(least, kind=int):
+    """An argparse type: a number of type ``kind`` of at least ``least``."""
 
     def count(text):
-        value = int(text)
+        value = kind(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
         return value
@@ -63,12 +63,7 @@ def _grid_text(grid):
 
 def cmd_solve(args):
     model = _load(args.model)
-    out = solve(
-        model,
-        mode=args.mode,
-        time_limit=args.time_limit,
-        aggregate_words=args.aggregate_words,
-    )
+    out = solve(model, mode=args.mode, time_limit=args.time_limit)
     s = out.stats
     print(f"status {out.status}")
     print(
@@ -188,18 +183,18 @@ def build_parser():
         "weighted-automaton rows and cardinality columns.",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
+    positive, nonnegative = _at_least(1), _at_least(0)
+    seconds = _at_least(0, float)
 
     p = sub.add_parser("solve", help="solve a model file")
     p.add_argument("model", help="model file path or - for stdin")
     p.add_argument("--mode", choices=MODES, default="wa")
-    p.add_argument("--aggregate-words", action="store_true",
-                   help="post only the aggregate word-count conditions")
-    p.add_argument("--time-limit", type=float, default=180.0)
+    p.add_argument("--time-limit", type=seconds, default=180.0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force solve a model file")
     p.add_argument("model")
-    p.add_argument("--cap", type=int, default=10_000_000,
+    p.add_argument("--cap", type=positive, default=10_000_000,
                    help="search-node budget guard")
     p.add_argument("--count", action="store_true",
                    help="count all solutions instead of finding one")
@@ -211,7 +206,6 @@ def build_parser():
         "roster"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    positive, nonnegative = _at_least(1), _at_least(0)
     p.add_argument("--rows", type=positive, default=4)
     p.add_argument("--cols", type=positive, default=4)
     p.add_argument("--values", type=positive, default=3)
@@ -240,10 +234,10 @@ def build_parser():
     )
     p.add_argument("dir", nargs="?", default=None,
                    help="directory of model files; omit to generate toys")
-    p.add_argument("--toy", type=int, default=50, help="toy instance count")
+    p.add_argument("--toy", type=positive, default=50, help="toy instance count")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--modes", type=_modes, default=",".join(MODES))
-    p.add_argument("--time-limit", type=float, default=180.0)
+    p.add_argument("--time-limit", type=seconds, default=180.0)
     p.add_argument("--out", default=None, help="TSV output path")
     p.set_defaults(func=cmd_bench)
     return ap

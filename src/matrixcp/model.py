@@ -5,9 +5,13 @@ A model is lowered into a propagation store in one of three modes:
 
 - ``decomp``: row rule + column value counts checked against their
   declared bounds only.
-- ``wa``: decomp plus per-row measuring automata for string properties
-  (word occurrences, stretch counts, stretch length extremes) and the
-  necessary conditions tying their totals to the column count variables.
+- ``wa``: decomp plus the count-group equalities (each row-rule resource
+  that counts a value group against that group's column counts), per-row
+  measuring automata for string properties (word occurrences, stretch
+  counts, stretch length extremes) and the necessary conditions tying
+  their totals to the column count variables.  A one-symbol word over a
+  group the rule counts posts nothing: its count-group equality states
+  it.
 - ``cwa``: wa, with each measuring automaton crossed with the row rule
   automaton so both are filtered jointly, sharing the rule's resource
   variables.
@@ -20,10 +24,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .automata import (
+    SHARED_CAP,
     ProductTooLarge,
     WeightedDfa,
+    build_gcc_weights,
     build_sliding_word_counter,
     build_stretch_count,
     build_stretch_length_bounds,
@@ -237,7 +244,7 @@ class Built:
         self.cells = []        # R x K cell variable ids
         self.cards = []        # K x V cardinality variable ids (wa, cwa)
         self.rule_z = []       # R x n_resources rule resource ids
-        self.prop_z = {}       # property -> per-row resource id lists
+        self.prop_z = {}       # posted property -> per-row resource ids
         self.branch_vars = []
         self.root_infeasible = False
 
@@ -256,7 +263,7 @@ class Built:
         ]
 
 
-def build(model, mode="decomp", aggregate_words=False, cross_cap=20000):
+def build(model, mode="decomp", cross_cap=20000):
     """Lower a model into a store under the given mode.
 
     Under ``decomp`` each column's ``GccColumn`` counts against the declared
@@ -272,18 +279,24 @@ def build(model, mode="decomp", aggregate_words=False, cross_cap=20000):
 
     Under ``wa`` and ``cwa`` the build is staged.  It posts the
     decomposition layer first (cells, columns, row rules, the lex chain and
-    the count-group relations) and propagates it.  If that fails,
+    the count-group equalities) and propagates it.  If that fails,
     the model is root-infeasible and no measuring automaton, product or
     property propagator is built.  Otherwise the property layer is posted
     and its propagators stay queued for the caller.  The root fixpoint does
     not depend on the order in which propagators run, so the staging moves
     only where a refutation happens and how many runs it takes.
+
+    A one-symbol word over a value group the rule counts is not posted (and
+    has no ``Built.prop_z`` entry): its total is the rule resource that the
+    group's count-group equality already ties to the column counts.  A
+    word of two or more symbols gets one pair of conditions per start
+    position plus one on its total.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     b = Built(model, mode)
     try:
-        _build_inner(b, model, mode, aggregate_words, cross_cap)
+        _build_inner(b, model, mode, cross_cap)
     except Inconsistent:
         b.root_infeasible = True
     return b
@@ -298,7 +311,7 @@ class CountGroupEq(Relation):
     priority = 0
 
 
-def _build_inner(b, model, mode, aggregate_words, cross_cap):
+def _build_inner(b, model, mode, cross_cap):
     store = b.store
     R, K, V = model.n_rows, model.n_cols, model.n_values
 
@@ -342,13 +355,16 @@ def _build_inner(b, model, mode, aggregate_words, cross_cap):
 
     # The count groups read only column counts and rule resources, so they
     # join the decomposition layer, which runs to its fixpoint before any
-    # measuring automaton or product is built.
+    # measuring automaton or product is built.  Each equality states the
+    # one-symbol word over its group, so that word is not posted again.
+    counted = set()
     for group, rj in model.row_rule.count_groups():
         col_total = SumE(
             [VarE(b.cards[k][v]) for k in range(K) for v in group]
         )
         row_total = SumE([VarE(b.rule_z[i][rj]) for i in range(R)])
         store.register(CountGroupEq("eq", col_total, row_total))
+        counted.add(WordProp((group,)))
     if store.propagate() == "failed":
         raise Inconsistent("the decomposition layer has no solution")
 
@@ -356,7 +372,16 @@ def _build_inner(b, model, mode, aggregate_words, cross_cap):
     if props is None:
         props = default_properties(V)
     for prop in props:
-        _post_property(b, model, mode, prop, aggregate_words, cross_cap)
+        if prop not in counted:
+            _post_property(b, model, mode, prop, cross_cap)
+
+
+@lru_cache(maxsize=SHARED_CAP)
+def _symbol_counter(vset, n_values, n):
+    """The one-resource counter of the symbols in ``vset`` over rows of n
+    cells.  Shared like the measuring automata of ``automata``: one per
+    argument tuple, of the ``SHARED_CAP`` most recently used."""
+    return build_gcc_weights(range(n_values), [vset], [(0, n)])
 
 
 def _card_expr(b, k, vset):
@@ -391,7 +416,7 @@ def _post_measuring_rows(b, model, mode, wdfa, cross_cap):
     return rows
 
 
-def _post_property(b, model, mode, prop, aggregate_words, cross_cap):
+def _post_property(b, model, mode, prop, cross_cap):
     store = b.store
     R, K = model.n_rows, model.n_cols
 
@@ -400,18 +425,19 @@ def _post_property(b, model, mode, prop, aggregate_words, cross_cap):
         m = len(pattern)
         if m > K:
             return
-        wd = build_sliding_word_counter(pattern, K, range(model.n_values),
-                                        with_total=True)
-        n_flags = K - m + 1
-        if aggregate_words or m == 1:
-            wd = wd.with_resources([n_flags])
+        if m == 1:
+            # The flag at k would be [x[i,k] in pattern[0]], so a
+            # per-position equality narrows only what the column's
+            # GccColumn narrows from the cells: the total is the whole
+            # condition, and a counter of the set measures it.
+            wd = _symbol_counter(pattern[0], model.n_values, K)
+        else:
+            wd = build_sliding_word_counter(pattern, K, range(model.n_values),
+                                            with_total=True)
         rows = _post_measuring_rows(b, model, mode, wd, cross_cap)
         b.prop_z[prop] = rows
         tot = SumE([VarE(rows[i][-1]) for i in range(R)])
         if m == 1:
-            # The flag at k is [x[i,k] in pattern[0]], so a per-position
-            # equality narrows only what the column's GccColumn narrows from
-            # the cells: the total is the whole condition.
             cards = SumE([_card_expr(b, k, pattern[0]) for k in range(K)])
             store.register(Relation("eq", cards, tot))
             return
@@ -425,11 +451,11 @@ def _post_property(b, model, mode, prop, aggregate_words, cross_cap):
         def uw(k):
             return MinE([_card_expr(b, k + j, pattern[j]) for j in range(m)])
 
-        if not aggregate_words:
-            for k in range(n_flags):
-                zsum = SumE([VarE(rows[i][k]) for i in range(R)])
-                store.register(Relation("le", lw(k), zsum))
-                store.register(Relation("le", zsum, uw(k)))
+        n_flags = K - m + 1
+        for k in range(n_flags):
+            zsum = SumE([VarE(rows[i][k]) for i in range(R)])
+            store.register(Relation("le", lw(k), zsum))
+            store.register(Relation("le", zsum, uw(k)))
         store.register(
             Relation("le", SumE([lw(k) for k in range(n_flags)]), tot)
         )
@@ -487,10 +513,10 @@ def _post_property(b, model, mode, prop, aggregate_words, cross_cap):
     raise ValueError(f"unknown property {prop!r}")
 
 
-def root_prune(model, mode, aggregate_words=False):
+def root_prune(model, mode):
     """Propagate once at the root; returns the cell domain grid or None on
     failure."""
-    b = build(model, mode, aggregate_words=aggregate_words)
+    b = build(model, mode)
     if b.root_infeasible:
         return None
     if b.store.propagate() == "failed":
@@ -512,8 +538,7 @@ class SolveOutcome:
         self.built = built
 
 
-def solve(model, mode="decomp", time_limit=None, aggregate_words=False,
-          on_solution=None):
+def solve(model, mode="decomp", time_limit=None, on_solution=None):
     """Build and search; returns a SolveOutcome with the external-value grid.
 
     ``time_limit`` counts from the start of ``build``: search gets what the
@@ -521,7 +546,7 @@ def solve(model, mode="decomp", time_limit=None, aggregate_words=False,
     already proved the model unsat.
     """
     t0 = time.monotonic()
-    b = build(model, mode, aggregate_words=aggregate_words)
+    b = build(model, mode)
     stats = SearchStats()
     stats.propagations = b.store.propagation_count  # run inside build
     if b.root_infeasible:

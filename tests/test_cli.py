@@ -49,9 +49,14 @@ class TestSolve:
         capsys.readouterr()
 
     def test_aggregate_words_flag(self, tmp_path, capsys):
+        # Removed: every word of two or more symbols gets its per-position
+        # conditions.
         path = write_model(tmp_path / "m.txt", sat_model())
-        assert main(["solve", path, "--mode", "wa", "--aggregate-words"]) == 0
-        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--mode", "wa", "--aggregate-words"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --aggregate-words"
+                in capsys.readouterr().err)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -188,6 +193,10 @@ class TestArgumentChecks:
         ["gen", "roster", "--nurses", "0"],
         ["gen", "roster", "--shifts", "1"],
         ["bench", "--modes", "foo"],
+        ["bench", "--toy", "-2"],
+        ["oracle", "m.txt", "--cap", "-5"],
+        ["solve", "m.txt", "--time-limit", "-1"],
+        ["bench", "--time-limit", "-1"],
     ])
     def test_degenerate_argument_exits_2_naming_it(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

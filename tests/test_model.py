@@ -299,12 +299,11 @@ class TestExplicitProperties:
                            col_gcc=[{1: (0, 2)} for _ in range(3)],
                            properties=[WordProp((frozenset({1}), frozenset({1})))])
 
-    @pytest.mark.parametrize("aggregate", [False, True])
-    def test_word_conditions_preserve_solutions(self, aggregate):
+    def test_word_conditions_preserve_solutions(self):
         m = self.word_model()
         want = {tuple(map(tuple, g)) for g in brute_solutions(m)}
         got = set()
-        solve(m, mode="wa", aggregate_words=aggregate,
+        solve(m, mode="wa",
               on_solution=lambda g: (got.add(tuple(map(tuple, g))), False)[1])
         ext = {tuple(tuple(m.values[v] for v in row) for row in g) for g in want}
         assert got == ext
@@ -512,7 +511,11 @@ def test_rosters_of_one_case_share_crossed_automata():
               for cover, *_ in SHARED_CASE_ROSTERS]
     assert models[0].row_rule is models[1].row_rule
     built = [build(m, "cwa") for m in models]
-    props = default_properties(3)
+    counted = [WordProp((group,))
+               for group, _ in models[0].row_rule.count_groups()]
+    props = [p for p in default_properties(3) if p not in counted]
+    for b in built:
+        assert list(b.prop_z) == props
     for prop in props:
         mcrs = []
         for b in built:
@@ -529,26 +532,24 @@ def test_rosters_of_one_case_share_crossed_automata():
                 for cells in doms] == [row] * m.n_rows
 
 
-def test_aggregate_word_builds_share_the_projection():
-    """Two ``wa`` builds with ``aggregate_words`` post one projected word
-    automaton; status and nodes are pinned from before the projection was
-    kept (8 and 18)."""
-    rules = default_toy_case(3)
-    words = [p for p in default_properties(3) if isinstance(p, WordProp)]
-    assert words
-    for (cover, *_), nodes in zip(SHARED_CASE_ROSTERS, (8, 18)):
-        m = roster_model(NspInstance(5, 7, 3, cover), rules)
-        built = [build(m, "wa", aggregate_words=True) for _ in range(2)]
-        for prop in words:
-            posted = []
-            for b in built:
-                z = b.prop_z[prop][0][0]
-                (p,) = [p for p in b.store._watchers[z] if isinstance(p, Mcr)]
-                posted.append(p.wdfa)
-            assert posted[0] is posted[1]
-            assert posted[0].n_resources == 1
-        out = solve(m, "wa", aggregate_words=True)
-        assert (out.status, out.stats.nodes) == ("sat", nodes)
+def test_uncounted_symbol_counter_is_shared():
+    """A one-symbol word over a set the rule does not count posts a counter
+    of that set, one automaton for every build (under ``cwa``, one product
+    with the rule); the word over the set the rule counts posts nothing."""
+    rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(1, 2)])
+    words = [WordProp((frozenset({v}),)) for v in (0, 1)]
+    m = MatrixModel(2, 3, (0, 1), rule, properties=words)
+    for mode, n_resources in (("wa", 1), ("cwa", 2)):
+        posted = []
+        for b in [build(m, mode) for _ in range(2)]:
+            assert list(b.prop_z) == words[:1]
+            z = b.prop_z[words[0]][0][0]
+            (p,) = [p for p in b.store._watchers[z] if isinstance(p, Mcr)]
+            posted.append(p.wdfa)
+        assert posted[0] is posted[1]
+        assert posted[0].n_resources == n_resources
+        assert posted[0].dfa.n_states == 1
+        assert solve(m, mode).status == brute_solve(m)[0]
 
 
 def fixpoint_models():
@@ -595,12 +596,16 @@ def test_root_is_a_local_fixpoint(monkeypatch):
 
 
 def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
-    """A one-symbol word posts only its total condition.  Its per-position
-    equalities ``n[v@k] == sum_i z[i,k]`` were dropped because the flag
-    ``z[i,k]`` is ``[x[i,k] = v]``: posting the full counter (crossed under
-    cwa) and those equalities on a model at its root fixpoint changes no
-    domain of the model's own variables."""
-    stable = 0
+    """A one-symbol word posts at most its total condition.  Its
+    per-position equalities ``n[v@k] == sum_i z[i,k]`` were dropped because
+    the flag ``z[i,k]`` is ``[x[i,k] = v]``, and the word over a group the
+    rule counts posts nothing, because its count-group equality ties the
+    same total to the same column counts.  On a model at its root fixpoint,
+    posting the full counter of each value with those equalities, and the
+    counter of each counted group with its total equality (each crossed
+    with the rule under cwa), changes no domain of the model's own
+    variables."""
+    stable = groups = 0
     for m in fixpoint_models():
         R, K = m.n_rows, m.n_cols
         for mode in ("wa", "cwa"):
@@ -620,10 +625,18 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
                     cards = [VarE(b.cards[j][v])
                              for j in (range(K) if k == K else (k,))]
                     st.register(Relation("eq", SumE(cards), flags))
+            for group, _ in m.row_rule.count_groups():
+                counter = matrixcp.model._symbol_counter(group, m.n_values, K)
+                rows = matrixcp.model._post_measuring_rows(b, m, mode,
+                                                           counter, 20000)
+                total = SumE([VarE(rows[i][0]) for i in range(R)])
+                cards = [VarE(b.cards[k][v]) for k in range(K) for v in group]
+                st.register(Relation("eq", SumE(cards), total))
+                groups += 1
             assert st.propagate() == "stable", (m.name, mode)
             assert [d.values for d in st.domains[:len(before)]] == before, (
                 m.name, mode)
-    assert stable >= 70  # 74 when written
+    assert stable >= 70 and groups >= 15  # 74 and 20 when written
 
 
 def small_reductions():
