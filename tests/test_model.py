@@ -293,14 +293,19 @@ class TestModeContrast:
 
 
 class TestExplicitProperties:
-    def word_model(self):
+    def word_model(self, counted_total=False):
         rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(1, 2)])
+        props = [WordProp((frozenset({1}), frozenset({1})))]
+        if counted_total:
+            # a one-symbol word over the group the rule counts posts nothing
+            props.append(WordProp((frozenset({1}),)))
         return MatrixModel(2, 3, (0, 1), rule,
                            col_gcc=[{1: (0, 2)} for _ in range(3)],
-                           properties=[WordProp((frozenset({1}), frozenset({1})))])
+                           properties=props)
 
-    def test_word_conditions_preserve_solutions(self):
-        m = self.word_model()
+    @pytest.mark.parametrize("counted_total", [False, True])
+    def test_word_conditions_preserve_solutions(self, counted_total):
+        m = self.word_model(counted_total)
         want = {tuple(map(tuple, g)) for g in brute_solutions(m)}
         got = set()
         solve(m, mode="wa",
