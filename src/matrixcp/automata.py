@@ -885,23 +885,22 @@ def build_word_occurrence(pattern, k, n, alphabet):
     return WeightedDfa(dfa, CostMatrices(1, base), [(0, 1)])
 
 
-def build_sliding_word_counter(pattern, n, alphabet, with_total=False):
+def build_sliding_word_counter(pattern, n, alphabet):
     """One automaton flagging a symbol-set word at every start position.
 
     Resource j totals 1 exactly when the word occurs starting at position j
-    (j = 0..n-len(pattern)); with ``with_total`` a final extra resource sums
-    all the flags.  The state is the last len(pattern)-1 symbols read (padded
-    with the first alphabet symbol before the word starts; padding can never
-    produce a flag because costs are position gated).  Shared: one
-    automaton per (pattern, n, alphabet, with_total), of the ``SHARED_CAP``
-    most recently used.
+    (j = 0..n-len(pattern)), and a final extra resource sums all the flags.
+    The state is the last len(pattern)-1 symbols read (padded with the first
+    alphabet symbol before the word starts; padding can never produce a flag
+    because costs are position gated).  Shared: one automaton per (pattern,
+    n, alphabet), of the ``SHARED_CAP`` most recently used.
     """
     return _sliding_word_counter(tuple(frozenset(p) for p in pattern), n,
-                                 tuple(alphabet), with_total)
+                                 tuple(alphabet))
 
 
 @lru_cache(maxsize=SHARED_CAP)
-def _sliding_word_counter(pattern, n, alphabet, with_total):
+def _sliding_word_counter(pattern, n, alphabet):
     m = len(pattern)
     if m < 1 or m > n:
         raise AutomatonError("pattern length must be between 1 and the word length")
@@ -912,7 +911,6 @@ def _sliding_word_counter(pattern, n, alphabet, with_total):
         (alphabet[0],) * (m - 1), lambda h: [(h + (v,))[1:] for v in alphabet]
     )
     n_flags = n - m + 1
-    n_res = n_flags + (1 if with_total else 0)
     positional = {}
     for qi, h in enumerate(hists):
         if not all(h[j] in pattern[j] for j in range(m - 1)):
@@ -922,13 +920,10 @@ def _sliding_word_counter(pattern, n, alphabet, with_total):
             # rules out any padded history.
             for end in range(m - 1, n):
                 positional[(end - m + 1, qi, v, end)] = 1
-                if with_total:
-                    positional[(n_flags, qi, v, end)] = 1
+                positional[(n_flags, qi, v, end)] = 1
     dfa = Dfa.from_rows(alphabet, rows, 0, range(len(hists)))
-    bounds = [(0, 1)] * n_flags
-    if with_total:
-        bounds.append((0, n_flags))
-    return WeightedDfa(dfa, CostMatrices(n_res, {}, positional), bounds)
+    bounds = [(0, 1)] * n_flags + [(0, n_flags)]
+    return WeightedDfa(dfa, CostMatrices(n_flags + 1, {}, positional), bounds)
 
 
 def build_stretch_length_bounds(vhat, alphabet, n):

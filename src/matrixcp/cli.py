@@ -7,6 +7,7 @@ import argparse
 import os
 import random
 import sys
+import traceback
 
 from . import canonical, generators, oracle, roster
 from .model import MODES, solve
@@ -245,14 +246,18 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    # Exit 1 means unsat to solve and oracle, so bad input exits 3.  A
-    # FormatError names its file (see _load), an OSError names it itself.
+    # Exit 1 means unsat to solve and oracle, so bad input exits 3 and a
+    # crash exits 4 with its traceback.  A FormatError names its file (see
+    # _load), an OSError names it itself.
     try:
         return args.func(args)
     except oracle.CapExceeded as exc:  # only the oracle command raises it
         print(f"matrixcp oracle: {args.model}: {exc}", file=sys.stderr)
     except (canonical.FormatError, OSError) as exc:
         print(f"matrixcp {args.cmd}: {exc}", file=sys.stderr)
+    except Exception:
+        traceback.print_exc()
+        return 4
     return 3
 
 

@@ -114,13 +114,15 @@ def check_property(prop, n_values):
 
 
 def default_properties(n_values):
-    """Singleton words, repeated pairs, stretch counts and lengths per value."""
+    """Singleton words, repeated pairs, stretch counts and lengths per value.
+    A value that is the only one has no stretch properties: every row is
+    one stretch of it (see ``check_property``)."""
     props = []
     for v in range(n_values):
-        props.append(WordProp((frozenset((v,)),)))
-        props.append(WordProp((frozenset((v,)), frozenset((v,)))))
-        props.append(StretchCountProp(frozenset((v,))))
-        props.append(StretchLengthProp(frozenset((v,))))
+        vs = frozenset((v,))
+        props += [WordProp((vs,)), WordProp((vs, vs))]
+        if n_values > 1:
+            props += [StretchCountProp(vs), StretchLengthProp(vs)]
     return props
 
 
@@ -235,7 +237,11 @@ class Built:
     decomposition layer has already been propagated to its fixpoint and the
     property propagators wait in the queue; under ``decomp`` every
     propagator waits there.  Either way the caller's ``propagate`` (or
-    ``search``) finishes the root fixpoint."""
+    ``search``) finishes the root fixpoint.
+
+    Every variable of the store is a cell, a column count (``cards``), a
+    rule resource (``rule_z``) or a property resource (``prop_z``); the
+    property conditions are expressions over these."""
 
     def __init__(self, model, mode):
         self.model = model
@@ -417,6 +423,10 @@ def _post_measuring_rows(b, model, mode, wdfa, cross_cap):
 
 
 def _post_property(b, model, mode, prop, cross_cap):
+    """Post ``prop``'s measuring automaton on every row and the conditions
+    tying its per-row resources (kept in ``b.prop_z``) to the column counts.
+    It creates no variable besides those resources: a stretch-length
+    property's windows read their box off the row minima and maxima."""
     store = b.store
     R, K = model.n_rows, model.n_cols
 
@@ -432,8 +442,7 @@ def _post_property(b, model, mode, prop, cross_cap):
             # condition, and a counter of the set measures it.
             wd = _symbol_counter(pattern[0], model.n_values, K)
         else:
-            wd = build_sliding_word_counter(pattern, K, range(model.n_values),
-                                            with_total=True)
+            wd = build_sliding_word_counter(pattern, K, range(model.n_values))
         rows = _post_measuring_rows(b, model, mode, wd, cross_cap)
         b.prop_z[prop] = rows
         tot = SumE([VarE(rows[i][-1]) for i in range(R)])
@@ -495,19 +504,8 @@ def _post_property(b, model, mode, prop, cross_cap):
         wd = build_stretch_length_bounds(vhat, range(model.n_values), K)
         rows = _post_measuring_rows(b, model, mode, wd, cross_cap)
         b.prop_z[prop] = rows
-        zmin = store.new_interval(0, K + 1)
-        zmax = store.new_interval(0, K)
-        store.register(
-            Relation("eq", VarE(zmin), MinE([VarE(rows[i][0]) for i in range(R)]))
-        )
-        store.register(
-            Relation("eq", VarE(zmax), MaxE([VarE(rows[i][1]) for i in range(R)]))
-        )
-        store.register(
-            StretchLengthWindows(
-                [_card_expr(b, k, vhat) for k in range(K)], zmin, zmax, R
-            )
-        )
+        store.register(StretchLengthWindows(
+            [_card_expr(b, k, vhat) for k in range(K)], rows))
         return
 
     raise ValueError(f"unknown property {prop!r}")

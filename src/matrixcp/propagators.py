@@ -741,23 +741,22 @@ class StretchLengthWindows(Propagator):
     """Window conditions tying per-column counts to stretch-length bounds.
 
     cards[k] is an expression for the number of tracked symbols in column k;
-    zmin/zmax are shared stretch-length extremes over all rows.  The windows
-    are instantiated at the weakest sound point of the current zmin/zmax box
-    (zmin at its lower bound, zmax at its upper bound) and re-derived whenever
-    that point moves, so they tighten as the length bounds tighten.  A
-    property link, so it runs in the last tier (see ``Propagator``).
+    rows[i] holds row i's (shortest, longest stretch) resource ids.  The
+    windows are instantiated at the weakest sound point of the rows' box
+    (the least row minimum, the greatest row maximum) and re-derived
+    whenever that point moves, so they tighten as the length bounds
+    tighten; they narrow only the counts.  A property link, so it runs in
+    the last tier (see ``Propagator``).
     """
 
     priority = 2
 
-    def __init__(self, cards, zmin, zmax, n_rows):
+    def __init__(self, cards, rows):
         self.cards = list(cards)
-        self.zmin = zmin
-        self.zmax = zmax
-        self.n_rows = n_rows
+        self.rows = list(rows)
         leaves = [v for c in self.cards for v in shape_of(c)[1]]
-        self._vids = list(dict.fromkeys(leaves + [zmin, zmax]))
-        self._windows = {}  # (zmin lower bound, zmax upper bound) -> relations
+        self._vids = list(dict.fromkeys(leaves + [v for r in rows for v in r]))
+        self._windows = {}  # box -> relations
 
     def variables(self):
         return self._vids
@@ -776,7 +775,7 @@ class StretchLengthWindows(Propagator):
                     edges = SumE([stretch_edge(cards, j, d) for j in js])
                     rels.append(Relation("le", edges, cards[k]))
         if a <= b:
-            cap = ConstE((b - a + 1) * self.n_rows)
+            cap = ConstE((b - a + 1) * len(self.rows))
             for ks, d in ((range(K - b), -1), (range(b, K), 1)):
                 for k in ks:
                     terms = [cards[k - d * j] for j in range(a, b + 1)]
@@ -787,7 +786,8 @@ class StretchLengthWindows(Propagator):
     def _pass(self, store):
         # The windows depend only on this point, so each point's relations
         # are built once and kept for when search returns to it.
-        box = (store.vmin(self.zmin), store.vmax(self.zmax))
+        box = (min([store.vmin(lo) for lo, _ in self.rows]),
+               max([store.vmax(hi) for _, hi in self.rows]))
         rels = self._windows.get(box)
         if rels is None:
             rels = self._windows[box] = self._build(*box)

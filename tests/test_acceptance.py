@@ -73,7 +73,7 @@ def build_snapshot_state(per_position):
         cells.append(row)
     card_dom = [(0, 2), (4, 5), (4, 5), (0, 2), (0, 5)]
     cards = [st.new_interval(lo, hi) for lo, hi in card_dom]
-    wd = build_sliding_word_counter(pat, K, (0, 1, 2), with_total=True)
+    wd = build_sliding_word_counter(pat, K, (0, 1, 2))
     totals = achievable_totals(wd, K)
     zs = []
     for i in range(R):
@@ -351,7 +351,9 @@ def test_criterion_6_automata_algebra():
             nxt = build_word_occurrence(pattern, k, n, alpha)
             prod = nxt if prod is None else prod.product(nxt, n)
         w = tuple(rng.choice(alpha) for _ in range(n))
-        assert slide.run_weighted(w) == prod.run_weighted(w)
+        ok, got = slide.run_weighted(w)
+        assert (ok, got[:-1]) == prod.run_weighted(w)
+        assert got[-1] == sum(got[:-1])
 
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0

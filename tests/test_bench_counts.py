@@ -27,16 +27,16 @@ import workloads  # noqa: E402
 TOY_CWA = [
     (0, "toy000_u", "unsat", 0, 168, 16),
     (1, "toy001_u", "unsat", 0, 105, 13),
-    (2, "toy002_s", "sat", 32, 0, 2077),
-    (3, "toy003_s", "sat", 21, 0, 1401),
+    (2, "toy002_s", "sat", 32, 0, 1999),
+    (3, "toy003_s", "sat", 21, 0, 1341),
     (4, "toy004_u", "unsat", 0, 168, 16),
     (5, "toy005_u", "unsat", 0, 105, 13),
 ]
 TOY_WA = [
     (0, "toy000_u", "unsat", 0, 168, 16),
     (1, "toy001_u", "unsat", 0, 105, 13),
-    (2, "toy002_s", "sat", 32, 0, 2047),
-    (3, "toy003_s", "sat", 21, 0, 1360),
+    (2, "toy002_s", "sat", 32, 0, 1915),
+    (3, "toy003_s", "sat", 21, 0, 1269),
     (4, "toy004_u", "unsat", 0, 168, 16),
     (5, "toy005_u", "unsat", 0, 105, 13),
 ]

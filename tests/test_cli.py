@@ -48,6 +48,28 @@ class TestSolve:
         assert main(["solve", path, "--mode", mode]) == 0
         capsys.readouterr()
 
+    def test_one_value_model_solves_in_every_mode(self, tmp_path, capsys):
+        # One value holds every cell, so no stretch property is posted.
+        path = str(tmp_path / "one.txt")
+        assert main(["gen", "random", "--seed", "3", "--rows", "2", "--cols",
+                     "3", "--values", "1", "--out", path]) == 0
+        for mode in ("decomp", "wa", "cwa"):
+            assert main(["solve", path, "--mode", mode]) == 0, mode
+            assert "status sat" in capsys.readouterr().out
+
+    def test_crash_exits_4_with_its_traceback(self, tmp_path, capsys,
+                                              monkeypatch):
+        # Exit 1 means unsat, so an unexpected error must not exit 1.
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("matrixcp.cli.solve", crash)
+        path = write_model(tmp_path / "m.txt", sat_model())
+        assert main(["solve", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert err.splitlines()[-1] == "RuntimeError: boom"
+
     def test_aggregate_words_flag(self, tmp_path, capsys):
         # Removed: every word of two or more symbols gets its per-position
         # conditions.

@@ -32,6 +32,7 @@ from matrixcp.model import (
     WordProp,
     achievable_totals,
     build,
+    check_property,
     default_properties,
     root_prune,
     solve,
@@ -164,10 +165,18 @@ class TestMatrixModel:
         assert kinds.count("StretchCountProp") == 2
         assert kinds.count("StretchLengthProp") == 2
 
+    def test_default_properties_pass_their_own_check(self):
+        # A lone value fills every row, so it has no stretch properties.
+        assert default_properties(1) == [WordProp(({0},)),
+                                         WordProp(({0}, {0}))]
+        for n_values in (1, 2, 3):
+            for prop in default_properties(n_values):
+                check_property(prop, n_values)
+
 
 class TestAchievableTotals:
     def test_sliding_counter_totals(self):
-        wd = build_sliding_word_counter(({1},), 3, (0, 1), with_total=True)
+        wd = build_sliding_word_counter(({1},), 3, (0, 1))
         assert achievable_totals(wd, 3) == [(0, 1), (0, 1), (0, 1), (0, 3)]
 
     def test_infeasible_returns_none(self):
@@ -196,6 +205,13 @@ class TestSolve:
         solve(permutation_model(3), mode=mode,
               on_solution=lambda g: (seen.append(tuple(map(tuple, g))), False)[1])
         assert len(set(seen)) == 6
+
+    def test_one_value_model_agrees_with_the_oracle(self):
+        m = MatrixModel(2, 3, (5,), universal_dfa((0,)))
+        assert brute_solve(m) == ("sat", [[0] * 3] * 2)
+        for mode in MODES:
+            out = solve(m, mode)
+            assert (out.status, out.grid) == ("sat", [[5] * 3] * 2), mode
 
     @pytest.mark.parametrize("mode", ["decomp", "wa", "cwa"])
     def test_pinned_column_unsat(self, mode):
@@ -557,14 +573,37 @@ def test_uncounted_symbol_counter_is_shared():
         assert solve(m, mode).status == brute_solve(m)[0]
 
 
+def fuzz_models():
+    """The 200 criterion-4 fuzz models."""
+    return [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
+                       random.Random(200 + i).randint(2, 4),
+                       random.Random(300 + i).randint(2, 3))
+            for i in range(200)]
+
+
 def fixpoint_models():
     """The 200 criterion-4 fuzz models plus six toy rosters."""
-    models = [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
-                         random.Random(200 + i).randint(2, 4),
-                         random.Random(300 + i).randint(2, 3))
-              for i in range(200)]
-    return models + [roster_model(inst, rules)
-                     for inst, rules in gen_toy_rosters(4242, 6)]
+    return fuzz_models() + [roster_model(inst, rules)
+                            for inst, rules in gen_toy_rosters(4242, 6)]
+
+
+@pytest.mark.parametrize("mode", ["wa", "cwa"])
+def test_every_variable_is_a_cell_count_or_resource(mode):
+    """Every variable a build posts is a cell, a column count, a rule
+    resource or a property resource: the stretch-length windows read the
+    row resources themselves."""
+    models = fuzz_models() + [roster_model(inst, rules)
+                              for inst, rules in gen_toy_rosters(4242, 25)]
+    lengths = 0
+    for m in models:
+        b = build(m, mode)
+        listed = [x for row in b.cells for x in row]
+        listed += [n for col in b.cards for n in col]
+        listed += [z for row in b.rule_z for z in row]
+        listed += [z for rows in b.prop_z.values() for row in rows for z in row]
+        assert sorted(listed) == list(range(len(b.store.domains))), m.name
+        lengths += sum(isinstance(p, StretchLengthProp) for p in b.prop_z)
+    assert lengths > 100
 
 
 def test_root_is_a_local_fixpoint(monkeypatch):
@@ -622,7 +661,7 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
             before = [d.values for d in st.domains]
             for v in range(m.n_values):
                 counter = build_sliding_word_counter(
-                    (frozenset((v,)),), K, range(m.n_values), with_total=True)
+                    (frozenset((v,)),), K, range(m.n_values))
                 rows = matrixcp.model._post_measuring_rows(b, m, mode,
                                                            counter, 20000)
                 for k in range(K + 1):

@@ -620,8 +620,9 @@ class TestStretchLengthWindows:
         cards = [interval(dm) for dm in card_values]
         zmin = interval(zmin_dom)
         zmax = interval(zmax_dom)
+        # n_rows rows that share one (shortest, longest) resource pair
         st.register(StretchLengthWindows([VarE(c) for c in cards],
-                                         zmin, zmax, n_rows))
+                                         [(zmin, zmax)] * n_rows))
         return st
 
     def test_overlong_run_fails(self):
@@ -683,6 +684,28 @@ class TestStretchLengthWindows:
             st.undo()
         assert built == [(1, 5), *dict.fromkeys(boxes)]
 
+    def test_box_spans_the_rows_and_leaves_them_alone(self):
+        """The box is the least row minimum and the greatest row maximum,
+        and the windows narrow the counts only.  The box of either row
+        alone, (1, 2) or (2, 3), fails on these counts."""
+        cards = (range(0, 1), range(1, 2), range(1, 3), range(2, 3), range(2, 3))
+        shared = self.post(cards, range(1, 7), range(0, 4), n_rows=2)
+        st = Store()
+        counts = [st.new_interval(c[0], c[-1]) for c in cards]
+        rows = [(st.new_interval(1, 6), st.new_interval(0, 2)),
+                (st.new_interval(2, 6), st.new_interval(1, 3))]
+        st.register(StretchLengthWindows([VarE(c) for c in counts], rows))
+        assert shared.propagate() == st.propagate() == "stable"
+        assert ([st.dom(c) for c in counts]
+                == [shared.dom(c) for c in range(len(cards))]
+                != list(cards))
+        assert [(st.dom(lo), st.dom(hi)) for lo, hi in rows] == [
+            (range(1, 7), range(0, 3)), (range(2, 7), range(1, 4))]
+        for row in rows:
+            assert self.post(cards, range(st.vmin(row[0]), 7),
+                             range(0, st.vmax(row[1]) + 1),
+                             n_rows=2).propagate() == "failed"
+
     def test_one_term_windows_are_not_posted(self, monkeypatch):
         """A start or end window of one term is a tautology; without them
         the propagator prunes and fails on random card boxes exactly as the
@@ -707,7 +730,7 @@ class TestStretchLengthWindows:
                               for j in range(k, j1 + 1)]),
                         self.cards[k]))
             if a <= b:
-                cap = ConstE((b - a + 1) * self.n_rows)
+                cap = ConstE((b - a + 1) * len(self.rows))
                 for k in range(0, K - b):
                     rels.append(Relation(
                         "le",
