@@ -25,6 +25,14 @@ def _at_least(least, kind=int):
     return count
 
 
+def _probability(text):
+    """An argparse type: a float in [0, 1]."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], not {value}")
+    return value
+
+
 def _modes(text):
     """An argparse type: a comma-separated list of filtering modes."""
     modes = tuple(text.split(","))
@@ -212,7 +220,8 @@ def build_parser():
     p.add_argument("--values", type=positive, default=3)
     p.add_argument("--states", type=positive, default=3)
     p.add_argument("--resources", type=nonnegative, default=1)
-    p.add_argument("--tightness", type=float, default=0.4)
+    p.add_argument("--tightness", type=_probability, default=0.4,
+                   help="chance that a column bounds a value's count")
     p.add_argument("--props", type=positive, default=3)
     p.add_argument("--clauses", type=positive, default=4)
     p.add_argument("--sets", type=positive, default=4)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict, deque
+from itertools import islice
 
 # Most entries the filter memo and its token table each keep; the oldest is
 # evicted first.
@@ -220,9 +221,14 @@ class Store:
             raise Inconsistent(self.names[vid])
         self._trail.append((vid, old))
         dom.bits = new
+        # ``enqueue`` inlined: this runs for every domain change.
+        running = self._running
+        queued = self._queued
+        tiers = self._tiers
         for prop in self._watchers[vid]:
-            if prop is not self._running:
-                self.enqueue(prop)
+            if prop is not running and prop not in queued:
+                queued.add(prop)
+                tiers[prop.priority].append(prop)
         return True
 
     def keep_values(self, vid, allowed):
@@ -250,7 +256,11 @@ class Store:
         return False
 
     def assign(self, vid, v):
-        return self.keep_values(vid, (v,))
+        bits = self.domains[vid].bits
+        if type(bits) is range:
+            return self.keep_values(vid, (v,))
+        return self._commit(vid, bits & (1 << v)
+                            if 0 <= v < bits.bit_length() else 0)
 
     def set_min(self, vid, lo):
         bits = self.domains[vid].bits
@@ -298,29 +308,35 @@ class Store:
         """Run queued propagators to a fixpoint.
 
         Returns "stable" or "failed"; on failure every tier is emptied
-        (the search undoes the trail anyway).
+        (the search undoes the trail anyway).  ``propagation_count`` counts
+        every run, the failing one included.
         """
         tiers = self._tiers
+        t0, t1, t2 = tiers
+        queued = self._queued
+        runs = 0
         try:
             while True:
-                for tier in tiers:
-                    if tier:
-                        prop = tier.popleft()
-                        break
+                if t0:
+                    prop = t0.popleft()
+                elif t1:
+                    prop = t1.popleft()
+                elif t2:
+                    prop = t2.popleft()
                 else:
                     return "stable"
-                self._queued.discard(prop)
+                queued.discard(prop)
                 self._running = prop
-                try:
-                    self.propagation_count += 1
-                    prop.run(self)
-                finally:
-                    self._running = None
+                runs += 1
+                prop.run(self)
         except Inconsistent:
             for tier in tiers:
                 tier.clear()
-            self._queued.clear()
+            queued.clear()
             return "failed"
+        finally:
+            self._running = None
+            self.propagation_count += runs
 
 
 class Propagator:
@@ -377,21 +393,35 @@ class SearchResult:
         self.elapsed = elapsed
 
 
-def pick(store, branch_vars):
-    """The unfixed variable of ``branch_vars`` with the smallest domain, the
-    first one on ties; None when all are fixed.  No unfixed domain is smaller
-    than 2, so the scan stops at the first of size 2."""
+def pick(store, branch_vars, start=0):
+    """``(first, vid)``: ``first`` is the index of the first unfixed
+    variable of ``branch_vars`` at or after ``start`` (``len(branch_vars)``
+    when there is none), and ``vid`` the unfixed variable with the smallest
+    domain from there on, the first one on ties, or None.  No unfixed domain
+    is smaller than 2, so the scan stops at the first of size 2.  The
+    variables before ``start`` must be fixed."""
     domains = store.domains
-    best = None
-    best_size = 0
-    for vid in branch_vars:
+    n = len(branch_vars)
+    first = start
+    while first < n:
+        best = branch_vars[first]
+        bits = domains[best].bits
+        best_size = len(bits) if type(bits) is range else bits.bit_count()
+        if best_size > 1:
+            break
+        first += 1
+    else:
+        return n, None
+    if best_size == 2:
+        return first, best
+    for vid in islice(branch_vars, first + 1, None):
         bits = domains[vid].bits
         size = len(bits) if type(bits) is range else bits.bit_count()
-        if size > 1 and (best is None or size < best_size):
+        if 1 < size < best_size:
             if size == 2:
-                return vid
+                return first, vid
             best, best_size = vid, size
-    return best
+    return first, best
 
 
 def search(store, branch_vars, time_limit=None, on_solution=None):
@@ -405,6 +435,11 @@ def search(store, branch_vars, time_limit=None, on_solution=None):
     passed to the callback and search continues until the callback returns
     True (stop) or the tree is exhausted (status then reports "unsat" only if
     no solution was seen).
+
+    A variable fixed at a node stays fixed below it, so ``pick`` resumes at
+    the first branch variable the parent found unfixed; each decision keeps
+    that index, which its refutation, back at the parent's domains, resumes
+    from too.
     """
     t0 = time.monotonic()
     stats = SearchStats()
@@ -420,16 +455,17 @@ def search(store, branch_vars, time_limit=None, on_solution=None):
         return out("unsat", None)
 
     found = [None]
-    # Explicit stack of (vid, value) decisions for iterative DFS: a popped
-    # decision is refuted by removing its value.
+    # Explicit stack of (vid, value, first) decisions for iterative DFS: a
+    # popped decision is refuted by removing its value.
     stack = []
+    first = 0
     while True:
         if deadline is not None and time.monotonic() > deadline:
             while stack:
                 store.undo()
                 stack.pop()
             return out("timeout", found[0])
-        vid = pick(store, branch_vars)
+        first, vid = pick(store, branch_vars, first)
         if vid is None:
             solution = {v: store.value(v) for v in branch_vars}
             found[0] = solution
@@ -443,7 +479,7 @@ def search(store, branch_vars, time_limit=None, on_solution=None):
             stats.nodes += 1
             v = store.vmin(vid)
             store.mark()
-            stack.append((vid, v))
+            stack.append((vid, v, first))
             store.assign(vid, v)
             status = store.propagate()
         while status == "failed":
@@ -451,7 +487,7 @@ def search(store, branch_vars, time_limit=None, on_solution=None):
             if not stack:
                 return out("sat" if found[0] is not None else "unsat", found[0])
             stats.backtracks += 1
-            vid, v = stack.pop()
+            vid, v, first = stack.pop()
             store.undo()
             # Refute the tried value and re-propagate at this node.
             try:

@@ -288,7 +288,12 @@ def gen_random(seed, n_rows, n_cols, n_values, n_states=3, n_resources=1,
                tightness=0.4, domain_gaps=0.2):
     """Seeded random instance: random connected rule automaton with random
     transition costs, random per-column cardinality intervals, random cell
-    domain restrictions."""
+    domain restrictions.  ``tightness`` is the chance that a column bounds
+    a value's count, ``domain_gaps`` the chance that a cell drops a value;
+    each must lie in [0, 1]."""
+    for name, p in (("tightness", tightness), ("domain_gaps", domain_gaps)):
+        if not 0 <= p <= 1:
+            raise ValueError(f"{name} must lie in [0, 1], not {p!r}")
     rng = random.Random(seed)
     values = tuple(range(n_values))
     alphabet = tuple(range(n_values))

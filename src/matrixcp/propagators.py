@@ -20,6 +20,7 @@ from .automata import (
 )
 from .engine import (
     MEMO,
+    NO_CHANGE,
     Inconsistent,
     Propagator,
     mask_of,
@@ -76,8 +77,8 @@ class MemoFilter(Propagator):
 
     def run(self, store):
         domains = store.domains
-        cells = [domains[x].bits for x in self.xs]
         if self.zs:
+            cells = [domains[x].bits for x in self.xs]
             lo = []
             hi = []
             for z in self.zs:
@@ -85,12 +86,16 @@ class MemoFilter(Propagator):
                 lo.append(r[0])
                 hi.append(r[-1])
             key = (self._token, *cells, *lo, *hi)
+            result = MEMO.get(key)
+            if result is None:
+                result = memoised(key, self.filter, cells, lo, hi)
         else:
-            lo = hi = ()
-            key = (self._token, *cells)
-        result = MEMO.get(key)
-        if result is None:
-            result = memoised(key, self.filter, cells, lo, hi)
+            key = (self._token, *[domains[x].bits for x in self.xs])
+            result = MEMO.get(key)
+            if result is None:
+                result = memoised(key, self.filter, key[1:], (), ())
+        if result is NO_CHANGE:
+            return
         changes, failed = result
         vs = self._vars
         commit = store._commit

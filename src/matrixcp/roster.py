@@ -327,29 +327,34 @@ def bench_tsv(records):
 
 def bench_summary(records):
     """Aligned per-mode table: status counts, then #Inst (solved), mean Time
-    and mean #Bktk over the instances solved by every mode."""
+    and mean #Bktk over the instances solved by every mode.
+
+    Records come as ``run_bench`` makes them, each model's modes in turn.
+    Models may share a name, so a record starts a new instance when its
+    name differs from the previous record's or its mode already has a
+    record in the current instance."""
     modes = []
     for r in records:
         if r.mode not in modes:
             modes.append(r.mode)
-    by_inst = {}
+    insts = []  # per instance: mode -> record
+    prev = None
     for r in records:
-        by_inst.setdefault(r.instance, {})[r.mode] = r
-    solved_by = {
-        m: {i for i, rs in by_inst.items()
-            if m in rs and rs[m].status in ("sat", "unsat")}
-        for m in modes
-    }
-    common = set(by_inst)
-    for m in modes:
-        common &= solved_by[m]
+        if not insts or r.instance != prev or r.mode in insts[-1]:
+            insts.append({})
+        insts[-1][r.mode] = r
+        prev = r.instance
+    common = [
+        rs for rs in insts
+        if all(m in rs and rs[m].status in ("sat", "unsat") for m in modes)
+    ]
     rows = []
     for m in modes:
-        rs = [by_inst[i][m] for i in by_inst if m in by_inst[i]]
+        rs = [inst[m] for inst in insts if m in inst]
         sat = sum(1 for r in rs if r.status == "sat")
         uns = sum(1 for r in rs if r.status == "unsat")
         tout = sum(1 for r in rs if r.status == "timeout")
-        com = [by_inst[i][m] for i in sorted(common)]
+        com = [inst[m] for inst in common]
         mean_t = sum(r.elapsed for r in com) / len(com) if com else 0.0
         mean_b = sum(r.backtracks for r in com) / len(com) if com else 0.0
         rows.append((m, str(sat), str(uns), str(tout), str(sat + uns),

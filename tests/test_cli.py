@@ -212,6 +212,9 @@ class TestArgumentChecks:
         ["gen", "random", "--states", "0"],
         ["gen", "random", "--values", "0"],
         ["gen", "random", "--rows", "-1"],
+        ["gen", "random", "--tightness", "-1"],
+        ["gen", "random", "--tightness", "2"],
+        ["gen", "random", "--tightness", "nan"],
         ["gen", "roster", "--nurses", "0"],
         ["gen", "roster", "--shifts", "1"],
         ["bench", "--modes", "foo"],

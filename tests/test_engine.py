@@ -260,8 +260,12 @@ class TestTiers:
         assert st.propagate() == "failed"
         assert log == props[:1]
         assert not any(st._tiers) and not st._queued
+        # The failing run is counted, and no propagator is left running.
+        assert st._running is None
+        assert st.propagation_count == 1
         assert st.propagate() == "stable"
         assert log == props[:1]
+        assert st.propagation_count == 1
 
 
 class TestSearch:

@@ -193,6 +193,16 @@ class TestGenRandom:
         assert (m.n_rows, m.n_cols, m.n_values) == (4, 6, 3)
         assert len(m.values) == 3
 
+    @pytest.mark.parametrize("name", ["tightness", "domain_gaps"])
+    @pytest.mark.parametrize("p", [-1, 2, float("nan")])
+    def test_probability_outside_the_unit_interval_rejected(self, name, p):
+        with pytest.raises(ValueError, match=name):
+            gen_random(7, 3, 3, 2, **{name: p})
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_probability_at_the_ends_accepted(self, p):
+        gen_random(7, 3, 3, 2, tightness=p, domain_gaps=p)
+
     def test_models_are_buildable(self):
         from matrixcp.model import root_prune
         for s in range(10):

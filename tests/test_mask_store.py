@@ -113,6 +113,8 @@ def full_scan(st, branch_vars):
 
 
 def test_pick_matches_a_full_scan():
+    """``pick`` from a random ``start`` over a prefix fixed first finds the
+    variable a full scan finds, and the first unfixed index."""
     rng = random.Random(7800)
     for trial in range(500):
         st = Store()
@@ -124,7 +126,14 @@ def test_pick_matches_a_full_scan():
             else:
                 vids.append(st.new_var(rng.sample(range(8), rng.randint(1, 5))))
         branch = rng.sample(vids, rng.randint(0, len(vids)))
-        assert pick(st, branch) == full_scan(st, branch), f"trial {trial}"
+        start = rng.randint(0, len(branch))
+        for vid in branch[:start]:
+            st.assign(vid, st.vmin(vid))
+        first = next((i for i, vid in enumerate(branch)
+                      if not st.is_fixed(vid)), len(branch))
+        assert first >= start
+        assert pick(st, branch, start) == (first, full_scan(st, branch)), \
+            f"trial {trial}"
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, "a", None])

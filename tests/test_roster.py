@@ -1,5 +1,6 @@
 import pytest
 
+from matrixcp.cli import main
 from matrixcp.model import root_prune, solve
 from matrixcp.oracle import brute_solve, check_solution
 from matrixcp.roster import (
@@ -254,6 +255,20 @@ class TestBenchHarness:
         assert lines[2].split()[0] == "wa"
         # means are over the commonly solved instance (only "a")
         assert lines[1].split()[4] == "1"
+
+    def test_summary_counts_models_that_share_a_name(self, tmp_path, capsys):
+        # Both files are named random_7 by the generator.
+        for extra in ([], ["--rows", "4", "--cols", "5"]):
+            assert main(["gen", "random", "--seed", "7", "--out",
+                         str(tmp_path / f"m{len(extra)}.txt")] + extra) == 0
+        assert main(["bench", str(tmp_path), "--modes", "decomp"]) == 0
+        out = capsys.readouterr().out
+        tsv, summary = out.split("\n\n")
+        rows = [ln.split("\t") for ln in tsv.splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows] == [("random_7", "unsat")] * 2
+        head, decomp = (ln.split() for ln in summary.splitlines())
+        counts = dict(zip(head, decomp))
+        assert (counts["unsat"], counts["#Inst"]) == ("2", "2")
 
     def test_bad_solution_would_be_caught(self):
         # the harness re-checks sat answers against the exact oracle
