@@ -556,8 +556,8 @@ def reachable(start, successors, max_states=None):
 # The graph of the runs of length n has one layer per position; its arcs are
 # the compiled ``(q, v, q2, cost)`` tuples of ``WeightedDfa.arc_table``, held
 # in one list per layer.  ``Mcr`` and ``achievable_totals`` both run on it,
-# in sweeps: ``sweep_forward`` and ``sweep_backward`` with cost envelopes,
-# ``layered_arcs`` and ``live_symbols`` without.
+# in sweeps: ``sweep_forward`` and ``sweep_backward`` with cost envelopes.  A
+# plain automaton runs the same sweeps; its envelopes are empty (0).
 
 
 class Packing:
@@ -627,38 +627,6 @@ class ArcTable:
     def __init__(self, layers, packing):
         self.layers = layers
         self.packing = packing
-
-
-def layered_arcs(table, start, doms):
-    """The forward arc pass of a plain automaton: per layer, the arcs of
-    ``table`` (an ``ArcTable``) that leave a state reached from ``start``
-    and read a symbol of the mask doms[i].  Returns those lists and the set
-    of states reached after the last layer."""
-    reach = (start,)
-    arcs = []
-    for layer, dom in zip(table.layers, doms):
-        layer = [a for q in reach for a in layer[q] if dom >> a[1] & 1]
-        arcs.append(layer)
-        reach = {a[2] for a in layer}
-    return arcs, set(reach)
-
-
-def live_symbols(arcs, finals):
-    """The backward pass of a plain automaton over the arcs of a forward
-    pass: per layer, the mask of the symbols of the arcs whose target still
-    reaches a state of ``finals`` after the last layer."""
-    masks = [0] * len(arcs)
-    live = finals
-    for i in range(len(arcs) - 1, -1, -1):
-        mask = 0
-        sources = set()
-        for a in arcs[i]:
-            if a[2] in live:
-                mask |= 1 << a[1]
-                sources.add(a[0])
-        masks[i] = mask
-        live = sources
-    return masks
 
 
 def sweep_forward(table, start, doms=None, arcs=None, env=None, first=0):

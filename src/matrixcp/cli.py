@@ -34,12 +34,15 @@ def _probability(text):
 
 
 def _modes(text):
-    """An argparse type: a comma-separated list of filtering modes."""
+    """An argparse type: a comma-separated list of distinct filtering
+    modes."""
     modes = tuple(text.split(","))
-    for mode in modes:
+    for i, mode in enumerate(modes):
         if mode not in MODES:
             raise argparse.ArgumentTypeError(
                 f"unknown mode {mode!r}; modes are {', '.join(MODES)}")
+        if mode in modes[:i]:
+            raise argparse.ArgumentTypeError(f"mode {mode!r} is repeated")
     return modes
 
 
@@ -168,10 +171,10 @@ def cmd_bench(args):
             p for p in os.listdir(args.dir)
             if os.path.isfile(os.path.join(args.dir, p))
         )
+        # Models may share a NAME, so each is named by its file as well.
         models = [_load(os.path.join(args.dir, p)) for p in paths]
         for p, m in zip(paths, models):
-            if not m.name:
-                m.name = p
+            m.name = f"{p}:{m.name}" if m.name else p
     else:
         pairs = roster.gen_toy_rosters(args.seed, args.toy)
         models = [roster.roster_model(inst, rules) for inst, rules in pairs]

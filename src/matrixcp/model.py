@@ -126,6 +126,13 @@ def default_properties(n_values):
     return props
 
 
+def _is_range(bound):
+    """True iff ``bound`` is an ``(lo, hi)`` pair of ints.  An empty range
+    (lo > hi) is one: it is root-infeasible."""
+    return (isinstance(bound, (tuple, list)) and len(bound) == 2
+            and isinstance(bound[0], int) and isinstance(bound[1], int))
+
+
 class MatrixModel:
     """Immutable description of one matrix constraint instance.
 
@@ -157,6 +164,9 @@ class MatrixModel:
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.values = tuple(values)
+        for v in self.values:
+            if not isinstance(v, int):
+                raise ValueError(f"value {v!r} is not an int")
         if list(self.values) != sorted(set(self.values)):
             raise ValueError("value table must be strictly ascending")
         nv = len(self.values)
@@ -171,6 +181,15 @@ class MatrixModel:
                 raise ValueError(f"{what} needs one entry per column")
         self.col_gcc = [dict(col_gcc[k]) if col_gcc else {} for k in range(n_cols)]
         self.col_sums = list(col_sums) if col_sums else [None] * n_cols
+        for k in range(n_cols):
+            for v, bound in self.col_gcc[k].items():
+                if not _is_range(bound):
+                    raise ValueError(f"col_gcc[{k}][{v}] must be an (lo, hi) "
+                                     f"pair of ints, not {bound!r}")
+            bound = self.col_sums[k]
+            if bound is not None and not _is_range(bound):
+                raise ValueError(f"col_sums[{k}] must be an (lo, hi) pair of "
+                                 f"ints, not {bound!r}")
         self.cell_domains = None
         if cell_domains is not None:
             if [len(row) for row in cell_domains] != [n_cols] * n_rows:

@@ -13,8 +13,6 @@ from functools import lru_cache
 from .automata import (
     SHARED_CAP,
     WeightedDfa,
-    layered_arcs,
-    live_symbols,
     sweep_backward,
     sweep_forward,
 )
@@ -126,9 +124,10 @@ class Mcr(MemoFilter):
     a round that cuts an arc is followed by another, whose forward sweep
     resumes at the lowest layer with a cut arc.  Each row variable
     keeps the symbols of the arcs the last backward sweep kept, ORed into
-    one mask.  With zero resources one forward arc pass and one backward
-    pass (``layered_arcs``, ``live_symbols``) give exact domain consistency
-    for the plain automaton membership constraint.
+    one mask.  A plain automaton (zero resources) runs the same sweeps with
+    empty envelopes: no bound changes and no cut, so one round keeps exactly
+    the arcs on accepting runs, which is domain consistency for the plain
+    automaton membership constraint.
 
     Envelopes and arc costs are ints packed by the table's ``Packing``: one
     field per slot of ``(min_0.., -max_0..)``, offset by a bias larger than
@@ -165,14 +164,6 @@ class Mcr(MemoFilter):
         d = self.wdfa.dfa
         nres = self.wdfa.n_resources
         table = self.wdfa.arc_table(n)
-        if nres == 0:
-            arcs, reach = layered_arcs(table, d.start, cells)
-            finals = reach & d.accepting
-            if not finals:
-                return [], True
-            masks = live_symbols(arcs, finals)
-            return [(i, m) for i, m in enumerate(masks) if m != cells[i]], False
-
         packing = table.packing
         lo = list(lo)
         hi = list(hi)

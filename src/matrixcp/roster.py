@@ -293,7 +293,10 @@ def run_bench(models, modes=("decomp", "wa", "cwa"), time_limit=180.0):
     """Solve every model under every mode sequentially; returns records.
 
     Every sat outcome is re-checked against the model by the exact oracle
-    before being reported."""
+    before being reported.  A mode may be listed once."""
+    for i, mode in enumerate(modes):
+        if mode in modes[:i]:
+            raise ValueError(f"mode {mode!r} is repeated")
     records = []
     for model in models:
         for mode in modes:

@@ -187,6 +187,18 @@ class TestBench:
         assert "#Inst" in out and "#Bktk" in out
         assert "decomp" in out and "wa" in out
 
+    def test_directory_rows_are_named_by_file(self, tmp_path, capsys):
+        # a.txt and b.txt share the NAME perm2; c.txt has no NAME.
+        write_model(tmp_path / "a.txt", sat_model())
+        write_model(tmp_path / "b.txt", sat_model())
+        unnamed = sat_model()
+        unnamed.name = ""
+        write_model(tmp_path / "c.txt", unnamed)
+        assert main(["bench", str(tmp_path), "--modes", "decomp"]) == 0
+        tsv = capsys.readouterr().out.split("\n\n")[0]
+        names = [ln.split("\t")[0] for ln in tsv.splitlines()[1:]]
+        assert names == ["a.txt:perm2", "b.txt:perm2", "c.txt"]
+
     def test_toy_bench(self, capsys):
         rc = main(["bench", "--toy", "2", "--seed", "3", "--modes", "wa",
                    "--time-limit", "20"])
@@ -222,6 +234,7 @@ class TestArgumentChecks:
         ["oracle", "m.txt", "--cap", "-5"],
         ["solve", "m.txt", "--time-limit", "-1"],
         ["bench", "--time-limit", "-1"],
+        ["bench", "--toy", "2", "--modes", "wa,wa"],
     ])
     def test_degenerate_argument_exits_2_naming_it(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -99,6 +99,20 @@ class TestMatrixModel:
         with pytest.raises(ValueError):
             MatrixModel(2, 2, (0, 1), rule, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, problem", [
+        ({"col_sums": [(0, 1, 2), (0, 1)]}, r"col_sums\[0\] must be an \(lo, hi\)"),
+        ({"col_sums": [None, 3]}, r"col_sums\[1\] must be an \(lo, hi\)"),
+        ({"col_gcc": [{0: 3}, {}]}, r"col_gcc\[0\]\[0\] must be an \(lo, hi\)"),
+        ({"col_gcc": [{}, {1: (0, 1.5)}]}, r"col_gcc\[1\]\[1\] must be an \(lo, hi\)"),
+        ({"values": (0.5, 1)}, "value 0.5 is not an int"),
+        ({"values": (0, "1")}, "value '1' is not an int"),
+    ], ids=["col_sums-triple", "col_sums-scalar", "col_gcc-scalar",
+            "col_gcc-float", "values-float", "values-str"])
+    def test_malformed_bound_or_value_named(self, kwargs, problem):
+        kwargs = {"values": (0, 1), **kwargs}
+        with pytest.raises(ValueError, match=f"^{problem}"):
+            MatrixModel(2, 2, row_rule=universal_dfa((0, 1)), **kwargs)
+
     @pytest.mark.parametrize("prop, problem", [
         (WordProp((frozenset({0}), frozenset({2}))), "outside 0..1"),
         (StretchCountProp(frozenset({3})), "outside 0..1"),

@@ -265,10 +265,16 @@ class TestBenchHarness:
         out = capsys.readouterr().out
         tsv, summary = out.split("\n\n")
         rows = [ln.split("\t") for ln in tsv.splitlines()[1:]]
-        assert [(r[0], r[2]) for r in rows] == [("random_7", "unsat")] * 2
+        assert [(r[0], r[2]) for r in rows] == [("m0.txt:random_7", "unsat"),
+                                                ("m4.txt:random_7", "unsat")]
         head, decomp = (ln.split() for ln in summary.splitlines())
         counts = dict(zip(head, decomp))
         assert (counts["unsat"], counts["#Inst"]) == ("2", "2")
+
+    def test_repeated_mode_rejected(self):
+        inst, rules = gen_toy_rosters(9, 1)[0]
+        with pytest.raises(ValueError, match="mode 'wa' is repeated"):
+            run_bench([roster_model(inst, rules)], modes=("wa", "cwa", "wa"))
 
     def test_bad_solution_would_be_caught(self):
         # the harness re-checks sat answers against the exact oracle
