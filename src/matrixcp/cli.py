@@ -37,12 +37,14 @@ def _modes(text):
     """An argparse type: a comma-separated list of distinct filtering
     modes."""
     modes = tuple(text.split(","))
-    for i, mode in enumerate(modes):
+    for mode in modes:
         if mode not in MODES:
             raise argparse.ArgumentTypeError(
                 f"unknown mode {mode!r}; modes are {', '.join(MODES)}")
-        if mode in modes[:i]:
-            raise argparse.ArgumentTypeError(f"mode {mode!r} is repeated")
+    try:
+        roster.check_modes(modes)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return modes
 
 

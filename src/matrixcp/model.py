@@ -130,7 +130,7 @@ def _is_range(bound):
     """True iff ``bound`` is an ``(lo, hi)`` pair of ints.  An empty range
     (lo > hi) is one: it is root-infeasible."""
     return (isinstance(bound, (tuple, list)) and len(bound) == 2
-            and isinstance(bound[0], int) and isinstance(bound[1], int))
+            and type(bound[0]) is int and type(bound[1]) is int)
 
 
 class MatrixModel:
@@ -165,7 +165,7 @@ class MatrixModel:
         self.n_cols = n_cols
         self.values = tuple(values)
         for v in self.values:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise ValueError(f"value {v!r} is not an int")
         if list(self.values) != sorted(set(self.values)):
             raise ValueError("value table must be strictly ascending")

@@ -289,14 +289,19 @@ class BenchRecord:
     root_failure: bool
 
 
+def check_modes(modes):
+    """Raise a ValueError naming the first mode listed twice in ``modes``."""
+    for i, mode in enumerate(modes):
+        if mode in modes[:i]:
+            raise ValueError(f"mode {mode!r} is repeated")
+
+
 def run_bench(models, modes=("decomp", "wa", "cwa"), time_limit=180.0):
     """Solve every model under every mode sequentially; returns records.
 
     Every sat outcome is re-checked against the model by the exact oracle
-    before being reported.  A mode may be listed once."""
-    for i, mode in enumerate(modes):
-        if mode in modes[:i]:
-            raise ValueError(f"mode {mode!r} is repeated")
+    before being reported.  A mode may be listed once (``check_modes``)."""
+    check_modes(modes)
     records = []
     for model in models:
         for mode in modes:

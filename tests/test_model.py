@@ -106,8 +106,12 @@ class TestMatrixModel:
         ({"col_gcc": [{}, {1: (0, 1.5)}]}, r"col_gcc\[1\]\[1\] must be an \(lo, hi\)"),
         ({"values": (0.5, 1)}, "value 0.5 is not an int"),
         ({"values": (0, "1")}, "value '1' is not an int"),
+        ({"col_sums": [(True, 2), None]}, r"col_sums\[0\] must be an \(lo, hi\)"),
+        ({"col_gcc": [{}, {0: (0, False)}]}, r"col_gcc\[1\]\[0\] must be an \(lo, hi\)"),
+        ({"values": (False, True)}, "value False is not an int"),
     ], ids=["col_sums-triple", "col_sums-scalar", "col_gcc-scalar",
-            "col_gcc-float", "values-float", "values-str"])
+            "col_gcc-float", "values-float", "values-str", "col_sums-bool",
+            "col_gcc-bool", "values-bool"])
     def test_malformed_bound_or_value_named(self, kwargs, problem):
         kwargs = {"values": (0, 1), **kwargs}
         with pytest.raises(ValueError, match=f"^{problem}"):

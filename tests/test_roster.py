@@ -271,6 +271,14 @@ class TestBenchHarness:
         counts = dict(zip(head, decomp))
         assert (counts["unsat"], counts["#Inst"]) == ("2", "2")
 
+    def test_summary_counts_consecutive_records_that_share_a_name(self):
+        # run_bench on two models that share a name yields these records;
+        # each model is one instance, so the decomp row reads #Inst 2.
+        recs = [BenchRecord("random_7", "decomp", "unsat", 0.0, 0, 0, True)] * 2
+        head, decomp = (ln.split() for ln in bench_summary(recs).splitlines())
+        counts = dict(zip(head, decomp))
+        assert (counts["unsat"], counts["#Inst"]) == ("2", "2")
+
     def test_repeated_mode_rejected(self):
         inst, rules = gen_toy_rosters(9, 1)[0]
         with pytest.raises(ValueError, match="mode 'wa' is repeated"):
