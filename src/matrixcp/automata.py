@@ -1047,13 +1047,15 @@ def clean_lines(text):
 def check_fields(parts, fields):
     """Raise ValueError unless the split line ``parts`` has the ``fields``
     after its tag.  A last field ``x ...`` repeats x one or more times, a
-    last ``[x ...]`` zero or more times."""
+    last ``[x ...]`` zero or more times; empty ``fields`` allow none."""
     names = fields.split()
-    repeat = names[-1] in ("...", "...]")
-    need = len(names) - repeat - (names[-1] == "...]")
+    last = names[-1] if names else ""
+    repeat = last in ("...", "...]")
+    need = len(names) - repeat - (last == "...]")
     got = len(parts) - 1
     if got < need or (got > need and not repeat):
-        raise ValueError(f"{parts[0]} needs fields {fields}: {' '.join(parts)}")
+        want = f"needs fields {fields}" if fields else "takes no fields"
+        raise ValueError(f"{parts[0]} {want}: {' '.join(parts)}")
 
 
 def check_once(seen, what, no):

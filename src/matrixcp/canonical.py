@@ -75,11 +75,14 @@ class FormatError(ValueError):
 MODEL_FIELDS = {
     "MATRIX": "rows cols values",
     "VALUES": "value ...",
+    "NAME": "name ...",
     "DOMAIN": "row col value ...",
     "COL_GCC": "col value lo hi",
     "COL_SUM": "col lo hi",
     "LEX": "flag",
     "PROPERTY": "kind set ...",
+    "ROW_DFA": "",
+    "END": "",
 }
 
 
@@ -151,6 +154,7 @@ def _parse_roster(lines):
                 check_roster(n, d, s)
                 rules = CaseRules(shifts=[ShiftRule() for _ in range(s)])
             elif tag == "NAME":
+                check_fields(parts, MODEL_FIELDS[tag])
                 check_once(seen, tag, no)
                 name = " ".join(parts[1:])
             elif tag == "COVER":
@@ -226,19 +230,24 @@ def parse_model(text):
                 props.append((no, parts[1], parts[2:]))
             elif tag == "ROW_DFA":
                 j = i + 1
-                while j < len(lines) and lines[j][1] != "END":
+                while j < len(lines) and lines[j][1].split()[0] != "END":
                     j += 1
                 if j == len(lines):
-                    raise FormatError(f"line {no}: ROW_DFA block missing END")
+                    raise ValueError("ROW_DFA block missing END")
+                block, i = lines[i + 1:j], j
+                no, end = lines[j]  # errors from here on name the END line
+                check_fields(end.split(), MODEL_FIELDS["END"])
                 try:
-                    rule = parse_automaton(lines[i + 1:j])
+                    rule = parse_automaton(block)
                 except AutomatonError as exc:
                     # It names the block's lines by their file line numbers.
                     raise FormatError(str(exc)) from exc
-                i = j
+            elif tag == "ROSTER":
+                raise ValueError(f"a roster file starts with its ROSTER "
+                                 f"line: {ln}")
             else:
                 raise FormatError(f"line {no}: unknown line: {ln}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             if isinstance(exc, FormatError):
                 raise
             raise FormatError(f"line {no}: {exc}") from exc

@@ -9,6 +9,7 @@ provided.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from .automata import (
     CostMatrices,
@@ -88,11 +89,29 @@ def gen_exact_cover(family, universe_size):
     )
 
 
-def _3dm_values(q):
-    # external codes: 0, t, then w/z/y blocks
-    t = 1
-    w0, z0, y0 = 2, 2 + q, 2 + 2 * q
-    return t, w0, z0, y0
+def _3dm_model(triples, q, zero, axes, name):
+    """The m x 5 matrix both 3DM flavors build, row i reading
+    [axis 0, {0, t}, axis 1, {0, t}, axis 2] for triple i.
+
+    Codes below ``zero`` are clones (none in the dc flavor), code ``zero``
+    stands for 0, zero + 1 for t and the 3q codes above t for coordinate
+    values.  axes[a] holds axis a's cell domain for each coordinate and its
+    column's bounds.  The t-columns require at least m - q t's and at least
+    q zeros, and every length-2 window holds a zero or a clone.
+    """
+    m = len(triples)
+    t = zero + 1
+    values = tuple(range(t + 1 + 3 * q))
+    zero_or_t = frozenset((zero, t))
+    t_gcc = {t: (m - q, m), zero: (q, m)}
+    (dom0, gcc0), (dom1, gcc1), (dom2, gcc2) = axes
+    doms = [[dom0[w], zero_or_t, dom1[z], zero_or_t, dom2[y]]
+            for w, z, y in triples]
+    rule = sequence_window_dfa(range(t), values, window=2, lo=1, hi=2)
+    return MatrixModel(
+        m, 5, values, rule, col_gcc=[gcc0, t_gcc, gcc1, t_gcc, gcc2],
+        cell_domains=doms, name=name,
+    )
 
 
 def gen_3dm_dc(triples, q):
@@ -107,33 +126,13 @@ def gen_3dm_dc(triples, q):
     """
     triples = list(triples)
     m = len(triples)
-    values = tuple(range(2 + 3 * q))  # 0, t, w block, z block, y block
-    t, w0, z0, y0 = _3dm_values(q)
-    ZERO = 0
-    doms = []
-    for (w, z, y) in triples:
-        doms.append(
-            [
-                frozenset((ZERO, w0 + w)),
-                frozenset((ZERO, t)),
-                frozenset((ZERO, z0 + z)),
-                frozenset((ZERO, t)),
-                frozenset((ZERO, y0 + y)),
-            ]
-        )
-    col_gcc = [dict() for _ in range(5)]
-    for base, col in ((w0, 0), (z0, 2), (y0, 4)):
-        for j in range(q):
-            col_gcc[col][base + j] = (1, m)
-        col_gcc[col][ZERO] = (m - q, m)
-    for col in (1, 3):
-        col_gcc[col][t] = (m - q, m)
-        col_gcc[col][ZERO] = (q, m)
-    rule = sequence_window_dfa({ZERO}, values, window=2, lo=1, hi=2)
-    return MatrixModel(
-        m, 5, values, rule, col_gcc=col_gcc, cell_domains=doms,
-        name=f"3dm_dc_{m}x5",
-    )
+    axes = []
+    for a in range(3):  # codes 0, t, then the w, z and y values
+        codes = range(2 + a * q, 2 + (a + 1) * q)
+        gcc = dict.fromkeys(codes, (1, m))
+        gcc[0] = (m - q, m)
+        axes.append(({i: frozenset((0, c)) for i, c in enumerate(codes)}, gcc))
+    return _3dm_model(triples, q, 0, axes, f"3dm_dc_{m}x5")
 
 
 def gen_3dm_bc(triples, q):
@@ -145,68 +144,23 @@ def gen_3dm_bc(triples, q):
     """
     triples = list(triples)
     m = len(triples)
-    cw = [0] * q
-    cz = [0] * q
-    cy = [0] * q
-    for (w, z, y) in triples:
-        cw[w] += 1
-        cz[z] += 1
-        cy[y] += 1
-
+    taken = Counter((a, c) for triple in triples for a, c in enumerate(triple))
     # Total order: w-clones (block q-1 first), z-clones, y-clones, 0, t,
     # y values, z values, w values.  Codes are positions in this order.
-    wclone_start = {}
+    zero = sum(n - 1 for n in taken.values())
+    axes = []
     pos = 0
-    for i in range(q - 1, -1, -1):
-        wclone_start[i] = pos
-        pos += max(cw[i] - 1, 0)
-    zclone_start = {}
-    for i in range(q - 1, -1, -1):
-        zclone_start[i] = pos
-        pos += max(cz[i] - 1, 0)
-    yclone_start = {}
-    for i in range(q - 1, -1, -1):
-        yclone_start[i] = pos
-        pos += max(cy[i] - 1, 0)
-    ZERO = pos
-    T = pos + 1
-    yval = {i: pos + 2 + i for i in range(q)}
-    zval = {i: pos + 2 + q + i for i in range(q)}
-    wval = {i: pos + 2 + 2 * q + i for i in range(q)}
-    n_codes = pos + 2 + 3 * q
-    values = tuple(range(n_codes))
-
-    doms = []
-    for (w, z, y) in triples:
-        doms.append(
-            [
-                frozenset(range(wclone_start[w], wval[w] + 1)),
-                frozenset((ZERO, T)),
-                frozenset(range(zclone_start[z], zval[z] + 1)),
-                frozenset((ZERO, T)),
-                frozenset(range(yclone_start[y], yval[y] + 1)),
-            ]
-        )
-    col_gcc = [dict() for _ in range(5)]
-    for i in range(q):
-        for c in range(max(cw[i] - 1, 0)):
-            col_gcc[0][wclone_start[i] + c] = (1, m)
-        col_gcc[0][wval[i]] = (1, m)
-        for c in range(max(cz[i] - 1, 0)):
-            col_gcc[2][zclone_start[i] + c] = (1, m)
-        col_gcc[2][zval[i]] = (1, m)
-        for c in range(max(cy[i] - 1, 0)):
-            col_gcc[4][yclone_start[i] + c] = (1, m)
-        col_gcc[4][yval[i]] = (1, m)
-    for col in (1, 3):
-        col_gcc[col][T] = (m - q, m)
-        col_gcc[col][ZERO] = (q, m)
-    low = frozenset(range(ZERO + 1))  # clones and zero
-    rule = sequence_window_dfa(low, values, window=2, lo=1, hi=2)
-    return MatrixModel(
-        m, 5, values, rule, col_gcc=col_gcc, cell_domains=doms,
-        name=f"3dm_bc_{m}x5",
-    )
+    for a in range(3):
+        dom, gcc = {}, {}
+        for i in range(q - 1, -1, -1):
+            code = zero + 2 + (2 - a) * q + i
+            clones = range(pos, pos + max(taken[a, i] - 1, 0))
+            dom[i] = frozenset(range(pos, code + 1))
+            for c in (*clones, code):
+                gcc[c] = (1, m)
+            pos = clones.stop
+        axes.append((dom, gcc))
+    return _3dm_model(triples, q, zero, axes, f"3dm_bc_{m}x5")
 
 
 def _word_trie_dfa(words, alphabet):
@@ -233,41 +187,31 @@ def gen_hitting_set(n_vertices, edges, k, variant="gcc"):
     column constraints with sum bounds (>= -1 on vertex columns, >= 1 on
     edge columns).
     """
+    if variant == "gcc":
+        values, marker = (0, 1), 1
+    elif variant == "sum":
+        values, marker = (-1, 0, 1), -1
+    else:
+        raise ValueError("variant must be 'gcc' or 'sum'")
     edges = [set(e) for e in edges]
     K = n_vertices + len(edges)
+    ZERO, ONE, MARK = (values.index(x) for x in (0, 1, marker))
+    words = []
+    for v in range(n_vertices):
+        w = [ZERO] * n_vertices
+        w[v] = MARK
+        w += [ONE if v in e else ZERO for e in edges]
+        words.append(w)
+    rule = _word_trie_dfa(words, range(len(values)))
+    col_gcc = col_sums = None
     if variant == "gcc":
-        values = (0, 1)
-        ZERO, ONE = 0, 1
-        words = []
-        for v in range(n_vertices):
-            w = [ZERO] * n_vertices
-            w[v] = ONE
-            w += [ONE if v in e else ZERO for e in edges]
-            words.append(w)
-        rule = _word_trie_dfa(words, (ZERO, ONE))
-        col_gcc = [{ONE: (0, 1)} for _ in range(n_vertices)]
-        col_gcc += [{ONE: (1, k)} for _ in edges]
-        return MatrixModel(
-            k, K, values, rule, col_gcc=col_gcc,
-            name=f"hitting_gcc_{k}x{K}",
-        )
-    if variant == "sum":
-        values = (-1, 0, 1)
-        NEG, ZERO, ONE = 0, 1, 2
-        words = []
-        for v in range(n_vertices):
-            w = [ZERO] * n_vertices
-            w[v] = NEG
-            w += [ONE if v in e else ZERO for e in edges]
-            words.append(w)
-        rule = _word_trie_dfa(words, (NEG, ZERO, ONE))
-        col_sums = [(-1, k) for _ in range(n_vertices)]
-        col_sums += [(1, k) for _ in edges]
-        return MatrixModel(
-            k, K, values, rule, col_sums=col_sums,
-            name=f"hitting_sum_{k}x{K}",
-        )
-    raise ValueError("variant must be 'gcc' or 'sum'")
+        col_gcc = [{ONE: (0, 1)}] * n_vertices + [{ONE: (1, k)}] * len(edges)
+    else:
+        col_sums = [(-1, k)] * n_vertices + [(1, k)] * len(edges)
+    return MatrixModel(
+        k, K, values, rule, col_gcc=col_gcc, col_sums=col_sums,
+        name=f"hitting_{variant}_{k}x{K}",
+    )
 
 
 def _random_dfa(rng, n_states, alphabet):

@@ -1,8 +1,11 @@
 """Exact reference algorithms: brute-force solving, exact per-cell supports,
 and the single-automaton encoding of a whole matrix.
 
-These are independent of the propagation engine and deliberately simple; the
-test suite uses them as ground truth.
+These are deliberately simple and, but for ``regular2_dc``, independent of the
+propagation engine; the test suite uses them as ground truth.
+``regular2_dc`` is the engine-side counterpart that ``regular2_support``
+checks: it propagates the encoded automaton in a ``Store`` with
+``propagators.regular_dc``.
 """
 
 from __future__ import annotations

@@ -122,8 +122,9 @@ def parse_rule_line(parts, rules):
     ``WORK`` sets the working-shift group's rule in ``rules``, ``SHIFT s``
     that of shift s in 1..S; stretch_hi may be '-' for unbounded.  Returns
     what the line sets, ``WORK`` or ``SHIFT s``.  Raises ValueError on a line
-    without exactly its ``RULE_FIELDS``, naming a shift out of range, or
-    with an occurrence or stretch-length interval that holds no value.
+    without exactly its ``RULE_FIELDS``, naming a shift out of range, with
+    an occurrence bound below 0, or with an occurrence or stretch-length
+    interval that holds no value.
     """
     tag = parts[0]
     check_fields(parts, RULE_FIELDS[tag])
@@ -132,6 +133,9 @@ def parse_rule_line(parts, rules):
                      None if shi == "-" else int(shi))
     if rule.occ_lo > rule.occ_hi:
         raise ValueError(f"empty occurrence interval: {' '.join(parts)}")
+    if rule.occ_lo < 0:
+        raise ValueError(f"occurrence bound {rule.occ_lo} is below 0: "
+                         f"{' '.join(parts)}")
     if rule.stretch_hi is not None and rule.stretch_hi < max(rule.stretch_lo, 1):
         raise ValueError(f"empty stretch-length interval: {' '.join(parts)}")
     if tag == "WORK":

@@ -150,8 +150,9 @@ class TestParseErrors:
         ("LEX 1 1", "flag"),
         ("VALUES", "value ..."),
         ("PROPERTY word", "kind set ..."),
+        ("NAME", "name ..."),
     ], ids=["DOMAIN", "COL_GCC", "COL_SUM", "LEX", "LEX-long", "VALUES",
-            "PROPERTY"])
+            "PROPERTY", "NAME"])
     def test_short_line_names_its_fields(self, line, fields):
         text = SAT_2X2.replace("ROW_DFA", line + "\nROW_DFA")
         with pytest.raises(FormatError,
@@ -187,10 +188,12 @@ class TestParseErrors:
         ("END", "poscost 5 0 0 0:1\nEND", 11, "state 5 out of range 0..0"),
         ("END", "poscost 0 0 -1 0:1\nEND", 11,
          "position -1 is negative: poscost 0 0 -1 0:1"),
+        ("ROW_DFA", "ROW_DFA junk", 3, "ROW_DFA takes no fields: ROW_DFA junk"),
+        ("END", "END junk", 11, "END takes no fields: END junk"),
     ], ids=["trans", "bound", "poscost", "wdfa", "bound-resource",
             "trans-repeated", "bound-repeated", "trans-target", "trans-symbol",
             "trans-state", "accept-state", "poscost-symbol", "poscost-state",
-            "poscost-position"])
+            "poscost-position", "ROW_DFA-field", "END-field"])
     def test_row_dfa_error_names_its_line(self, old, new, no, message):
         text = SAT_2X2.replace(old, new)
         with pytest.raises(FormatError,
@@ -288,7 +291,12 @@ class TestRosterFiles:
         ("SHIFT 2 0 3 1 2\n", "SHIFT 2 already set on line"),
         ("WORK 5 3 1 4\n", "empty occurrence interval: WORK 5 3 1 4"),
         ("ROSTER 2 1 2\n", "ROSTER already set on line 1$"),
-    ], ids=["NAME", "WORK", "SHIFT", "WORK-interval", "ROSTER"])
+        ("NAME\n", "NAME needs fields name ...: NAME$"),
+        ("WORK -3 -1 1 -\n", "occurrence bound -3 is below 0: WORK -3 -1 1 -$"),
+        ("SHIFT 1 -1 3 1 -\n",
+         "occurrence bound -1 is below 0: SHIFT 1 -1 3 1 -$"),
+    ], ids=["NAME", "WORK", "SHIFT", "WORK-interval", "ROSTER", "NAME-empty",
+            "WORK-negative", "SHIFT-negative"])
     def test_bad_or_repeated_line_named(self, extra, message):
         # The toy roster's own file already sets NAME, WORK and every SHIFT.
         inst, rules = gen_toy_rosters(8, 1)[0]
@@ -296,6 +304,24 @@ class TestRosterFiles:
         no = len(text.splitlines())
         with pytest.raises(FormatError, match=f"^line {no}: {message}"):
             parse_model(text)
+
+    @pytest.mark.parametrize("text, no", [
+        ("NAME wk\nROSTER 2 1 2\nCOVER 1 0\nWORK 0 1 1 -\n", 2),
+        ("# toy\nNAME wk\n\nROSTER 2 1 2\nCOVER 1 0\n", 4),
+        (SAT_2X2 + "ROSTER 2 1 2\n", 12),
+    ], ids=["after-NAME", "after-comment", "in-a-model"])
+    def test_roster_line_not_first_named(self, text, no):
+        with pytest.raises(FormatError, match=f"^line {no}: a roster file "
+                           "starts with its ROSTER line: ROSTER 2 1 2$"):
+            parse_model(text)
+
+    def test_no_line_order_escapes_format_error(self):
+        inst, rules = gen_toy_rosters(8, 1)[0]
+        lines = dump_roster(inst, rules).splitlines()
+        for i in range(1, len(lines)):
+            moved = [lines[i]] + lines[:i] + lines[i + 1:]
+            with pytest.raises(FormatError):
+                parse_model("\n".join(moved) + "\n")
 
     @pytest.mark.parametrize("text, no, fields", [
         ("ROSTER 2 2\n", 1, "nurses days shifts"),

@@ -115,8 +115,12 @@ class TestCaseFormat:
          "line 1: empty stretch-length interval: SHIFT 1 0 3 4 2"),
         ("SHIFT 1 0 3 0 0\n",
          "line 1: empty stretch-length interval: SHIFT 1 0 3 0 0"),
+        ("WORK -3 -1 1 -\n",
+         "line 1: occurrence bound -3 is below 0: WORK -3 -1 1 -"),
+        ("WORK 0 9 1 -\nSHIFT 2 -2 3 1 -\n",
+         "line 2: occurrence bound -2 is below 0: SHIFT 2 -2 3 1 -"),
     ], ids=["WORK-repeated", "SHIFT-repeated", "occurrence-empty",
-            "stretch-empty", "stretch-zero"])
+            "stretch-empty", "stretch-zero", "WORK-negative", "SHIFT-negative"])
     def test_bad_line_named(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_case(text, 2)
