@@ -30,7 +30,9 @@ front end:
     SHIFT 2 0 3 1 2
     SHIFT 3 2 4 1 3
 
-Blank lines and '#' comments are ignored.  DOMAIN/COL_GCC/COL_SUM/PROPERTY
+Blank lines and '#' comments are ignored, and a NAME line's words are
+joined with single spaces, so the writers reject a name that would read back
+changed (``name_line``).  DOMAIN/COL_GCC/COL_SUM/PROPERTY
 use external values; the ROW_DFA block (the dump_automaton format) runs over
 the internal indices 0..V-1 of the ascending VALUES table.  Files without
 PROPERTY lines get the default property set in wa/cwa modes.  No line
@@ -86,11 +88,23 @@ MODEL_FIELDS = {
 }
 
 
+def name_line(name):
+    """The ``NAME`` line of ``name``.  A reader strips a ``#`` comment and
+    joins the line's words with single spaces, so a name with ``#``, a line
+    break, or leading, trailing or repeated whitespace would read back
+    changed: ValueError names it."""
+    if "#" in name or " ".join(name.split()) != name:
+        raise ValueError(f"name {name!r} does not read back from a NAME "
+                         "line: it has '#', a line break, or leading, "
+                         "trailing or repeated whitespace")
+    return f"NAME {name}"
+
+
 def dump_model(model):
     lines = [f"MATRIX {model.n_rows} {model.n_cols} {model.n_values}"]
     lines.append("VALUES " + " ".join(str(v) for v in model.values))
     if model.name:
-        lines.append(f"NAME {model.name}")
+        lines.append(name_line(model.name))
     full = frozenset(range(model.n_values))
     if model.cell_domains is not None:
         for i in range(model.n_rows):
@@ -131,7 +145,7 @@ def dump_model(model):
 def dump_roster(inst, rules):
     lines = [f"ROSTER {inst.n_nurses} {inst.n_days} {inst.n_shifts}"]
     if inst.name:
-        lines.append(f"NAME {inst.name}")
+        lines.append(name_line(inst.name))
     for day in inst.cover:
         lines.append("COVER " + " ".join(str(x) for x in day))
     return "\n".join(lines) + "\n" + dump_case(rules)

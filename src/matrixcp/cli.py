@@ -77,7 +77,8 @@ def _grid_text(grid):
 
 def cmd_solve(args):
     model = _load(args.model)
-    out = solve(model, mode=args.mode, time_limit=args.time_limit)
+    out = solve(model, mode=args.mode, time_limit=args.time_limit,
+                node_limit=args.node_limit)
     s = out.stats
     print(f"status {out.status}")
     print(
@@ -204,6 +205,8 @@ def build_parser():
     p.add_argument("model", help="model file path or - for stdin")
     p.add_argument("--mode", choices=MODES, default="wa")
     p.add_argument("--time-limit", type=seconds, default=180.0)
+    p.add_argument("--node-limit", type=positive, default=None,
+                   help="search nodes before stopping with status budget")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force solve a model file")

@@ -14,6 +14,13 @@ every re-solve of a model (``root_prune`` then ``solve``) and every model
 built from the same automata (the rosters of one rule set).  It holds at
 most ``MEMO_CAP`` entries.  The library is single-threaded: nothing guards
 the memo against concurrent use.
+
+A propagator whose constraint every completion of its domains satisfies is
+entailed: it can prune nothing in the subtree below.  The memo keeps such a
+result as ``ENTAILED``, and a propagator that meets it parks itself
+(``Store.park``): it stays in the store's queued set without a place in any
+tier, so the wake test every domain change already makes skips it, until
+the search backtracks above the node where it parked.
 """
 
 from __future__ import annotations
@@ -33,6 +40,11 @@ TOKENS: OrderedDict = OrderedDict()
 
 # The one entry every filter result that changes nothing and holds shares.
 NO_CHANGE = ((), False)
+# The entry of a result that changes nothing because the constraint is
+# entailed.  Equal to NO_CHANGE but another object: the compiler folds two
+# equal tuple literals of one module into one constant, so it is built at
+# run time.
+ENTAILED = tuple([(), False])
 
 
 def memo_token(kind):
@@ -51,20 +63,26 @@ def memo_token(kind):
     return token
 
 
-def memoised(key, filter, *args):
+def memoised(key, filter, *args, entailed=None):
     """``filter(*args)``, looked up under ``key`` in ``MEMO`` first.
 
     ``key`` must determine the result, in every store.  A new result
-    ``(changes, failed)`` is kept as ``(tuple(changes), failed)``, or as
-    ``NO_CHANGE`` when it changes nothing and holds, and inserted after
-    evicting the oldest entry if the memo holds ``MEMO_CAP`` already (an
-    ``OrderedDict``, since finding a plain dict's first key scans the slots
-    its earlier deletions left).
+    ``(changes, failed)`` is kept as ``(tuple(changes), failed)``.  One that
+    changes nothing and holds is kept as ``ENTAILED`` when ``entailed`` is
+    given and ``entailed(*args)`` is true, else as ``NO_CHANGE``.  The entry
+    is inserted after evicting the oldest one if the memo holds
+    ``MEMO_CAP`` already (an ``OrderedDict``, since finding a plain dict's
+    first key scans the slots its earlier deletions left).
     """
     result = MEMO.get(key)
     if result is None:
         changes, failed = filter(*args)
-        result = (tuple(changes), failed) if changes or failed else NO_CHANGE
+        if changes or failed:
+            result = (tuple(changes), failed)
+        elif entailed is not None and entailed(*args):
+            result = ENTAILED
+        else:
+            result = NO_CHANGE
         if len(MEMO) >= MEMO_CAP:
             MEMO.popitem(last=False)
         MEMO[key] = result
@@ -137,6 +155,14 @@ class Store:
     only, so it stays valid after backtracking and in every other store, and
     a propagator that sees an input again, in another subtree, another solve
     or another model, commits the result instead of filtering again.
+
+    A propagator that finds its constraint entailed parks (``park``): it is
+    put on the parked list and in the queued set, but in no tier, so the
+    wake test of ``_commit`` skips it at no cost of its own.  Domains only
+    shrink until the next ``undo``, so it stays entailed until then.
+    ``mark`` records the length of the parked list with the trail's, and
+    ``undo`` un-parks the propagators parked since; a failing ``propagate``
+    empties the queued set and puts the parked ones back.
     """
 
     def __init__(self):
@@ -144,9 +170,10 @@ class Store:
         self.names: list[str] = []
         self._watchers: list[list] = []
         self._trail: list[tuple[int, int | range]] = []
-        self._marks: list[int] = []
+        self._marks: list[tuple[int, int]] = []
         self._tiers = (deque(), deque(), deque())
         self._queued = set()
+        self._parked = []
         self._running = None
         self.propagation_count = 0
 
@@ -279,16 +306,20 @@ class Store:
     # -- trail ---------------------------------------------------------------
 
     def mark(self):
-        self._marks.append(len(self._trail))
+        self._marks.append((len(self._trail), len(self._parked)))
 
     def undo(self):
-        back_to = self._marks.pop()
+        back_to, parked_to = self._marks.pop()
         trail = self._trail
         domains = self.domains
         # Newest first, so a variable changed twice ends at its oldest domain.
         for vid, bits in reversed(trail[back_to:]):
             domains[vid].bits = bits
         del trail[back_to:]
+        parked = self._parked
+        if len(parked) > parked_to:
+            self._queued.difference_update(parked[parked_to:])
+            del parked[parked_to:]
 
     # -- propagation ---------------------------------------------------------
 
@@ -297,6 +328,13 @@ class Store:
             return
         self._queued.add(prop)
         self._tiers[prop.priority].append(prop)
+
+    def park(self, prop):
+        """Wake ``prop`` no more until the ``undo`` of the latest mark (for
+        good when no mark is open).  Only the running propagator parks, once
+        its constraint holds in every completion of the domains."""
+        self._parked.append(prop)
+        self._queued.add(prop)
 
     def register(self, prop):
         """Subscribe a propagator to its variables and schedule its first run."""
@@ -308,8 +346,9 @@ class Store:
         """Run queued propagators to a fixpoint.
 
         Returns "stable" or "failed"; on failure every tier is emptied
-        (the search undoes the trail anyway).  ``propagation_count`` counts
-        every run, the failing one included.
+        (the search undoes the trail anyway) and the parked propagators stay
+        parked.  ``propagation_count`` counts every run, the failing one
+        included.
         """
         tiers = self._tiers
         t0, t1, t2 = tiers
@@ -333,6 +372,7 @@ class Store:
             for tier in tiers:
                 tier.clear()
             queued.clear()
+            queued.update(self._parked)
             return "failed"
         finally:
             self._running = None
@@ -424,17 +464,21 @@ def pick(store, branch_vars, start=0):
     return first, best
 
 
-def search(store, branch_vars, time_limit=None, on_solution=None):
+def search(store, branch_vars, time_limit=None, on_solution=None,
+           node_limit=None):
     """Depth-first search over ``branch_vars`` (other variables must be fixed
     by propagation once these are).
 
     Branching picks the smallest unfixed domain (lowest variable first on
     ties) and tries values in increasing order: assign, and on failure remove
-    the value.  Returns a SearchResult with status "sat", "unsat" or
-    "timeout".  With ``on_solution`` the search enumerates: each solution is
-    passed to the callback and search continues until the callback returns
-    True (stop) or the tree is exhausted (status then reports "unsat" only if
-    no solution was seen).
+    the value.  Returns a SearchResult with status "sat", "unsat", "timeout"
+    (past ``time_limit`` seconds) or "budget" (a node was due after
+    ``node_limit`` nodes).  With ``on_solution`` the search enumerates: each
+    solution is passed to the callback and search continues until the
+    callback returns True (stop) or the tree is exhausted (status then
+    reports "unsat" only if no solution was seen).  The time limit is
+    checked between nodes, and the node budget where a node would open, so a
+    search stopped by its budget depends on the model only.
 
     A variable fixed at a node stays fixed below it, so ``pick`` resumes at
     the first branch variable the parent found unfixed; each decision keeps
@@ -458,23 +502,26 @@ def search(store, branch_vars, time_limit=None, on_solution=None):
     # Explicit stack of (vid, value, first) decisions for iterative DFS: a
     # popped decision is refuted by removing its value.
     stack = []
+
+    def stop(status, solution):
+        # Back to the root's domains, then report.
+        for _ in stack:
+            store.undo()
+        return out(status, solution)
+
     first = 0
     while True:
         if deadline is not None and time.monotonic() > deadline:
-            while stack:
-                store.undo()
-                stack.pop()
-            return out("timeout", found[0])
+            return stop("timeout", found[0])
         first, vid = pick(store, branch_vars, first)
         if vid is None:
             solution = {v: store.value(v) for v in branch_vars}
             found[0] = solution
             if on_solution is None or on_solution(solution):
-                while stack:
-                    store.undo()
-                    stack.pop()
-                return out("sat", solution)
+                return stop("sat", solution)
             status = "failed"  # force a backtrack to keep enumerating
+        elif node_limit is not None and stats.nodes >= node_limit:
+            return stop("budget", found[0])
         else:
             stats.nodes += 1
             v = store.vmin(vid)

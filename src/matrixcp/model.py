@@ -555,12 +555,14 @@ class SolveOutcome:
         self.built = built
 
 
-def solve(model, mode="decomp", time_limit=None, on_solution=None):
+def solve(model, mode="decomp", time_limit=None, on_solution=None,
+          node_limit=None):
     """Build and search; returns a SolveOutcome with the external-value grid.
 
     ``time_limit`` counts from the start of ``build``: search gets what the
     build left, and a build that uses it all up ends in "timeout" unless it
-    already proved the model unsat.
+    already proved the model unsat.  ``node_limit`` bounds the search nodes;
+    a search that needs more ends in "budget" (see ``engine.search``).
     """
     t0 = time.monotonic()
     b = build(model, mode)
@@ -580,6 +582,6 @@ def solve(model, mode="decomp", time_limit=None, on_solution=None):
     if on_solution is not None:
         wrapped = lambda sol: on_solution(b.grid_of(sol))
     res = search(b.store, b.branch_vars, time_limit=remaining,
-                 on_solution=wrapped)
+                 on_solution=wrapped, node_limit=node_limit)
     grid = b.grid_of(res.solution) if res.solution is not None else None
     return SolveOutcome(res.status, grid, res.stats, time.monotonic() - t0, b)

@@ -17,6 +17,7 @@ from .automata import (
     sweep_forward,
 )
 from .engine import (
+    ENTAILED,
     MEMO,
     NO_CHANGE,
     Inconsistent,
@@ -54,6 +55,17 @@ class MemoFilter(Propagator):
     from the kind alone, and a scope with another number is rejected.
     A variable may appear at one position only: two positions' domains would
     be computed apart, and the later commit would undo the earlier one.
+
+    A scope with no interval variables may also say that its constraint is
+    entailed: ``entailed(cells, (), ())``, asked on a memo miss whose result
+    changes nothing, is true only if every tuple of the cells' cross product
+    satisfies the constraint.  Like ``filter`` it depends on the kind and
+    the cells only, so the memo keeps the answer as ``engine.ENTAILED``, and
+    ``run`` parks the propagator on it (``Store.park``): domains only shrink
+    until the store backtracks, so it has nothing to prune until then.  A
+    scope with interval variables never parks: its filter narrows their
+    bounds, which other propagators read, as the cells shrink, even where
+    every completion satisfies it.
     """
 
     def __init__(self, xs, zs, token, n_bounds):
@@ -91,8 +103,12 @@ class MemoFilter(Propagator):
             key = (self._token, *[domains[x].bits for x in self.xs])
             result = MEMO.get(key)
             if result is None:
-                result = memoised(key, self.filter, key[1:], (), ())
+                result = memoised(key, self.filter, key[1:], (), (),
+                                  entailed=self.entailed)
         if result is NO_CHANGE:
+            return
+        if result is ENTAILED:
+            store.park(self)
             return
         changes, failed = result
         vs = self._vars
@@ -104,6 +120,9 @@ class MemoFilter(Propagator):
 
     def filter(self, cells, lo, hi):
         raise NotImplementedError
+
+    def entailed(self, cells, lo, hi):
+        return False
 
 
 class Mcr(MemoFilter):
@@ -206,6 +225,22 @@ class Mcr(MemoFilter):
         changes += [(i, m) for i, m in enumerate(masks) if m != cells[i]]
         return changes, False
 
+    def entailed(self, cells, lo, hi):
+        """Every word over ``cells`` is accepted: every state the forward
+        sweep reaches from the start reads every symbol of its cell into a
+        live state, and every state reached at the end accepts.  Only a plain automaton is
+        asked (``MemoFilter``: no interval variables)."""
+        d = self.wdfa.dfa
+        arcs, env = sweep_forward(self.wdfa.arc_table(len(cells)), d.start,
+                                  cells)
+        for layer, reached, dom in zip(arcs, env, cells):
+            read = dict.fromkeys(reached, 0)
+            for q, v, _, _ in layer:
+                read[q] |= 1 << v
+            if any(r != dom for r in read.values()):
+                return False
+        return env[-1].keys() <= d.accepting
+
 
 def regular_dc(xs, dfa):
     """Domain-consistency propagator for plain automaton membership."""
@@ -294,12 +329,7 @@ class GccColumn(MemoFilter):
             changed = False
             for j, v in enumerate(self.values):
                 bit = 1 << v
-                fixed = possible = 0
-                for dm in cells:
-                    if dm & bit:
-                        possible += 1
-                        if dm == bit:
-                            fixed += 1
+                fixed, possible = _occurrences(cells, bit)
                 if narrow(j, fixed, possible):
                     return changes, True
                 if fixed == hi[j] and possible > fixed:
@@ -324,6 +354,30 @@ class GccColumn(MemoFilter):
                 if narrow(j, must - sum(hi) + hi[j], may - sum(lo) + lo[j]):
                     return changes, True
         return changes, False
+
+    def entailed(self, cells, lo, hi):
+        """Every completion of ``cells`` meets the constant bounds: each
+        counted value is fixed in at least its lower bound of cells and
+        possible in at most its upper bound.  Only constant bounds are
+        asked (``MemoFilter``: no interval variables); a column that counts
+        no value has none and holds."""
+        for v, (least, most) in zip(self.values, self.bounds or ()):
+            fixed, possible = _occurrences(cells, 1 << v)
+            if fixed < least or possible > most:
+                return False
+        return True
+
+
+def _occurrences(cells, bit):
+    """``(fixed, possible)``: how many of the masks ``cells`` are ``bit``
+    and how many hold it."""
+    fixed = possible = 0
+    for dm in cells:
+        if dm & bit:
+            possible += 1
+            if dm == bit:
+                fixed += 1
+    return fixed, possible
 
 
 # -- interval expressions ----------------------------------------------------
@@ -720,6 +774,13 @@ class SumColumn(MemoFilter):
                     cells[i] = kept
                     changed = True
         return changes, False
+
+    def entailed(self, cells, _lo, _hi):
+        """The extremes' sums lie inside the bounds, so every completion's
+        sum does."""
+        ext = self.values
+        return (self.lo <= sum(ext[(dm & -dm).bit_length() - 1] for dm in cells)
+                and sum(ext[dm.bit_length() - 1] for dm in cells) <= self.hi)
 
 
 # -- stretch-length window conditions -----------------------------------------

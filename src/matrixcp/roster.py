@@ -300,8 +300,11 @@ def check_modes(modes):
             raise ValueError(f"mode {mode!r} is repeated")
 
 
-def run_bench(models, modes=("decomp", "wa", "cwa"), time_limit=180.0):
-    """Solve every model under every mode sequentially; returns records.
+def run_bench(models, modes=("decomp", "wa", "cwa"), time_limit=180.0,
+              node_limit=None):
+    """Solve every model under every mode sequentially, each within
+    ``time_limit`` seconds and ``node_limit`` search nodes (see ``solve``);
+    returns records.
 
     Every sat outcome is re-checked against the model by the exact oracle
     before being reported.  A mode may be listed once (``check_modes``)."""
@@ -309,7 +312,8 @@ def run_bench(models, modes=("decomp", "wa", "cwa"), time_limit=180.0):
     records = []
     for model in models:
         for mode in modes:
-            out = solve(model, mode=mode, time_limit=time_limit)
+            out = solve(model, mode=mode, time_limit=time_limit,
+                        node_limit=node_limit)
             if out.status == "sat":
                 idx = {v: j for j, v in enumerate(model.values)}
                 internal = [[idx[v] for v in row] for row in out.grid]
@@ -338,8 +342,9 @@ def bench_tsv(records):
 
 
 def bench_summary(records):
-    """Aligned per-mode table: status counts, then #Inst (solved), mean Time
-    and mean #Bktk over the instances solved by every mode.
+    """Aligned per-mode table: status counts (``unsolved`` counts the
+    searches a time limit or node budget stopped), then #Inst (solved), mean
+    Time and mean #Bktk over the instances solved by every mode.
 
     Records come as ``run_bench`` makes them, each model's modes in turn.
     Models may share a name, so a record starts a new instance when its
@@ -365,13 +370,12 @@ def bench_summary(records):
         rs = [inst[m] for inst in insts if m in inst]
         sat = sum(1 for r in rs if r.status == "sat")
         uns = sum(1 for r in rs if r.status == "unsat")
-        tout = sum(1 for r in rs if r.status == "timeout")
         com = [inst[m] for inst in common]
         mean_t = sum(r.elapsed for r in com) / len(com) if com else 0.0
         mean_b = sum(r.backtracks for r in com) / len(com) if com else 0.0
-        rows.append((m, str(sat), str(uns), str(tout), str(sat + uns),
-                     f"{mean_t:.3f}", f"{mean_b:.1f}"))
-    head = ("mode", "sat", "unsat", "timeout", "#Inst", "Time", "#Bktk")
+        rows.append((m, str(sat), str(uns), str(len(rs) - sat - uns),
+                     str(sat + uns), f"{mean_t:.3f}", f"{mean_b:.1f}"))
+    head = ("mode", "sat", "unsat", "unsolved", "#Inst", "Time", "#Bktk")
     widths = [
         max(len(head[c]), *(len(r[c]) for r in rows)) if rows else len(head[c])
         for c in range(len(head))

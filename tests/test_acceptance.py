@@ -363,11 +363,12 @@ def test_criterion_6_automata_algebra():
 # -- criterion 7: benchmark directionality across modes -------------------------
 
 
-def test_criterion_7_roster_benchmark_directionality():
-    pairs = gen_toy_rosters(4242, 50)
-    models = [roster_model(i, r) for i, r in pairs]
-    records = run_bench(models, modes=("decomp", "wa", "cwa"), time_limit=5.0)
-
+def _directionality(records):
+    """Check criterion 7 on ``run_bench`` records: solved counts obey
+    ``cwa >= wa >= decomp``, and every unsat ``cwa`` closes is refuted at
+    the root or takes at most a tenth of the decomposition's backtracks.
+    Returns the per-mode solved counts and the unsats checked by
+    backtracks."""
     by = {}
     for r in records:
         by.setdefault(r.instance, {})[r.mode] = r
@@ -385,8 +386,30 @@ def test_criterion_7_roster_benchmark_directionality():
         if d.status in ("sat", "unsat"):
             assert rs["cwa"].backtracks * 10 <= d.backtracks, name
             weak_unsats.append(name)
+    return solved, weak_unsats
+
+
+def test_criterion_7_roster_benchmark_directionality():
+    pairs = gen_toy_rosters(4242, 50)
+    models = [roster_model(i, r) for i, r in pairs]
+    records = run_bench(models, modes=("decomp", "wa", "cwa"), time_limit=5.0)
+    solved, weak_unsats = _directionality(records)
     _line(7, f"solved {solved}, all crossed unsats root-failed or beat the "
              f"decomposition 10x ({len(weak_unsats)} via backtracks)")
+
+
+def test_criterion_7_node_budget_directionality():
+    """Criterion 7 under a node budget in place of the time limit, so the
+    solved counts do not depend on the machine's speed."""
+    pairs = gen_toy_rosters(4242, 50)
+    models = [roster_model(i, r) for i, r in pairs]
+    records = run_bench(models, modes=("decomp", "wa", "cwa"),
+                        time_limit=None, node_limit=2_000)
+    solved, weak_unsats = _directionality(records)
+    assert solved == {"decomp": 30, "wa": 50, "cwa": 50}
+    assert {r.status for r in records} == {"sat", "unsat", "budget"}
+    _line(7, f"within 2,000 nodes solved {solved} ({len(weak_unsats)} "
+             f"crossed unsats via backtracks)")
 
 
 # -- criterion 8: run-to-run determinism ----------------------------------------

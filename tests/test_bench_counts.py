@@ -41,12 +41,12 @@ TOY_WA = [
     (5, "toy005_u", "unsat", 0, 105, 13),
 ]
 REDUCTIONS_DECOMP = [
-    (2, "002_3sat_5x21", "sat", 347, 0, 4270),
-    (8, "008_3sat_5x21", "unsat", 861, 0, 15998),
-    (14, "014_cover_14x12", "sat", 1, 144, 189),
-    (18, "018_cover_14x12", "unsat", 1, 0, 162),
-    (22, "022_hitting_sum_3x22", "unsat", 33, 66, 2220),
-    (24, "024_hitting_sum_3x22", "sat", 7, 66, 537),
+    (2, "002_3sat_5x21", "sat", 347, 0, 3867),
+    (8, "008_3sat_5x21", "unsat", 861, 0, 13700),
+    (14, "014_cover_14x12", "sat", 1, 144, 111),
+    (18, "018_cover_14x12", "unsat", 1, 0, 149),
+    (22, "022_hitting_sum_3x22", "unsat", 33, 66, 974),
+    (24, "024_hitting_sum_3x22", "sat", 7, 66, 247),
 ]
 
 

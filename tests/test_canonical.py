@@ -97,6 +97,27 @@ class TestModelRoundTrip:
         assert m.properties is None
         assert "PROPERTY" not in dump_model(m)
 
+    @pytest.mark.parametrize("name", [
+        "week#1  two", "week#1", "week  two", " week", "week ", "week\ntwo",
+        "week\ttwo", "week\u2028two"])
+    def test_name_that_would_read_back_changed_rejected(self, name):
+        m = gen_random(1, 2, 2, 2)
+        m.name = name
+        with pytest.raises(ValueError, match="does not read back"):
+            dump_model(m)
+        inst, rules = gen_toy_rosters(8, 1)[0]
+        inst.name = name
+        with pytest.raises(ValueError, match="does not read back"):
+            dump_roster(inst, rules)
+
+    def test_name_with_single_spaces_reads_back(self):
+        m = gen_random(1, 2, 2, 2)
+        m.name = "week 1, two-3"
+        assert parse_model(dump_model(m)).name == "week 1, two-3"
+        inst, rules = gen_toy_rosters(8, 1)[0]
+        inst.name = "week 1"
+        assert parse_model(dump_roster(inst, rules)).name == "week 1"
+
 
 class TestParseErrors:
     def test_empty_text(self):

@@ -57,6 +57,17 @@ class TestSolve:
             assert main(["solve", path, "--mode", mode]) == 0, mode
             assert "status sat" in capsys.readouterr().out
 
+    def test_node_limit_stops_with_status_budget(self, tmp_path, capsys):
+        # The README model: four nodes under cwa, so one is not enough.
+        path = str(tmp_path / "m.txt")
+        assert main(["gen", "random", "--seed", "7", "--rows", "3", "--cols",
+                     "4", "--values", "2", "--out", path]) == 0
+        assert main(["solve", path, "--mode", "cwa", "--node-limit", "1"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("status budget\nstats nodes=1 ")
+        assert main(["solve", path, "--mode", "cwa", "--node-limit", "4"]) == 0
+        assert "status sat" in capsys.readouterr().out
+
     def test_crash_exits_4_with_its_traceback(self, tmp_path, capsys,
                                               monkeypatch):
         # Exit 1 means unsat, so an unexpected error must not exit 1.
@@ -235,6 +246,7 @@ class TestArgumentChecks:
         ["solve", "m.txt", "--time-limit", "-1"],
         ["bench", "--time-limit", "-1"],
         ["bench", "--toy", "2", "--modes", "wa,wa"],
+        ["solve", "m.txt", "--node-limit", "0"],
     ])
     def test_degenerate_argument_exits_2_naming_it(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

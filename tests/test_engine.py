@@ -323,6 +323,30 @@ class TestSearch:
 
         assert run() == run() == run()
 
+    def test_node_limit_stops_with_budget_at_the_root_domains(self):
+        st, xs = self.build_alldiff(4)
+        before = [st.dom(x) for x in xs]
+        res = search(st, xs, node_limit=2)
+        assert (res.status, res.solution, res.stats.nodes) == ("budget", None, 2)
+        assert [st.dom(x) for x in xs] == before
+        assert search(st, xs, node_limit=0).status == "budget"
+
+    def test_node_limit_that_suffices_changes_nothing(self):
+        st, xs = self.build_alldiff(4)
+        free = search(st, xs)
+        st, xs = self.build_alldiff(4)
+        res = search(st, xs, node_limit=free.stats.nodes)
+        assert res.status == "sat" and res.solution == free.solution
+        assert res.stats.as_dict() == free.stats.as_dict()
+
+    def test_node_limit_keeps_the_last_enumerated_solution(self):
+        st, xs = self.build_alldiff(3)
+        seen = []
+        res = search(st, xs, node_limit=4,
+                     on_solution=lambda sol: seen.append(sol) and False)
+        assert res.status == "budget" and res.stats.nodes == 4
+        assert seen and res.solution == seen[-1]
+
     def test_stats_as_dict_keys(self):
         stats = SearchStats()
         d = stats.as_dict()

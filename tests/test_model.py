@@ -301,6 +301,15 @@ class TestSolve:
         out = solve(m, mode="decomp", time_limit=0.0)
         assert out.status in ("timeout", "sat", "unsat")
 
+    def test_node_limit_reports_budget(self):
+        free = solve(permutation_model(4), mode="decomp")
+        assert free.status == "sat" and free.stats.nodes > 1
+        out = solve(permutation_model(4), mode="decomp", node_limit=1)
+        assert (out.status, out.grid, out.stats.nodes) == ("budget", None, 1)
+        out = solve(permutation_model(4), mode="decomp",
+                    node_limit=free.stats.nodes)
+        assert (out.status, out.grid) == ("sat", free.grid)
+
 
 class TestModeContrast:
     def scarcity_model(self):

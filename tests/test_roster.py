@@ -260,6 +260,13 @@ class TestBenchHarness:
         # means are over the commonly solved instance (only "a")
         assert lines[1].split()[4] == "1"
 
+    def test_summary_counts_budget_stops_unsolved(self):
+        recs = [BenchRecord("a", "cwa", "budget", 0.1, 1, 0, False),
+                BenchRecord("b", "cwa", "sat", 0.1, 3, 1, False)]
+        head, cwa = (ln.split() for ln in bench_summary(recs).splitlines())
+        counts = dict(zip(head, cwa))
+        assert (counts["unsolved"], counts["#Inst"]) == ("1", "1")
+
     def test_summary_counts_models_that_share_a_name(self, tmp_path, capsys):
         # Both files are named random_7 by the generator.
         for extra in ([], ["--rows", "4", "--cols", "5"]):
