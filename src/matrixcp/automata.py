@@ -21,7 +21,8 @@ from operator import add, sub
 
 # Most products the process keeps (``WeightedDfa.product``) and most
 # automata each measuring-automaton builder keeps; the least recently used
-# is evicted first.
+# is evicted first.  ``SHARED_CAP`` also bounds the layouts each row rule
+# keeps (``model.build``), the oldest evicted first.
 PRODUCT_CAP = 64
 SHARED_CAP = 256
 
@@ -264,7 +265,11 @@ class WeightedDfa:
     The automaton also owns what is derived from it on first use and freed
     with it: the compiled arc tables of its runs (see ``arc_table``), one per
     run length; its ``content_key``; the ``model.achievable_totals`` of each
-    run length (``_totals``); and its ``count_groups``.  Its
+    run length (``_totals``); its ``count_groups``; and the layouts of the
+    models it is the row rule of (``_layouts``, see ``model.build``), one
+    per key of what the posted propagators bake in: rows, columns, values,
+    mode, ``cross_cap``, lex rows, properties and column sums, and under
+    ``decomp`` the column count bounds.  Its
     ``memo_token``, a plain object made with it, stands for it in the keys
     of the process's filter memo (``engine.MEMO``), so the memo never keeps
     the automaton alive, and an automaton built again, equal in content or
@@ -272,7 +277,7 @@ class WeightedDfa:
     """
 
     __slots__ = ("dfa", "costs", "resource_bounds", "memo_token", "_tables",
-                 "_key", "_totals", "_groups", "__weakref__")
+                 "_key", "_totals", "_groups", "_layouts", "__weakref__")
 
     def __init__(self, dfa, costs=None, resource_bounds=()):
         resource_bounds = tuple((int(lo), int(hi)) for lo, hi in resource_bounds)
@@ -305,6 +310,7 @@ class WeightedDfa:
         self._key = None
         self._totals = {}
         self._groups = None
+        self._layouts = {}
 
     @classmethod
     def plain(cls, dfa):

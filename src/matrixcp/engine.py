@@ -5,7 +5,9 @@ iff v is in the domain); interval variables hold a ``range`` and are reasoned
 on by their bounds.  Propagators subscribe to variables and are woken on any
 domain change; three FIFO tiers, cheapest first (see ``Propagator``), run
 them to a fixpoint.  Changes are trailed so search can backtrack without
-copying the store.
+copying the store.  What is posted once into a ``Recorder`` (a
+``Posting``) fills any number of stores (``Store.fill``), which share its
+propagators.
 
 Pure propagator filter results are kept in one memo per process (``MEMO``,
 see ``memoised``), which every store uses.  A result depends on its input
@@ -25,6 +27,7 @@ the search backtracks above the node where it parked.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import OrderedDict, deque
 from itertools import islice
@@ -168,7 +171,7 @@ class Store:
     def __init__(self):
         self.domains: list[Domain] = []
         self.names: list[str] = []
-        self._watchers: list[list] = []
+        self._watchers: list[tuple] = []
         self._trail: list[tuple[int, int | range]] = []
         self._marks: list[tuple[int, int]] = []
         self._tiers = (deque(), deque(), deque())
@@ -198,7 +201,7 @@ class Store:
         vid = len(self.domains)
         self.domains.append(Domain(bits))
         self.names.append(name or f"v{vid}")
-        self._watchers.append([])
+        self._watchers.append(())
         return vid
 
     def dom(self, vid):
@@ -233,7 +236,9 @@ class Store:
         raise ValueError(f"variable {self.names[vid]} is not fixed")
 
     def watch(self, vid, prop):
-        self._watchers[vid].append(prop)
+        # A new tuple: a filled store shares its watcher tuples with the
+        # posting it was filled from (see ``fill``).
+        self._watchers[vid] += (prop,)
 
     # -- domain operations (trail + wake) ------------------------------------
 
@@ -342,6 +347,29 @@ class Store:
             self.watch(vid, prop)
         self.enqueue(prop)
 
+    def fill(self, posting, data=()):
+        """Post ``posting`` (see ``Posting``) into this store, which must
+        hold just the variables of the postings filled before it, in order:
+        add its variables, the data ones over the masks and ranges ``data``,
+        take its watchers, and queue its propagators in posting order as
+        ``register`` does, each in the tier its ``priority`` names now.  An
+        empty domain raises Inconsistent, as ``new_var`` would."""
+        if len(self.domains) != posting.start or len(data) != posting.n_data:
+            raise ValueError(f"a posting of {posting.n_data} data variables "
+                             f"after {posting.start} fills a store of "
+                             f"{len(self.domains)} with {len(data)}")
+        self.domains += map(Domain, data)
+        self.domains += map(Domain, posting.bits)
+        self.names += posting.names
+        self._watchers = list(posting.watchers)
+        # ``enqueue`` inlined: a fill queues every propagator of a model.
+        queued = self._queued
+        tiers = self._tiers
+        for prop in posting.props:
+            if prop not in queued:
+                queued.add(prop)
+                tiers[prop.priority].append(prop)
+
     def propagate(self):
         """Run queued propagators to a fixpoint.
 
@@ -379,6 +407,70 @@ class Store:
             self.propagation_count += runs
 
 
+class Posting:
+    """Variables and propagators posted once (``Recorder``) and filled into
+    any number of stores (``Store.fill``).
+
+    It follows the ``start`` variables of the postings filled before it and
+    adds more: first ``n_data`` data variables, whose initial domains each
+    fill supplies, then one per entry of ``bits``, the initial mask or
+    range of each.  ``names`` names the added variables; ``watchers`` holds
+    the tuple of propagators subscribed to each variable of a filled store,
+    the earlier postings' included; ``props`` lists the propagators it
+    registered, in order.  Every store filled from it shares these tuples
+    and propagator objects.
+    """
+
+    __slots__ = ("start", "n_data", "bits", "names", "watchers", "props")
+
+    def __init__(self, start, n_data, bits, names, watchers, props):
+        self.start = start
+        self.n_data = n_data
+        self.bits = bits
+        self.names = names
+        self.watchers = watchers
+        self.props = props
+
+
+class Recorder(Store):
+    """A store that records what is posted into it, for a ``Posting``, and
+    is never propagated.  ``register`` subscribes a propagator as on any
+    store, but its first run is recorded (``enqueue``) instead of queued.
+    The data variables (``new_data``) come first.  A recorder made
+    ``after`` a posting numbers its variables from where that one ends and
+    adds to its watchers."""
+
+    def __init__(self, after=None):
+        super().__init__()
+        self._start = self._n_data = 0
+        self._posted = []
+        if after is not None:
+            self._start = len(after.watchers)
+            # Placeholders: posting reads no domain, only variable ids.
+            self.domains = [None] * self._start
+            self.names = [None] * self._start
+            self._watchers = list(after.watchers)
+
+    def new_data(self, name=""):
+        """A data variable; its domain here is a placeholder."""
+        if len(self.domains) != self._start + self._n_data:
+            raise ValueError("data variables come before the others")
+        self._n_data += 1
+        return self._new(1, name)
+
+    def enqueue(self, prop):
+        self._posted.append(prop)
+
+    def posting(self):
+        """What has been posted, as a ``Posting``."""
+        first = self._start + self._n_data
+        # Interned: the postings of many models repeat the same names.
+        return Posting(self._start, self._n_data,
+                       tuple([d.bits for d in self.domains[first:]]),
+                       tuple(map(sys.intern, self.names[self._start:])),
+                       tuple(self._watchers), tuple(self._posted))
+
+
 class Propagator:
     """Base class: subclasses implement variables(), and either run(store)
     or one pass ``_pass(store)`` that returns whether it changed a domain,
@@ -391,6 +483,11 @@ class Propagator:
     that link the property layer to the column counts (``Relation``,
     ``StretchLengthWindows``), which read the bounds the row filters leave
     and seldom prune, so they run once those are quiet.
+
+    A propagator may be shared by many stores: ``model.build`` posts each
+    model shape once and fills every store of that shape with the same
+    propagator objects (``Posting``).  So it keeps no state of a store: its
+    variable ids, its kind and caches that depend on those alone.
     """
 
     priority = 1

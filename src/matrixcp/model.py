@@ -36,7 +36,7 @@ from .automata import (
     build_stretch_length_bounds,
     sweep_forward,
 )
-from .engine import Inconsistent, SearchStats, Store, search
+from .engine import Inconsistent, Recorder, SearchStats, Store, mask_of, search
 from .propagators import (
     ConstE,
     GccColumn,
@@ -186,6 +186,7 @@ class MatrixModel:
                 if not _is_range(bound):
                     raise ValueError(f"col_gcc[{k}][{v}] must be an (lo, hi) "
                                      f"pair of ints, not {bound!r}")
+                self.col_gcc[k][v] = tuple(bound)  # hashable, for build
             bound = self.col_sums[k]
             if bound is not None and not _is_range(bound):
                 raise ValueError(f"col_sums[{k}] must be an (lo, hi) pair of "
@@ -260,7 +261,10 @@ class Built:
 
     Every variable of the store is a cell, a column count (``cards``), a
     rule resource (``rule_z``) or a property resource (``prop_z``); the
-    property conditions are expressions over these."""
+    property conditions are expressions over these.  The id lists belong to
+    the model's layout (see ``build``), which every build of its shape
+    shares, so they are read-only.  ``layout_reused`` tells whether the
+    build posted nothing, filling its store from layouts made before."""
 
     def __init__(self, model, mode):
         self.model = model
@@ -272,6 +276,11 @@ class Built:
         self.prop_z = {}       # posted property -> per-row resource ids
         self.branch_vars = []
         self.root_infeasible = False
+        self._reused = False
+
+    @property
+    def layout_reused(self):
+        return self._reused
 
     def grid_of(self, solution):
         """Map a search solution to the external-value matrix."""
@@ -286,6 +295,60 @@ class Built:
             [self.store.dom(x) for x in row]
             for row in self.cells
         ]
+
+
+class Layout:
+    """What ``build`` posts for one model shape, kept on the row rule
+    (``WeightedDfa._layouts``) under ``_layout_key`` to fill the store of
+    every model of that shape.  ``decomposition`` is the posting
+    (``engine.Posting``) of the decomposition layer, whose data variables
+    are the cells and, under ``wa`` and ``cwa``, the column counts;
+    ``properties`` is that of the property layer, None until a model of the
+    shape first passes the decomposition layer.  The id lists are
+    ``Built``'s."""
+
+    __slots__ = ("decomposition", "properties", "cells", "cards", "rule_z",
+                 "branch_vars", "prop_z")
+
+
+def _layout_key(model, mode, cross_cap):
+    """What the propagators posted for ``model`` bake in: its size, value
+    table, mode, ``cross_cap``, lex rows, properties and column sums, and
+    under ``decomp``, where ``GccColumn`` holds them as constants, the
+    declared column counts.  Cell domains are data, as are the column
+    counts under ``wa`` and ``cwa``, where they are variables."""
+    props = model.properties
+    key = (model.n_rows, model.n_cols, model.values, mode, cross_cap,
+           bool(model.lex_rows), None if props is None else tuple(props),
+           tuple(None if s is None else tuple(s) for s in model.col_sums))
+    if mode == "decomp":
+        # Equal specs listed in another order only cost a second layout.
+        key += tuple([tuple(spec.items()) for spec in model.col_gcc]),
+    return key
+
+
+def _data(model, mode):
+    """The initial domains of the decomposition layer's data variables:
+    each cell's mask, row by row, then under ``wa`` and ``cwa`` each column
+    count's declared range, column by column."""
+    V = model.n_values
+    if model.cell_domains is None:
+        data = [(1 << V) - 1] * (model.n_rows * model.n_cols)
+    else:
+        masks = {}  # a model repeats few cell domains
+        data = []
+        for row in model.cell_domains:
+            for d in row:
+                mask = masks.get(d)
+                if mask is None:
+                    mask = masks[d] = mask_of(d)
+                data.append(mask)
+    if mode != "decomp":
+        for k in range(model.n_cols):
+            for v in range(V):
+                lo, hi = model.card_bounds(k, v)
+                data.append(range(lo, hi + 1))
+    return data
 
 
 def build(model, mode="decomp", cross_cap=20000):
@@ -310,6 +373,19 @@ def build(model, mode="decomp", cross_cap=20000):
     and its propagators stay queued for the caller.  The root fixpoint does
     not depend on the order in which propagators run, so the staging moves
     only where a refutation happens and how many runs it takes.
+
+    Posting depends on the model's shape only, so it is done once per shape
+    and rule: it records a layout (``Layout``), which the row rule keeps,
+    and every store, the first included, is filled from one.  The layout
+    key holds what the propagators bake in (``_layout_key``): rows,
+    columns, values, mode, ``cross_cap``, lex rows, properties and column
+    sums, and under ``decomp`` the column count bounds.  A fill adds the
+    model's data, the cell domains and under ``wa`` and ``cwa`` the count
+    ranges, and queues the propagators as posting them would.  The property
+    layer is posted when a model of the shape first passes the
+    decomposition layer.  Posting that fails leaves no layout or property
+    layer behind.  A rule keeps at most ``SHARED_CAP`` layouts, dropping
+    the oldest first, and frees them with itself.
 
     A one-symbol word over a value group the rule counts is not posted (and
     has no ``Built.prop_z`` entry): its total is the rule resource that the
@@ -337,68 +413,106 @@ class CountGroupEq(Relation):
 
 
 def _build_inner(b, model, mode, cross_cap):
+    layouts = model.row_rule._layouts
+    key = _layout_key(model, mode, cross_cap)
+    lay = layouts.get(key)
+    b._reused = lay is not None
+    if lay is None:
+        lay = _post_decomposition(model, mode)
+        while len(layouts) >= SHARED_CAP:
+            del layouts[next(iter(layouts))]
+        layouts[key] = lay
+    b.cells, b.cards, b.rule_z = lay.cells, lay.cards, lay.rule_z
+    b.branch_vars = lay.branch_vars
     store = b.store
-    R, K, V = model.n_rows, model.n_cols, model.n_values
+    store.fill(lay.decomposition, _data(model, mode))
+    if mode == "decomp":
+        return
+    if store.propagate() == "failed":
+        raise Inconsistent("the decomposition layer has no solution")
+    if lay.properties is None:
+        b._reused = False
+        _post_properties(lay, model, mode, cross_cap)
+    b.prop_z = lay.prop_z
+    store.fill(lay.properties)
 
-    b.cells = [
-        [store.new_var(model.cell_domain(i, k), f"x[{i},{k}]") for k in range(K)]
-        for i in range(R)
-    ]
-    b.branch_vars = [x for row in b.cells for x in row]
+
+def _post_decomposition(model, mode):
+    """A new layout with the decomposition layer posted."""
+    rec = Recorder()
+    lay = Layout()
+    R, K, V = model.n_rows, model.n_cols, model.n_values
+    counted = tuple(range(V))
+    bounds = {}  # equal columns share their count bounds under decomp
+
+    lay.cells = [[rec.new_data(f"x[{i},{k}]") for k in range(K)]
+                 for i in range(R)]
+    lay.branch_vars = [x for row in lay.cells for x in row]
+    lay.cards = []
+    if mode != "decomp":
+        # The property conditions read the counts, so they are variables.
+        lay.cards = [[rec.new_data(f"n[{v}@{k}]") for v in range(V)]
+                     for k in range(K)]
 
     for k in range(K):
-        cards = [model.card_bounds(k, v) for v in range(V)]
-        if mode != "decomp":
-            # The property conditions read the counts, so they are variables.
-            cards = [store.new_interval(lo, hi, f"n[{v}@{k}]")
-                     for v, (lo, hi) in enumerate(cards)]
-            b.cards.append(cards)
-        column_cells = [b.cells[i][k] for i in range(R)]
-        store.register(GccColumn(column_cells, cards, list(range(V))))
+        if lay.cards:
+            cards = lay.cards[k]
+        else:
+            cards = tuple(model.card_bounds(k, v) for v in range(V))
+            cards = bounds.setdefault(cards, cards)
+        column_cells = [lay.cells[i][k] for i in range(R)]
+        rec.register(GccColumn(column_cells, cards, counted))
         if model.col_sums[k] is not None:
             lo, hi = model.col_sums[k]
-            store.register(SumColumn(column_cells, model.values, lo, hi))
+            rec.register(SumColumn(column_cells, model.values, lo, hi))
 
     totals = achievable_totals(model.row_rule, K)
     if totals is None:
         raise Inconsistent("row rule admits no word within resource bounds")
-    b.rule_z = [
+    lay.rule_z = [
         [
-            store.new_interval(lo, hi, f"z[{i},{r}]")
+            rec.new_interval(lo, hi, f"z[{i},{r}]")
             for r, (lo, hi) in enumerate(totals)
         ]
         for i in range(R)
     ]
     for i in range(R):
-        store.register(Mcr(b.cells[i], b.rule_z[i], model.row_rule))
+        rec.register(Mcr(lay.cells[i], lay.rule_z[i], model.row_rule))
 
     if model.lex_rows:
-        post_lex_chain(store, b.cells)
+        post_lex_chain(rec, lay.cells)
 
-    if mode == "decomp":
-        return
+    if mode != "decomp":
+        # The count groups read only column counts and rule resources, so
+        # they join the decomposition layer, which runs to its fixpoint
+        # before any measuring automaton or product is built.
+        for group, rj in model.row_rule.count_groups():
+            col_total = SumE(
+                [VarE(lay.cards[k][v]) for k in range(K) for v in group]
+            )
+            row_total = SumE([VarE(lay.rule_z[i][rj]) for i in range(R)])
+            rec.register(CountGroupEq("eq", col_total, row_total))
 
-    # The count groups read only column counts and rule resources, so they
-    # join the decomposition layer, which runs to its fixpoint before any
-    # measuring automaton or product is built.  Each equality states the
-    # one-symbol word over its group, so that word is not posted again.
-    counted = set()
-    for group, rj in model.row_rule.count_groups():
-        col_total = SumE(
-            [VarE(b.cards[k][v]) for k in range(K) for v in group]
-        )
-        row_total = SumE([VarE(b.rule_z[i][rj]) for i in range(R)])
-        store.register(CountGroupEq("eq", col_total, row_total))
-        counted.add(WordProp((group,)))
-    if store.propagate() == "failed":
-        raise Inconsistent("the decomposition layer has no solution")
+    lay.decomposition = rec.posting()
+    lay.properties = None
+    lay.prop_z = {}
+    return lay
 
+
+def _post_properties(lay, model, mode, cross_cap):
+    """Post the property layer into ``lay``.  Each count-group equality
+    states the one-symbol word over its group, so that word is not posted
+    again."""
+    rec = Recorder(after=lay.decomposition)
+    lay.prop_z = {}
+    counted = {WordProp((group,)) for group, _ in model.row_rule.count_groups()}
     props = model.properties
     if props is None:
-        props = default_properties(V)
+        props = default_properties(model.n_values)
     for prop in props:
         if prop not in counted:
-            _post_property(b, model, mode, prop, cross_cap)
+            _post_property(rec, lay, model, mode, prop, cross_cap)
+    lay.properties = rec.posting()
 
 
 @lru_cache(maxsize=SHARED_CAP)
@@ -409,17 +523,16 @@ def _symbol_counter(vset, n_values, n):
     return build_gcc_weights(range(n_values), [vset], [(0, n)])
 
 
-def _card_expr(b, k, vset):
+def _card_expr(lay, k, vset):
     vs = sorted(vset)
     if len(vs) == 1:
-        return VarE(b.cards[k][vs[0]])
-    return SumE([VarE(b.cards[k][v]) for v in vs])
+        return VarE(lay.cards[k][vs[0]])
+    return SumE([VarE(lay.cards[k][v]) for v in vs])
 
 
-def _post_measuring_rows(b, model, mode, wdfa, cross_cap):
+def _post_measuring_rows(rec, lay, model, mode, wdfa, cross_cap):
     """Create per-row resource variables and post the measuring automaton,
     crossed with the row rule under cwa.  Returns the per-row id lists."""
-    store = b.store
     R, K = model.n_rows, model.n_cols
     ranges = achievable_totals(wdfa, K)
     if ranges is None:
@@ -432,21 +545,21 @@ def _post_measuring_rows(b, model, mode, wdfa, cross_cap):
         except ProductTooLarge:
             pass
     for i in range(R):
-        zs = [store.new_interval(lo, hi) for (lo, hi) in ranges]
+        zs = [rec.new_interval(lo, hi) for (lo, hi) in ranges]
         rows.append(zs)
         if crossed is not None:
-            store.register(Mcr(b.cells[i], b.rule_z[i] + zs, crossed))
+            rec.register(Mcr(lay.cells[i], lay.rule_z[i] + zs, crossed))
         else:
-            store.register(Mcr(b.cells[i], zs, wdfa))
+            rec.register(Mcr(lay.cells[i], zs, wdfa))
     return rows
 
 
-def _post_property(b, model, mode, prop, cross_cap):
+def _post_property(rec, lay, model, mode, prop, cross_cap):
     """Post ``prop``'s measuring automaton on every row and the conditions
-    tying its per-row resources (kept in ``b.prop_z``) to the column counts.
-    It creates no variable besides those resources: a stretch-length
-    property's windows read their box off the row minima and maxima."""
-    store = b.store
+    tying its per-row resources (kept in ``lay.prop_z``) to the column
+    counts.  It creates no variable besides those resources: a
+    stretch-length property's windows read their box off the row minima
+    and maxima."""
     R, K = model.n_rows, model.n_cols
 
     if isinstance(prop, WordProp):
@@ -462,32 +575,32 @@ def _post_property(b, model, mode, prop, cross_cap):
             wd = _symbol_counter(pattern[0], model.n_values, K)
         else:
             wd = build_sliding_word_counter(pattern, K, range(model.n_values))
-        rows = _post_measuring_rows(b, model, mode, wd, cross_cap)
-        b.prop_z[prop] = rows
+        rows = _post_measuring_rows(rec, lay, model, mode, wd, cross_cap)
+        lay.prop_z[prop] = rows
         tot = SumE([VarE(rows[i][-1]) for i in range(R)])
         if m == 1:
-            cards = SumE([_card_expr(b, k, pattern[0]) for k in range(K)])
-            store.register(Relation("eq", cards, tot))
+            cards = SumE([_card_expr(lay, k, pattern[0]) for k in range(K)])
+            rec.register(Relation("eq", cards, tot))
             return
 
         def lw(k):
-            parts = [_card_expr(b, k + j, pattern[j]) for j in range(m)]
+            parts = [_card_expr(lay, k + j, pattern[j]) for j in range(m)]
             return MaxE(
                 [ConstE(0), SumE(parts + [ConstE(-(m - 1) * R)])]
             )
 
         def uw(k):
-            return MinE([_card_expr(b, k + j, pattern[j]) for j in range(m)])
+            return MinE([_card_expr(lay, k + j, pattern[j]) for j in range(m)])
 
         n_flags = K - m + 1
         for k in range(n_flags):
             zsum = SumE([VarE(rows[i][k]) for i in range(R)])
-            store.register(Relation("le", lw(k), zsum))
-            store.register(Relation("le", zsum, uw(k)))
-        store.register(
+            rec.register(Relation("le", lw(k), zsum))
+            rec.register(Relation("le", zsum, uw(k)))
+        rec.register(
             Relation("le", SumE([lw(k) for k in range(n_flags)]), tot)
         )
-        store.register(
+        rec.register(
             Relation("le", tot, SumE([uw(k) for k in range(n_flags)]))
         )
         return
@@ -495,10 +608,10 @@ def _post_property(b, model, mode, prop, cross_cap):
     if isinstance(prop, StretchCountProp):
         vhat = prop.vhat
         wd = build_stretch_count(vhat, range(model.n_values), (K + 1) // 2)
-        rows = _post_measuring_rows(b, model, mode, wd, cross_cap)
-        b.prop_z[prop] = rows
+        rows = _post_measuring_rows(rec, lay, model, mode, wd, cross_cap)
+        lay.prop_z[prop] = rows
 
-        cards = [_card_expr(b, k, vhat) for k in range(K)]
+        cards = [_card_expr(lay, k, vhat) for k in range(K)]
 
         def cardv(k):
             return cards[k] if 0 <= k < K else ConstE(0)
@@ -512,8 +625,8 @@ def _post_property(b, model, mode, prop, cross_cap):
         tot = SumE([VarE(rows[i][0]) for i in range(R)])
         for d in (-1, 1):
             edges = SumE([stretch_edge(cards, k, d) for k in range(K)])
-            store.register(Relation("le", edges, tot))
-            store.register(
+            rec.register(Relation("le", edges, tot))
+            rec.register(
                 Relation("le", tot, SumE([us(k, d) for k in range(K)]))
             )
         return
@@ -521,10 +634,10 @@ def _post_property(b, model, mode, prop, cross_cap):
     if isinstance(prop, StretchLengthProp):
         vhat = prop.vhat
         wd = build_stretch_length_bounds(vhat, range(model.n_values), K)
-        rows = _post_measuring_rows(b, model, mode, wd, cross_cap)
-        b.prop_z[prop] = rows
-        store.register(StretchLengthWindows(
-            [_card_expr(b, k, vhat) for k in range(K)], rows))
+        rows = _post_measuring_rows(rec, lay, model, mode, wd, cross_cap)
+        lay.prop_z[prop] = rows
+        rec.register(StretchLengthWindows(
+            [_card_expr(lay, k, vhat) for k in range(K)], rows))
         return
 
     raise ValueError(f"unknown property {prop!r}")

@@ -72,7 +72,7 @@ class MemoFilter(Propagator):
         self.xs = list(xs)
         self.zs = list(zs)
         self._token = token
-        self._vars = self.xs + self.zs
+        self._vars = self.xs + self.zs if self.zs else self.xs
         if len(self.zs) != n_bounds:
             raise ValueError(f"{type(self).__name__}: {len(self.zs)} interval "
                              f"variables, its kind fixes {n_bounds}")
@@ -273,15 +273,16 @@ class GccColumn(MemoFilter):
         if len(cards) != len(self.values):
             raise ValueError("one cardinality per counted value")
         self.counted = mask_of(self.values)
-        bounds = tuple(c for c in cards if type(c) is tuple)
-        if not bounds:
+        n_bounds = sum(type(c) is tuple for c in cards)
+        if not n_bounds:
             self.bounds = None
             super().__init__(xs, cards, memo_token((GccColumn, self.values)),
                              len(self.values))
             return
-        if len(bounds) < len(cards):
+        if n_bounds < len(cards):
             raise ValueError("cardinalities must be all variables or all "
                              "(lo, hi) bounds")
+        bounds = tuple(cards)  # a tuple passed in is kept, not copied
         if any(lo > hi for lo, hi in bounds):
             raise Inconsistent("a count bound admits no count")
         self.bounds = bounds

@@ -638,13 +638,13 @@ def test_root_is_a_local_fixpoint(monkeypatch):
     changes nothing: each one leaves its own local fixpoint (the contract
     ``propagators`` documents)."""
     posted = []
-    register = Store.register
+    fill = Store.fill
 
-    def spy(store, prop):
-        posted.append(prop)
-        register(store, prop)
+    def spy(store, posting, *data):
+        posted.extend(posting.props)
+        fill(store, posting, *data)
 
-    monkeypatch.setattr(Store, "register", spy)
+    monkeypatch.setattr(Store, "fill", spy)
     stable = reruns = 0
     for m in fixpoint_models():
         for mode in MODES:
@@ -689,8 +689,8 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
             for v in range(m.n_values):
                 counter = build_sliding_word_counter(
                     (frozenset((v,)),), K, range(m.n_values))
-                rows = matrixcp.model._post_measuring_rows(b, m, mode,
-                                                           counter, 20000)
+                rows = matrixcp.model._post_measuring_rows(
+                    st, b, m, mode, counter, 20000)
                 for k in range(K + 1):
                     flags = SumE([VarE(rows[i][k]) for i in range(R)])
                     cards = [VarE(b.cards[j][v])
@@ -698,8 +698,8 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
                     st.register(Relation("eq", SumE(cards), flags))
             for group, _ in m.row_rule.count_groups():
                 counter = matrixcp.model._symbol_counter(group, m.n_values, K)
-                rows = matrixcp.model._post_measuring_rows(b, m, mode,
-                                                           counter, 20000)
+                rows = matrixcp.model._post_measuring_rows(
+                    st, b, m, mode, counter, 20000)
                 total = SumE([VarE(rows[i][0]) for i in range(R)])
                 cards = [VarE(b.cards[k][v]) for k in range(K) for v in group]
                 st.register(Relation("eq", SumE(cards), total))
@@ -766,12 +766,12 @@ def test_search_nodes_are_local_fixpoints(monkeypatch):
     where = ""
     undone = checking = False
     stable = reruns = replays = filters = 0
-    register, propagate, undo = Store.register, Store.propagate, Store.undo
+    fill, propagate, undo = Store.fill, Store.propagate, Store.undo
     run = MemoFilter.run
 
-    def spy_register(store, prop):
-        posted.append(prop)
-        register(store, prop)
+    def spy_fill(store, posting, *data):
+        posted.extend(posting.props)
+        fill(store, posting, *data)
 
     def checked_propagate(store):
         nonlocal checking, stable, reruns
@@ -815,7 +815,7 @@ def test_search_nodes_are_local_fixpoints(monkeypatch):
             return filter(prop, *args)
         return spy
 
-    monkeypatch.setattr(Store, "register", spy_register)
+    monkeypatch.setattr(Store, "fill", spy_fill)
     monkeypatch.setattr(Store, "propagate", checked_propagate)
     monkeypatch.setattr(Store, "undo", spy_undo)
     monkeypatch.setattr(MemoFilter, "run", spy_run)

@@ -73,10 +73,14 @@ def test_overload_roster_is_refuted_inside_build(mode, monkeypatch):
     inst, rules = gen_toy_rosters(4242, 1)[0]
     assert inst.name == "toy000_u"
     model = roster_model(inst, rules)
+    inst, rules = gen_toy_rosters(4242, 5)[4]
+    assert inst.name == "toy004_u"
+    same_shape = roster_model(inst, rules)
     products = []
     product = WeightedDfa.product
     monkeypatch.setattr(WeightedDfa, "product",
                         lambda *a, **kw: products.append(a) or product(*a, **kw))
+    model.row_rule._layouts.clear()  # a shape no model has passed yet
     b = build(model, mode)
     assert b.root_infeasible
     assert b.prop_z == {}
@@ -85,6 +89,13 @@ def test_overload_roster_is_refuted_inside_build(mode, monkeypatch):
     assert out.status == "unsat"
     assert out.stats.root_failure
     assert out.stats.propagations > 0
+    # A second roster of the shape fills from its layout and fails the
+    # decomposition layer too: still no product and no property layer.
+    second = build(same_shape, mode)
+    assert second.layout_reused and second.root_infeasible
+    assert second.prop_z == {} and products == []
+    (layout,) = model.row_rule._layouts.values()
+    assert layout.properties is None
 
 
 def single_fifo(monkeypatch):
