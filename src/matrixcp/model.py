@@ -495,7 +495,6 @@ def _post_decomposition(model, mode):
 
     lay.decomposition = rec.posting()
     lay.properties = None
-    lay.prop_z = {}
     return lay
 
 
