@@ -269,11 +269,12 @@ class WeightedDfa:
     models it is the row rule of (``_layouts``, see ``model.build``), one
     per key of what the posted propagators bake in: rows, columns, values,
     mode, ``cross_cap``, lex rows, properties and column sums, and under
-    ``decomp`` the column count bounds.  Its
-    ``memo_token``, a plain object made with it, stands for it in the keys
-    of the process's filter memo (``engine.MEMO``), so the memo never keeps
-    the automaton alive, and an automaton built again, equal in content or
-    not, gets a new token.
+    ``decomp`` the column count bounds.  A layout's property layer is
+    posted when a model of its shape first passes the decomposition layer.
+    Its ``memo_token``, a plain object made with it, stands for it in the
+    keys of the process's filter memo (``engine.MEMO``), so the memo never
+    keeps the automaton alive, and an automaton built again, equal in
+    content or not, gets a new token.
     """
 
     __slots__ = ("dfa", "costs", "resource_bounds", "memo_token", "_tables",

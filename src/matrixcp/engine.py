@@ -40,6 +40,10 @@ MEMO_CAP = 1 << 14
 # hashable memo kinds (see ``memo_token``).
 MEMO: OrderedDict = OrderedDict()
 TOKENS: OrderedDict = OrderedDict()
+# The (position, domain) pairs of the memo's changes, each kept once: the
+# results repeat few pairs (78 distinct among 7,328 in a pass over the
+# reductions pool).  Emptied before it would pass ``MEMO_CAP`` pairs.
+PAIRS: dict = {}
 
 # The one entry every filter result that changes nothing and holds shares.
 NO_CHANGE = ((), False)
@@ -70,7 +74,8 @@ def memoised(key, filter, *args, entailed=None):
     """``filter(*args)``, looked up under ``key`` in ``MEMO`` first.
 
     ``key`` must determine the result, in every store.  A new result
-    ``(changes, failed)`` is kept as ``(tuple(changes), failed)``.  One that
+    ``(changes, failed)`` is kept as ``(tuple(changes), failed)``, each
+    change an equal pair from ``PAIRS``.  One that
     changes nothing and holds is kept as ``ENTAILED`` when ``entailed`` is
     given and ``entailed(*args)`` is true, else as ``NO_CHANGE``.  The entry
     is inserted after evicting the oldest one if the memo holds
@@ -81,7 +86,10 @@ def memoised(key, filter, *args, entailed=None):
     if result is None:
         changes, failed = filter(*args)
         if changes or failed:
-            result = (tuple(changes), failed)
+            if len(PAIRS) + len(changes) > MEMO_CAP:
+                PAIRS.clear()
+            result = (tuple([PAIRS.setdefault(c, c) for c in changes]),
+                      failed)
         elif entailed is not None and entailed(*args):
             result = ENTAILED
         else:
@@ -93,9 +101,10 @@ def memoised(key, filter, *args, entailed=None):
 
 
 def clear_memo():
-    """Empty the filter memo and its token table."""
+    """Empty the filter memo, its token table and its pairs."""
     MEMO.clear()
     TOKENS.clear()
+    PAIRS.clear()
 
 
 class Inconsistent(Exception):
@@ -171,7 +180,7 @@ class Store:
     def __init__(self):
         self.domains: list[Domain] = []
         self.names: list[str] = []
-        self._watchers: list[tuple] = []
+        self._watchers: list[list] = []
         self._trail: list[tuple[int, int | range]] = []
         self._marks: list[tuple[int, int]] = []
         self._tiers = (deque(), deque(), deque())
@@ -201,7 +210,7 @@ class Store:
         vid = len(self.domains)
         self.domains.append(Domain(bits))
         self.names.append(name or f"v{vid}")
-        self._watchers.append(())
+        self._watchers.append([])
         return vid
 
     def dom(self, vid):
@@ -236,9 +245,7 @@ class Store:
         raise ValueError(f"variable {self.names[vid]} is not fixed")
 
     def watch(self, vid, prop):
-        # A new tuple: a filled store shares its watcher tuples with the
-        # posting it was filled from (see ``fill``).
-        self._watchers[vid] += (prop,)
+        self._watchers[vid].append(prop)
 
     # -- domain operations (trail + wake) ------------------------------------
 
@@ -351,9 +358,10 @@ class Store:
         """Post ``posting`` (see ``Posting``) into this store, which must
         hold just the variables of the postings filled before it, in order:
         add its variables, the data ones over the masks and ranges ``data``,
-        take its watchers, and queue its propagators in posting order as
-        ``register`` does, each in the tier its ``priority`` names now.  An
-        empty domain raises Inconsistent, as ``new_var`` would."""
+        then register its propagators in posting order as ``register`` does:
+        subscribe each to its variables and queue it in the tier its
+        ``priority`` names now.  An empty domain raises Inconsistent, as
+        ``new_var`` would."""
         if len(self.domains) != posting.start or len(data) != posting.n_data:
             raise ValueError(f"a posting of {posting.n_data} data variables "
                              f"after {posting.start} fills a store of "
@@ -361,11 +369,14 @@ class Store:
         self.domains += map(Domain, data)
         self.domains += map(Domain, posting.bits)
         self.names += posting.names
-        self._watchers = list(posting.watchers)
-        # ``enqueue`` inlined: a fill queues every propagator of a model.
+        watchers = self._watchers
+        watchers += [[] for _ in range(len(self.domains) - len(watchers))]
+        # ``register`` inlined: a fill registers every propagator of a model.
         queued = self._queued
         tiers = self._tiers
         for prop in posting.props:
+            for vid in prop.variables():
+                watchers[vid].append(prop)
             if prop not in queued:
                 queued.add(prop)
                 tiers[prop.priority].append(prop)
@@ -414,42 +425,43 @@ class Posting:
     It follows the ``start`` variables of the postings filled before it and
     adds more: first ``n_data`` data variables, whose initial domains each
     fill supplies, then one per entry of ``bits``, the initial mask or
-    range of each.  ``names`` names the added variables; ``watchers`` holds
-    the tuple of propagators subscribed to each variable of a filled store,
-    the earlier postings' included; ``props`` lists the propagators it
-    registered, in order.  Every store filled from it shares these tuples
-    and propagator objects.
+    range of each.  ``names`` names the added variables, and ``props`` lists
+    the propagators it registered, in order.  Every store filled from it
+    shares these propagator objects; a fill subscribes them to their
+    variables anew, so a posting keeps no watcher lists.
     """
 
-    __slots__ = ("start", "n_data", "bits", "names", "watchers", "props")
+    __slots__ = ("start", "n_data", "bits", "names", "props")
 
-    def __init__(self, start, n_data, bits, names, watchers, props):
+    def __init__(self, start, n_data, bits, names, props):
         self.start = start
         self.n_data = n_data
         self.bits = bits
         self.names = names
-        self.watchers = watchers
         self.props = props
+
+    @property
+    def end(self):
+        """The variable count of a store filled with this posting."""
+        return self.start + self.n_data + len(self.bits)
 
 
 class Recorder(Store):
     """A store that records what is posted into it, for a ``Posting``, and
-    is never propagated.  ``register`` subscribes a propagator as on any
-    store, but its first run is recorded (``enqueue``) instead of queued.
-    The data variables (``new_data``) come first.  A recorder made
-    ``after`` a posting numbers its variables from where that one ends and
-    adds to its watchers."""
+    is never propagated.  ``register`` records a propagator instead of
+    subscribing and queueing it (``watch``, ``enqueue``).  The data
+    variables (``new_data``) come first.  A recorder made ``after`` a
+    posting numbers its variables from where that one ends."""
 
     def __init__(self, after=None):
         super().__init__()
         self._start = self._n_data = 0
         self._posted = []
         if after is not None:
-            self._start = len(after.watchers)
+            self._start = after.end
             # Placeholders: posting reads no domain, only variable ids.
             self.domains = [None] * self._start
             self.names = [None] * self._start
-            self._watchers = list(after.watchers)
 
     def new_data(self, name=""):
         """A data variable; its domain here is a placeholder."""
@@ -457,6 +469,9 @@ class Recorder(Store):
             raise ValueError("data variables come before the others")
         self._n_data += 1
         return self._new(1, name)
+
+    def watch(self, vid, prop):
+        pass
 
     def enqueue(self, prop):
         self._posted.append(prop)
@@ -468,7 +483,7 @@ class Recorder(Store):
         return Posting(self._start, self._n_data,
                        tuple([d.bits for d in self.domains[first:]]),
                        tuple(map(sys.intern, self.names[self._start:])),
-                       tuple(self._watchers), tuple(self._posted))
+                       tuple(self._posted))
 
 
 class Propagator:
@@ -486,8 +501,12 @@ class Propagator:
 
     A propagator may be shared by many stores: ``model.build`` posts each
     model shape once and fills every store of that shape with the same
-    propagator objects (``Posting``).  So it keeps no state of a store: its
-    variable ids, its kind and caches that depend on those alone.
+    propagator objects (``Posting``).  The shape is the layout key: rows,
+    columns, values, mode, ``cross_cap``, lex rows, properties and column
+    sums, and under ``decomp`` the column count bounds; the property layer
+    is posted when a model of the shape first passes the decomposition
+    layer.  So a propagator keeps no state of a store: its variable ids,
+    its kind and caches that depend on those alone.
     """
 
     priority = 1

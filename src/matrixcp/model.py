@@ -381,7 +381,7 @@ def build(model, mode="decomp", cross_cap=20000):
     columns, values, mode, ``cross_cap``, lex rows, properties and column
     sums, and under ``decomp`` the column count bounds.  A fill adds the
     model's data, the cell domains and under ``wa`` and ``cwa`` the count
-    ranges, and queues the propagators as posting them would.  The property
+    ranges, and registers the propagators as posting them would.  The property
     layer is posted when a model of the shape first passes the
     decomposition layer.  Posting that fails leaves no layout or property
     layer behind.  A rule keeps at most ``SHARED_CAP`` layouts, dropping
@@ -445,13 +445,13 @@ def _post_decomposition(model, mode):
     counted = tuple(range(V))
     bounds = {}  # equal columns share their count bounds under decomp
 
-    lay.cells = [[rec.new_data(f"x[{i},{k}]") for k in range(K)]
+    lay.cells = [tuple([rec.new_data(f"x[{i},{k}]") for k in range(K)])
                  for i in range(R)]
-    lay.branch_vars = [x for row in lay.cells for x in row]
+    lay.branch_vars = range(R * K)  # the cells, row by row
     lay.cards = []
     if mode != "decomp":
         # The property conditions read the counts, so they are variables.
-        lay.cards = [[rec.new_data(f"n[{v}@{k}]") for v in range(V)]
+        lay.cards = [tuple([rec.new_data(f"n[{v}@{k}]") for v in range(V)])
                      for k in range(K)]
 
     for k in range(K):
@@ -460,7 +460,7 @@ def _post_decomposition(model, mode):
         else:
             cards = tuple(model.card_bounds(k, v) for v in range(V))
             cards = bounds.setdefault(cards, cards)
-        column_cells = [lay.cells[i][k] for i in range(R)]
+        column_cells = tuple([lay.cells[i][k] for i in range(R)])
         rec.register(GccColumn(column_cells, cards, counted))
         if model.col_sums[k] is not None:
             lo, hi = model.col_sums[k]
@@ -470,10 +470,10 @@ def _post_decomposition(model, mode):
     if totals is None:
         raise Inconsistent("row rule admits no word within resource bounds")
     lay.rule_z = [
-        [
+        tuple([
             rec.new_interval(lo, hi, f"z[{i},{r}]")
             for r, (lo, hi) in enumerate(totals)
-        ]
+        ])
         for i in range(R)
     ]
     for i in range(R):
@@ -544,7 +544,7 @@ def _post_measuring_rows(rec, lay, model, mode, wdfa, cross_cap):
         except ProductTooLarge:
             pass
     for i in range(R):
-        zs = [rec.new_interval(lo, hi) for (lo, hi) in ranges]
+        zs = tuple([rec.new_interval(lo, hi) for (lo, hi) in ranges])
         rows.append(zs)
         if crossed is not None:
             rec.register(Mcr(lay.cells[i], lay.rule_z[i] + zs, crossed))

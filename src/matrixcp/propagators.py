@@ -69,10 +69,10 @@ class MemoFilter(Propagator):
     """
 
     def __init__(self, xs, zs, token, n_bounds):
-        self.xs = list(xs)
-        self.zs = list(zs)
+        self.xs = tuple(xs)
+        self.zs = tuple(zs)
         self._token = token
-        self._vars = self.xs + self.zs if self.zs else self.xs
+        self._vars = self.xs + self.zs
         if len(self.zs) != n_bounds:
             raise ValueError(f"{type(self).__name__}: {len(self.zs)} interval "
                              f"variables, its kind fixes {n_bounds}")

@@ -3,7 +3,15 @@ import random
 import pytest
 
 from matrixcp import engine
-from matrixcp.engine import Inconsistent, Propagator, SearchStats, Store, search
+from matrixcp.engine import (
+    Inconsistent,
+    Propagator,
+    Recorder,
+    SearchStats,
+    Store,
+    mask_of,
+    search,
+)
 
 
 class TestStore:
@@ -141,6 +149,19 @@ class TestStore:
         assert engine.memoised("b", lambda: ([], False)) is engine.NO_CHANGE
         assert engine.memoised("c", lambda: ([], False)) is engine.NO_CHANGE
         assert engine.memoised("d", lambda: ([], True)) == ((), True)
+        # Equal changes of two results are one pair object.
+        (a,), _ = engine.memoised("e", lambda: ([(2, 5)], False))
+        (_, b), _ = engine.memoised("f", lambda: ([(0, 1), (2, 5)], True))
+        assert a is b
+
+    def test_memo_pairs_stay_within_the_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "MEMO_CAP", 3)
+        for k in range(5):
+            engine.memoised(k, lambda k=k: ([(0, k), (1, k)], False))
+            assert len(engine.PAIRS) <= 3
+        assert engine.MEMO[4] == (((0, 4), (1, 4)), False)
+        engine.clear_memo()
+        assert not engine.PAIRS
 
 
 class ForbidValue(Propagator):
@@ -266,6 +287,101 @@ class TestTiers:
         assert st.propagate() == "stable"
         assert log == props[:1]
         assert st.propagation_count == 1
+
+
+def post_small(st, data):
+    """Post a small model into ``st``, its data variables made by
+    ``data(name)``: two data cells, a mask and an interval variable, then
+    propagators over them in several tiers."""
+    x, y = data("x"), data("y")
+    w = st.new_var({1, 2}, "w")
+    z = st.new_interval(0, 3, "z")
+    log = []
+    for p in (Logged(x, 2, log), AllDiffPair(x, y), Logged(z, 0, log),
+              AllDiffPair(y, w), Logged(x, 1, log)):
+        st.register(p)
+    return x, w
+
+
+def post_more(st, x, w):
+    u = st.new_var({0, 2}, "u")
+    for p in (AllDiffPair(x, u), Logged(w, 0, [])):
+        st.register(p)
+
+
+def image(st):
+    def named(props):
+        return [(type(p).__name__, tuple(p.variables()), p.priority)
+                for p in props]
+
+    return ([d.bits for d in st.domains], st.names,
+            [named(ws) for ws in st._watchers], [named(t) for t in st._tiers])
+
+
+class TestPostings:
+    """A ``Recorder`` records a posting once; ``Store.fill`` makes from it
+    the store that posting into the store itself makes."""
+
+    DOMAINS = {"x": {0, 1}, "y": {1, 2}}
+
+    def direct(self):
+        st = Store()
+        x, w = post_small(st, lambda name: st.new_var(self.DOMAINS[name],
+                                                      name))
+        return st, x, w
+
+    def recorded(self):
+        rec = Recorder()
+        x, w = post_small(rec, rec.new_data)
+        first = rec.posting()
+        rec = Recorder(after=first)
+        post_more(rec, x, w)
+        return first, rec.posting()
+
+    def data(self):
+        return [mask_of(self.DOMAINS[name]) for name in ("x", "y")]
+
+    def test_a_filled_store_is_the_posted_one(self):
+        first, second = self.recorded()
+        assert (first.start, first.n_data, first.end) == (0, 2, 4)
+        assert (second.start, second.n_data, second.end) == (4, 0, 5)
+        want, x, w = self.direct()
+        st = Store()
+        st.fill(first, self.data())
+        assert image(st) == image(want)
+        post_more(want, x, w)
+        st.fill(second)
+        assert image(st) == image(want)
+        # Two stores filled from one posting share its propagators only.
+        again = Store()
+        again.fill(first, self.data())
+        assert again._tiers[0][0] is st._tiers[0][0]
+        assert again._watchers[0] is not st._watchers[0]
+        assert st.propagate() == again.propagate() == "stable"
+
+    def test_a_recorder_queues_and_watches_nothing(self):
+        rec = Recorder()
+        post_small(rec, rec.new_data)
+        assert not any(rec._tiers) and not any(rec._watchers)
+        assert len(rec.posting().props) == 5
+
+    def test_data_variables_come_first(self):
+        rec = Recorder()
+        rec.new_interval(0, 1)
+        with pytest.raises(ValueError, match="data variables come before"):
+            rec.new_data("x")
+
+    def test_a_fill_must_follow_its_postings(self):
+        first, second = self.recorded()
+        with pytest.raises(ValueError, match="2 data variables after 0"):
+            Store().fill(first, self.data()[:1])
+        with pytest.raises(ValueError, match="after 4 fills a store of 0"):
+            Store().fill(second)
+
+    def test_an_empty_data_domain_is_inconsistent(self):
+        first, _ = self.recorded()
+        with pytest.raises(Inconsistent):
+            Store().fill(first, [0b11, 0])
 
 
 class TestSearch:

@@ -56,15 +56,12 @@ CASES = ([("fuzz", mode) for mode in MODES]
          + [("reductions", "decomp")])
 
 
-def outcome(model, mode):
+def outcome(out, root):
     """A solve's status, grid, search counts, root flag and propagator
-    runs, then the ``root_prune`` grid, and whether the solve's build
-    reused its layout."""
-    out = solve(model, mode)
+    runs, then the ``root_prune`` grid ``root``."""
     s = out.stats
-    got = (out.status, out.grid, s.nodes, s.backtracks, s.failures,
-           out.built.root_infeasible, s.propagations, root_prune(model, mode))
-    return got, out.built.layout_reused
+    return (out.status, out.grid, s.nodes, s.backtracks, s.failures,
+            out.built.root_infeasible, s.propagations, root)
 
 
 def cold(model, mode):
@@ -72,11 +69,9 @@ def cold(model, mode):
     solve and before the root prune."""
     model.row_rule._layouts.clear()
     out = solve(model, mode)
-    model.row_rule._layouts.clear()
-    s = out.stats
     assert not out.built.layout_reused
-    return (out.status, out.grid, s.nodes, s.backtracks, s.failures,
-            out.built.root_infeasible, s.propagations, root_prune(model, mode))
+    model.row_rule._layouts.clear()
+    return outcome(out, root_prune(model, mode))
 
 
 @pytest.mark.parametrize("pool,mode", CASES)
@@ -89,13 +84,12 @@ def test_cached_layouts_change_no_solve(pool, mode):
     want = [cold(m, mode) for m in models]
     for m in models:
         solve(m, mode)
-    reused = 0
     for order in (list, lambda pairs: list(reversed(pairs))):
         reused = 0
         for m, w in order(list(zip(models, want))):
-            got, from_layout = outcome(m, mode)
-            assert got == w, f"{m.name} {mode}"
-            reused += from_layout
+            out = solve(m, mode)
+            assert outcome(out, root_prune(m, mode)) == w, f"{m.name} {mode}"
+            reused += out.built.layout_reused
     # After a pass over the pool, every build of the reversed pass fills
     # from cached layouts, but for the fuzz models refuted while posting.
     refuted = sum(m.name in REFUTED_IN_POSTING for m in models)
@@ -198,8 +192,9 @@ def test_a_property_posting_that_fails_leaves_no_property_layer(monkeypatch):
     assert lay.properties is None
     b = build(model, "cwa")
     assert not b.layout_reused and lay.properties is not None
-    got, reused = outcome(model, "cwa")
-    assert got == want and reused
+    out = solve(model, "cwa")
+    assert out.built.layout_reused
+    assert outcome(out, root_prune(model, "cwa")) == want
 
 
 def test_a_dropped_rules_layouts_die_with_it():

@@ -502,7 +502,7 @@ class TestBuilt:
             if mode == "decomp":
                 assert b.cards == []
                 assert not any(n.startswith("n[") for n in b.store.names)
-                assert all(p.zs == [] and p.bounds == ((0, 3), (1, 1))
+                assert all(p.zs == () and p.bounds == ((0, 3), (1, 1))
                            for p in columns)
             else:
                 assert [p.zs for p in columns] == b.cards
