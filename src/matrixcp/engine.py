@@ -75,12 +75,12 @@ def memoised(key, filter, *args, entailed=None):
 
     ``key`` must determine the result, in every store.  A new result
     ``(changes, failed)`` is kept as ``(tuple(changes), failed)``, each
-    change an equal pair from ``PAIRS``.  One that
-    changes nothing and holds is kept as ``ENTAILED`` when ``entailed`` is
-    given and ``entailed(*args)`` is true, else as ``NO_CHANGE``.  The entry
-    is inserted after evicting the oldest one if the memo holds
-    ``MEMO_CAP`` already (an ``OrderedDict``, since finding a plain dict's
-    first key scans the slots its earlier deletions left).
+    change an equal pair from ``PAIRS``.  One that changes nothing and
+    holds is kept as ``ENTAILED`` when ``entailed`` is given and
+    ``entailed(*args)`` is true, else as ``NO_CHANGE``.  The entry is
+    inserted after evicting the oldest one if the memo holds ``MEMO_CAP``
+    already (an ``OrderedDict``, since finding a plain dict's first key
+    scans the slots its earlier deletions left).
     """
     result = MEMO.get(key)
     if result is None:
