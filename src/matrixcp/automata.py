@@ -1170,8 +1170,12 @@ def parse_automaton(text):
     known = {"state": range(n_states), "symbol": alphabet, "resource": range(n_res)}
     for no, kind, x in refs:
         if x not in known[kind]:
-            where = ("not in the alphabet" if kind == "symbol"
-                     else f"out of range 0..{len(known[kind]) - 1}")
+            if kind == "symbol":
+                where = "not in the alphabet"
+            elif known[kind]:
+                where = f"out of range 0..{len(known[kind]) - 1}"
+            else:
+                where = "named, but the automaton declares no resources"
             raise AutomatonError(f"line {no}: {kind} {x} {where}")
     dfa = Dfa.from_partial(n_states, alphabet, trans, start, accept)
     blist = [bounds.get(r, (0, 10**9)) for r in range(n_res)]

@@ -23,6 +23,11 @@ result as ``ENTAILED``, and a propagator that meets it parks itself
 (``Store.park``): it stays in the store's queued set without a place in any
 tier, so the wake test every domain change already makes skips it, until
 the search backtracks above the node where it parked.
+
+A memo hit costs a key, a lookup and a commit, so the memo filters
+(``propagators.MemoFilter``) run on kernels compiled per scope shape: each
+builds its key as one tuple display and commits with ``Store._commit``
+inlined.
 """
 
 from __future__ import annotations
@@ -250,8 +255,14 @@ class Store:
     # -- domain operations (trail + wake) ------------------------------------
 
     def _commit(self, vid, new):
-        # new is always a subset of the domain: a mask of some of its bits or
-        # a subrange, so an equal one means no change.
+        """Replace the domain of ``vid`` by ``new``, always a subset of it (a
+        mask of some of its bits or a subrange), so an equal one means no
+        change and returns False.  An empty one raises Inconsistent naming
+        the variable.  Otherwise trail the old domain, replace it and wake
+        each watcher, in list order, but the running propagator and those
+        already queued; return True.  The memo-filter kernel
+        (``propagators._run_source``) inlines this for every change it
+        commits."""
         dom = self.domains[vid]
         old = dom.bits
         if new == old:

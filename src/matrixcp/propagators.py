@@ -66,6 +66,16 @@ class MemoFilter(Propagator):
     scope with interval variables never parks: its filter narrows their
     bounds, which other propagators read, as the cells shrink, even where
     every completion satisfies it.
+
+    ``run`` runs on a kernel: a Python function generated for the shape of
+    the scope, its numbers of cells and of interval variables
+    (``_run_source``), which the propagator fetches from the process-wide
+    table ``_memo_run`` when it is built.  Every ``MemoFilter`` class of a
+    shape shares it.  The kernel builds the key as one tuple display,
+    looks it up and commits the result with ``Store._commit`` inlined.  It
+    looks ``filter`` and ``entailed`` up on the propagator at each miss,
+    and ``run`` stays the class-level entry point, so a spy or tracer that
+    patches any of the three on the class sees every call.
     """
 
     def __init__(self, xs, zs, token, n_bounds):
@@ -81,48 +91,99 @@ class MemoFilter(Propagator):
             dup = next(v for i, v in enumerate(vs) if v in vs[:i])
             raise ValueError(f"{type(self).__name__}: variable {dup} appears "
                              "twice in its scope")
+        self._run = _memo_run(len(self.xs), len(self.zs))
 
     def variables(self):
         return self._vars
 
     def run(self, store):
-        domains = store.domains
-        if self.zs:
-            cells = [domains[x].bits for x in self.xs]
-            lo = []
-            hi = []
-            for z in self.zs:
-                r = domains[z].bits
-                lo.append(r[0])
-                hi.append(r[-1])
-            key = (self._token, *cells, *lo, *hi)
-            result = MEMO.get(key)
-            if result is None:
-                result = memoised(key, self.filter, cells, lo, hi)
-        else:
-            key = (self._token, *[domains[x].bits for x in self.xs])
-            result = MEMO.get(key)
-            if result is None:
-                result = memoised(key, self.filter, key[1:], (), (),
-                                  entailed=self.entailed)
-        if result is NO_CHANGE:
-            return
-        if result is ENTAILED:
-            store.park(self)
-            return
-        changes, failed = result
-        vs = self._vars
-        commit = store._commit
-        for pos, new in changes:
-            commit(vs[pos], new)
-        if failed:
-            raise Inconsistent(f"{type(self).__name__} has no solution")
+        self._run(self, store)
 
     def filter(self, cells, lo, hi):
         raise NotImplementedError
 
     def entailed(self, cells, lo, hi):
         return False
+
+
+# The end of every kernel, whatever its shape: park on ``ENTAILED``, or
+# commit the result with ``Store._commit`` inlined (trail the old domain,
+# replace it, wake each watcher in list order but the store's running
+# propagator and the queued ones), then fail if it fails.
+_RUN_TAIL = """\
+    if result is NO_CHANGE: return
+    if result is ENTAILED:
+        store.park(self)
+        return
+    changes, failed = result
+    if changes:
+        vs = self._vars
+        trail = store._trail
+        watchers = store._watchers
+        running = store._running
+        queued = store._queued
+        tiers = store._tiers
+        for pos, new in changes:
+            vid = vs[pos]
+            dom = D[vid]
+            old = dom.bits
+            if new == old: continue
+            if not new: raise Inconsistent(store.names[vid])
+            trail.append((vid, old))
+            dom.bits = new
+            for prop in watchers[vid]:
+                if prop is not running and prop not in queued:
+                    queued.add(prop)
+                    tiers[prop.priority].append(prop)
+    if failed:
+        raise Inconsistent(f"{type(self).__name__} has no solution")
+"""
+
+
+def _run_source(n, m):
+    """The source of ``run(self, store)`` for a ``MemoFilter`` scope of
+    ``n`` cells and ``m`` interval variables.
+
+    It unpacks the scope into locals ``x<i>``/``z<j>`` and builds the memo
+    key as one tuple display: the token, each cell's mask, then the lower
+    and upper bound of each interval variable.  On a miss it filters
+    through ``memoised`` with the cells and bounds as lists, or, with no
+    interval variables, with the cells as a tuple and ``entailed``.
+    ``_RUN_TAIL`` ends it.
+    """
+    cells = [f"x{i}" for i in range(n)]
+    bounds = [f"z{j}" for j in range(m)]
+    lines = ["def run(self, store):"]
+    if n + m:
+        lines.append(f"    {', '.join(cells + bounds)}, = self._vars")
+    lines.append("    D = store.domains")
+    lines += [f"    r{j} = D[z{j}].bits" for j in range(m)]
+    key = (["self._token"] + [f"D[{x}].bits" for x in cells]
+           + [f"r{j}[0]" for j in range(m)] + [f"r{j}[-1]" for j in range(m)])
+    lines += [f"    key = ({', '.join(key)},)",
+              "    result = MEMO.get(key)",
+              "    if result is None:"]
+    if m:
+        lines.append(f"        result = memoised(key, self.filter, "
+                     f"list(key[1:{n + 1}]), list(key[{n + 1}:{n + m + 1}]), "
+                     f"list(key[{n + m + 1}:]))")
+    else:
+        lines.append("        result = memoised(key, self.filter, key[1:], (), "
+                     "(), entailed=self.entailed)")
+    return "\n".join(lines) + "\n" + _RUN_TAIL
+
+
+@lru_cache(maxsize=SHARED_CAP)
+def _memo_run(n, m):
+    """The compiled ``run`` of a scope of ``n`` cells and ``m`` interval
+    variables (see ``_run_source``): one per (n, m) in the process, shared
+    by every ``MemoFilter`` class, of the ``SHARED_CAP`` most recently
+    used."""
+    namespace = {"MEMO": MEMO, "memoised": memoised, "NO_CHANGE": NO_CHANGE,
+                 "ENTAILED": ENTAILED, "Inconsistent": Inconsistent}
+    exec(compile(_run_source(n, m), f"<run of {n} cells, {m} bounds>",
+                 "exec"), namespace)
+    return namespace["run"]
 
 
 class Mcr(MemoFilter):

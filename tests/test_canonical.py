@@ -211,10 +211,15 @@ class TestParseErrors:
          "position -1 is negative: poscost 0 0 -1 0:1"),
         ("ROW_DFA", "ROW_DFA junk", 3, "ROW_DFA takes no fields: ROW_DFA junk"),
         ("END", "END junk", 11, "END takes no fields: END junk"),
+        ("resources 1", "resources 0", 8,
+         "resource 0 named, but the automaton declares no resources"),
+        ("resources 1\nbound 0 0 2", "resources 0", 9,
+         "resource 0 named, but the automaton declares no resources"),
     ], ids=["trans", "bound", "poscost", "wdfa", "bound-resource",
             "trans-repeated", "bound-repeated", "trans-target", "trans-symbol",
             "trans-state", "accept-state", "poscost-symbol", "poscost-state",
-            "poscost-position", "ROW_DFA-field", "END-field"])
+            "poscost-position", "ROW_DFA-field", "END-field",
+            "bound-no-resources", "cost-no-resources"])
     def test_row_dfa_error_names_its_line(self, old, new, no, message):
         text = SAT_2X2.replace(old, new)
         with pytest.raises(FormatError,
