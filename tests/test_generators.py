@@ -11,6 +11,7 @@ from matrixcp.generators import (
     gen_3sat,
     gen_exact_cover,
     gen_hitting_set,
+    gen_planted,
     gen_random,
 )
 from matrixcp.oracle import brute_solve
@@ -244,3 +245,50 @@ class TestGenRandom:
         for s in range(10):
             m = gen_random(s, 2, 3, 2)
             root_prune(m, "cwa")  # must not raise
+
+
+class TestGenPlanted:
+    def test_same_seed_same_model(self):
+        a, b = (gen_planted(7, 3, 4, 3) for _ in range(2))
+        assert dump_model(a) == dump_model(b)
+        assert a.name == "planted_7"
+
+    def test_rule_is_that_of_gen_random(self):
+        m = gen_planted(8, 3, 4, 3, n_states=4)
+        rule = gen_random(8, 3, 4, 3, n_states=4, tightness=0,
+                          domain_gaps=0).row_rule
+        assert m.row_rule.content_key() == rule.content_key()
+        assert m.cell_domains is None
+
+    def test_every_seed_is_sat(self):
+        for s in range(20):
+            try:
+                m = gen_planted(s, 3, 3, 2, slack=0, exact=0.5)
+            except ValueError:
+                continue
+            assert brute_solve(m)[0] == "sat", m.name
+
+    def test_exact_bounds_are_the_planted_counts(self):
+        m = gen_planted(7, 3, 4, 3, exact=1)
+        for spec in m.col_gcc:
+            assert sorted(spec) == [0, 1, 2]
+            assert all(lo == hi for lo, hi in spec.values())
+            assert sum(lo for lo, _ in spec.values()) == 3
+
+    def test_slack_widens_within_the_rows(self):
+        exact = gen_planted(7, 3, 4, 3, exact=1)
+        wide = gen_planted(7, 3, 4, 3, slack=2)
+        for got, planted in zip(wide.col_gcc, exact.col_gcc):
+            for v, (lo, hi) in got.items():
+                count = planted[v][0]
+                assert max(count - 2, 0) <= lo <= count <= hi
+                assert hi <= min(count + 2, 3)
+
+    def test_rule_without_words_rejected(self):
+        with pytest.raises(ValueError, match="seed 5011 accepts no word"):
+            gen_planted(5011, 3, 4, 3)
+
+    @pytest.mark.parametrize("p", [-0.5, 2, float("nan")])
+    def test_exact_outside_the_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="exact"):
+            gen_planted(7, 3, 4, 3, exact=p)
