@@ -35,7 +35,8 @@ joined with single spaces, so the writers reject a name that would read back
 changed (``name_line``).  DOMAIN/COL_GCC/COL_SUM/PROPERTY
 use external values; the ROW_DFA block (the dump_automaton format) runs over
 the internal indices 0..V-1 of the ascending VALUES table.  Files without
-PROPERTY lines get the default property set in wa/cwa modes.  No line
+PROPERTY lines get the default property set, which the cwa mode measures;
+a property given twice is an error naming the repeated line.  No line
 declares which value group a row-rule resource counts: the groups are read
 off the rule (``WeightedDfa.count_groups``).
 """
@@ -100,6 +101,15 @@ def name_line(name):
     return f"NAME {name}"
 
 
+def _property_line(prop, values):
+    """The ``PROPERTY`` line of ``prop`` over the ascending ``values``."""
+    sets = [",".join(str(values[v]) for v in sorted(vs)) for vs in
+            (prop.pattern if isinstance(prop, WordProp) else (prop.vhat,))]
+    kind = {WordProp: "word", StretchCountProp: "stretchcount",
+            StretchLengthProp: "stretchlen"}[type(prop)]
+    return f"PROPERTY {kind} " + " ".join(sets)
+
+
 def dump_model(model):
     lines = [f"MATRIX {model.n_rows} {model.n_cols} {model.n_values}"]
     lines.append("VALUES " + " ".join(str(v) for v in model.values))
@@ -124,18 +134,7 @@ def dump_model(model):
     if model.lex_rows:
         lines.append("LEX 1")
     for prop in model.properties or []:
-        if isinstance(prop, WordProp):
-            sets = [
-                ",".join(str(model.values[v]) for v in sorted(p))
-                for p in prop.pattern
-            ]
-            lines.append("PROPERTY word " + " ".join(sets))
-        elif isinstance(prop, StretchCountProp):
-            s = ",".join(str(model.values[v]) for v in sorted(prop.vhat))
-            lines.append(f"PROPERTY stretchcount {s}")
-        elif isinstance(prop, StretchLengthProp):
-            s = ",".join(str(model.values[v]) for v in sorted(prop.vhat))
-            lines.append(f"PROPERTY stretchlen {s}")
+        lines.append(_property_line(prop, model.values))
     lines.append("ROW_DFA")
     lines.append(dump_automaton(model.row_rule).rstrip("\n"))
     lines.append("END")
@@ -315,6 +314,7 @@ def parse_model(text):
                 else:
                     raise ValueError(f"unknown property kind {kind!r}")
                 check_property(prop, V)
+                check_once(seen, _property_line(prop, values), no)
             except ValueError as exc:
                 if isinstance(exc, FormatError):
                     raise

@@ -512,12 +512,11 @@ class Propagator:
 
     A propagator may be shared by many stores: ``model.build`` posts each
     model shape once and fills every store of that shape with the same
-    propagator objects (``Posting``).  The shape is the layout key: rows,
-    columns, values, mode, ``cross_cap``, lex rows, properties and column
-    sums, and under ``decomp`` the column count bounds; the property layer
-    is posted when a model of the shape first passes the decomposition
-    layer.  So a propagator keeps no state of a store: its variable ids,
-    its kind and caches that depend on those alone.
+    propagator objects (``Posting``).  The shape is the layout key
+    (``model._layout_key``); the property layer of ``cwa`` is posted when a
+    model of the shape first passes the decomposition layer.  So a
+    propagator keeps no state of a store: its variable ids, its kind and
+    caches that depend on those alone.
     """
 
     priority = 1

@@ -295,36 +295,31 @@ def gen_random(seed, n_rows, n_cols, n_values, n_states=3, n_resources=1,
 
 def gen_planted(seed, n_rows, n_cols, n_values, n_states=3, slack=1,
                 exact=0.0):
-    """Seeded random instance that is sat by construction.  The rule is that
-    of ``gen_random(seed, ..., tightness=0, domain_gaps=0)``.  A planted
-    matrix draws each row uniformly among the words the rule accepts within
-    its resource bounds (they are enumerated, so rows must be short).
-    Every column bounds every value's count by its planted count: exactly
-    with probability ``exact``, otherwise widened by up to ``slack`` on each
-    side.  A rule that accepts no word raises ValueError."""
+    """Seeded random instance, sat by construction.  The rule is that of
+    ``gen_random(seed, ..., tightness=0, domain_gaps=0)``; each planted row
+    is a uniform draw among the words it accepts within its bounds (they
+    are enumerated, so rows must be short).  Each column bounds each
+    value's count by its planted count: exactly with probability ``exact``,
+    else widened by up to ``slack`` on each side.  A rule that accepts no
+    word raises ValueError."""
     if not 0 <= exact <= 1:
         raise ValueError(f"exact must lie in [0, 1], not {exact!r}")
     rule = gen_random(seed, n_rows, n_cols, n_values, n_states=n_states,
                       tightness=0, domain_gaps=0).row_rule
-    words = [w for w in rule.dfa.words(n_cols)
-             if rule.accepts_within_bounds(w)]
+    words = [w for w in rule.dfa.words(n_cols) if rule.accepts_within_bounds(w)]
     if not words:
         raise ValueError(f"the rule of seed {seed} accepts no word of "
                          f"length {n_cols} within its bounds")
     rng = random.Random(f"planted {seed}")
     grid = [rng.choice(words) for _ in range(n_rows)]
-    col_gcc = []
-    for k in range(n_cols):
-        spec = {}
+    col_gcc = [{} for _ in range(n_cols)]
+    for k, spec in enumerate(col_gcc):
         for v in range(n_values):
-            count = sum(row[k] == v for row in grid)
+            c = sum(row[k] == v for row in grid)
             if rng.random() < exact:
-                spec[v] = (count, count)
+                spec[v] = (c, c)
             else:
-                spec[v] = (max(count - rng.randint(0, slack), 0),
-                           min(count + rng.randint(0, slack), n_rows))
-        col_gcc.append(spec)
-    return MatrixModel(
-        n_rows, n_cols, tuple(range(n_values)), rule, col_gcc=col_gcc,
-        name=f"planted_{seed}",
-    )
+                spec[v] = (max(c - rng.randint(0, slack), 0),
+                           min(c + rng.randint(0, slack), n_rows))
+    return MatrixModel(n_rows, n_cols, tuple(range(n_values)), rule,
+                       col_gcc=col_gcc, name=f"planted_{seed}")

@@ -5,16 +5,14 @@ A model is lowered into a propagation store in one of three modes:
 
 - ``decomp``: row rule + column value counts checked against their
   declared bounds only.
-- ``wa``: decomp plus the count-group equalities (each row-rule resource
-  that counts a value group against that group's column counts), per-row
-  measuring automata for string properties (word occurrences, stretch
-  counts, stretch length extremes) and the necessary conditions tying
-  their totals to the column count variables.  A one-symbol word over a
-  group the rule counts posts nothing: its count-group equality states
-  it.
-- ``cwa``: wa, with each measuring automaton crossed with the row rule
-  automaton so both are filtered jointly, sharing the rule's resource
-  variables.
+- ``wa``: decomp plus the count-group equalities: each row-rule resource
+  that counts a value group against that group's column counts.
+- ``cwa``: wa plus per-row measuring automata for string properties (word
+  occurrences, stretch counts, stretch length extremes), each crossed with
+  the row rule automaton so both are filtered jointly, sharing the rule's
+  resource variables, and the necessary conditions tying their totals to
+  the column count variables.  A one-symbol word over a group the rule
+  counts posts nothing: its count-group equality states it.
 
 Cells take internal value indices 0..V-1; the ascending ``values`` table maps
 them to external integers (used by column sums and all I/O).
@@ -63,29 +61,23 @@ class WordProp:
     pattern: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pattern", tuple(frozenset(p) for p in self.pattern)
-        )
+        object.__setattr__(self, "pattern", tuple(map(frozenset, self.pattern)))
 
 
 @dataclass(frozen=True)
-class StretchCountProp:
+class _StretchProp:
+    vhat: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "vhat", frozenset(self.vhat))
+
+
+class StretchCountProp(_StretchProp):
     """Measure the number of maximal runs of symbols from vhat per row."""
 
-    vhat: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "vhat", frozenset(self.vhat))
-
-
-@dataclass(frozen=True)
-class StretchLengthProp:
+class StretchLengthProp(_StretchProp):
     """Measure min/max maximal-run length of symbols from vhat per row."""
-
-    vhat: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "vhat", frozenset(self.vhat))
 
 
 def check_property(prop, n_values):
@@ -95,7 +87,7 @@ def check_property(prop, n_values):
     of every value."""
     if isinstance(prop, WordProp):
         sets = prop.pattern
-    elif isinstance(prop, (StretchCountProp, StretchLengthProp)):
+    elif isinstance(prop, _StretchProp):
         sets = (prop.vhat,)
     else:
         raise ValueError(f"unknown property {prop!r}")
@@ -139,10 +131,12 @@ class MatrixModel:
     col_gcc[k] maps value indices to (lo, hi) occurrence bounds in column k
     (missing values are unconstrained).  col_sums[k] optionally bounds the sum
     of external cell values of column k.  cell_domains optionally restricts
-    each cell to a subset of value indices.  The aggregate count conditions
-    of the wa/cwa modes tie each row-rule resource that totals the
-    occurrences of a value group to the column counts of that group; the
-    groups are read off the rule (``WeightedDfa.count_groups``).
+    each cell to a subset of value indices.  properties lists the string
+    properties ``cwa`` measures (None for ``default_properties``), each at
+    most once.  The aggregate count conditions of the wa/cwa modes tie each
+    row-rule resource that totals the occurrences of a value group to the
+    column counts of that group; the groups are read off the rule
+    (``WeightedDfa.count_groups``).
     """
 
     def __init__(
@@ -198,8 +192,10 @@ class MatrixModel:
             self.cell_domains = [[frozenset(d) for d in row]
                                  for row in cell_domains]
         self.properties = None if properties is None else list(properties)
-        for prop in self.properties or ():
+        for j, prop in enumerate(self.properties or ()):
             check_property(prop, nv)
+            if prop in self.properties[:j]:
+                raise ValueError(f"{prop}: the property is listed twice")
         used = self.col_gcc + [d for row in self.cell_domains or () for d in row]
         if not all(map(frozenset(range(nv)).issuperset, used)):
             raise ValueError(f"a cell domain or col_gcc entry holds a value "
@@ -253,15 +249,16 @@ def _achievable_totals(wdfa, n):
 
 
 class Built:
-    """A model lowered into a store.  Under ``wa`` and ``cwa`` the
-    decomposition layer has already been propagated to its fixpoint and the
-    property propagators wait in the queue; under ``decomp`` every
+    """A model lowered into a store.  Under ``cwa`` the decomposition layer
+    has already been propagated to its fixpoint and the property
+    propagators wait in the queue; under ``decomp`` and ``wa`` every
     propagator waits there.  Either way the caller's ``propagate`` (or
     ``search``) finishes the root fixpoint.
 
     Every variable of the store is a cell, a column count (``cards``), a
-    rule resource (``rule_z``) or a property resource (``prop_z``); the
-    property conditions are expressions over these.  The id lists belong to
+    rule resource (``rule_z``) or a property resource (``prop_z``, empty
+    but under ``cwa``); the property conditions are expressions over
+    these.  The id lists belong to
     the model's layout (see ``build``), which every build of its shape
     shares, so they are read-only.  ``layout_reused`` tells whether the
     build posted nothing, filling its store from layouts made before."""
@@ -273,7 +270,7 @@ class Built:
         self.cells = []        # R x K cell variable ids
         self.cards = []        # K x V cardinality variable ids (wa, cwa)
         self.rule_z = []       # R x n_resources rule resource ids
-        self.prop_z = {}       # posted property -> per-row resource ids
+        self.prop_z = {}       # posted property -> per-row resource ids (cwa)
         self.branch_vars = []
         self.root_infeasible = False
         self._reused = False
@@ -303,9 +300,9 @@ class Layout:
     every model of that shape.  ``decomposition`` is the posting
     (``engine.Posting``) of the decomposition layer, whose data variables
     are the cells and, under ``wa`` and ``cwa``, the column counts;
-    ``properties`` is that of the property layer, None until a model of the
-    shape first passes the decomposition layer.  The id lists are
-    ``Built``'s."""
+    ``properties`` is that of the property layer (``cwa`` only), None until
+    a model of the shape first passes the decomposition layer.  The id
+    lists are ``Built``'s."""
 
     __slots__ = ("decomposition", "properties", "cells", "cards", "rule_z",
                  "branch_vars", "prop_z")
@@ -357,41 +354,35 @@ def build(model, mode="decomp", cross_cap=20000):
     Under ``decomp`` each column's ``GccColumn`` counts against the declared
     bounds (``MatrixModel.card_bounds``) as constants, and ``Built.cards`` is
     empty; under ``wa`` and ``cwa`` the counts are interval variables, which
-    the property conditions read.  A declared count range that is empty
-    makes the model root-infeasible under every mode.
+    the count-group equalities and property conditions read.  A declared
+    count range that is empty makes the model root-infeasible under every
+    mode.
 
-    Under ``cwa`` each measuring automaton is crossed with the row rule for
-    words of the row length K; ``cross_cap`` bounds the states of that
-    product, and a product that needs more falls back to the uncrossed
-    measuring automaton.
-
-    Under ``wa`` and ``cwa`` the build is staged.  It posts the
-    decomposition layer first (cells, columns, row rules, the lex chain and
-    the count-group equalities) and propagates it.  If that fails,
-    the model is root-infeasible and no measuring automaton, product or
+    Under ``decomp`` and ``wa`` the build posts the decomposition layer
+    (cells, columns, row rules, the lex chain and, under ``wa``, the
+    count-group equalities) and nothing else.  Under ``cwa`` it propagates
+    that layer before it posts the property layer.  If that fails, the
+    model is root-infeasible and no measuring automaton, product or
     property propagator is built.  Otherwise the property layer is posted
     and its propagators stay queued for the caller.  The root fixpoint does
     not depend on the order in which propagators run, so the staging moves
     only where a refutation happens and how many runs it takes.
 
-    Posting depends on the model's shape only, so it is done once per shape
-    and rule: it records a layout (``Layout``), which the row rule keeps,
-    and every store, the first included, is filled from one.  The layout
-    key holds what the propagators bake in (``_layout_key``): rows,
-    columns, values, mode, ``cross_cap``, lex rows, properties and column
-    sums, and under ``decomp`` the column count bounds.  A fill adds the
-    model's data, the cell domains and under ``wa`` and ``cwa`` the count
-    ranges, and registers the propagators as posting them would.  The property
-    layer is posted when a model of the shape first passes the
-    decomposition layer.  Posting that fails leaves no layout or property
-    layer behind.  A rule keeps at most ``SHARED_CAP`` layouts, dropping
-    the oldest first, and frees them with itself.
+    Each measuring automaton is crossed with the row rule for words of the
+    row length K; ``cross_cap`` bounds the states of that product, and a
+    property whose product needs more is not posted (nor are the others
+    ``_post_properties`` names).  A word of two or more symbols gets one
+    pair of conditions per start position plus one on its total.
 
-    A one-symbol word over a value group the rule counts is not posted (and
-    has no ``Built.prop_z`` entry): its total is the rule resource that the
-    group's count-group equality already ties to the column counts.  A
-    word of two or more symbols gets one pair of conditions per start
-    position plus one on its total.
+    Posting depends on the model's shape only (``_layout_key``), so it is
+    done once per shape and rule: it records a layout (``Layout``), which
+    the row rule keeps, and every store, the first included, is filled from
+    one with the model's data: the cell domains and under ``wa`` and
+    ``cwa`` the count ranges.  The property layer is posted when a model of
+    the shape first passes the decomposition layer.  Posting that fails
+    leaves no layout or property layer behind.  A rule keeps at most
+    ``SHARED_CAP`` layouts, dropping the oldest first, and frees them with
+    itself.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -426,13 +417,13 @@ def _build_inner(b, model, mode, cross_cap):
     b.branch_vars = lay.branch_vars
     store = b.store
     store.fill(lay.decomposition, _data(model, mode))
-    if mode == "decomp":
+    if mode != "cwa":
         return
     if store.propagate() == "failed":
         raise Inconsistent("the decomposition layer has no solution")
     if lay.properties is None:
         b._reused = False
-        _post_properties(lay, model, mode, cross_cap)
+        _post_properties(lay, model, cross_cap)
     b.prop_z = lay.prop_z
     store.fill(lay.properties)
 
@@ -450,7 +441,8 @@ def _post_decomposition(model, mode):
     lay.branch_vars = range(R * K)  # the cells, row by row
     lay.cards = []
     if mode != "decomp":
-        # The property conditions read the counts, so they are variables.
+        # The count groups and property conditions read the counts, so
+        # they are variables.
         lay.cards = [tuple([rec.new_data(f"n[{v}@{k}]") for v in range(V)])
                      for k in range(K)]
 
@@ -484,8 +476,8 @@ def _post_decomposition(model, mode):
 
     if mode != "decomp":
         # The count groups read only column counts and rule resources, so
-        # they join the decomposition layer, which runs to its fixpoint
-        # before any measuring automaton or product is built.
+        # they join the decomposition layer, which under cwa runs to its
+        # fixpoint before any measuring automaton or product is built.
         for group, rj in model.row_rule.count_groups():
             col_total = SumE(
                 [VarE(lay.cards[k][v]) for k in range(K) for v in group]
@@ -498,10 +490,11 @@ def _post_decomposition(model, mode):
     return lay
 
 
-def _post_properties(lay, model, mode, cross_cap):
+def _post_properties(lay, model, cross_cap):
     """Post the property layer into ``lay``.  Each count-group equality
     states the one-symbol word over its group, so that word is not posted
-    again."""
+    again, nor is a word longer than the row or a property whose product
+    with the rule exceeds ``cross_cap`` states."""
     rec = Recorder(after=lay.decomposition)
     lay.prop_z = {}
     counted = {WordProp((group,)) for group, _ in model.row_rule.count_groups()}
@@ -509,8 +502,15 @@ def _post_properties(lay, model, mode, cross_cap):
     if props is None:
         props = default_properties(model.n_values)
     for prop in props:
-        if prop not in counted:
-            _post_property(rec, lay, model, mode, prop, cross_cap)
+        wdfa = None if prop in counted else _measuring_automaton(prop, model)
+        if wdfa is None:
+            continue
+        try:
+            rows = _post_measuring_rows(rec, lay, model, wdfa, cross_cap)
+        except ProductTooLarge:
+            continue
+        lay.prop_z[prop] = rows
+        _post_property(rec, lay, model, prop, rows)
     lay.properties = rec.posting()
 
 
@@ -522,6 +522,24 @@ def _symbol_counter(vset, n_values, n):
     return build_gcc_weights(range(n_values), [vset], [(0, n)])
 
 
+def _measuring_automaton(prop, model):
+    """The automaton measuring ``prop`` on a row, None for a word longer
+    than the row.  A one-symbol word's flag at k would be [x[i,k] in S],
+    so a per-position equality narrows only what the column's
+    ``GccColumn`` narrows from the cells: the total is the whole
+    condition, and a counter of S measures it."""
+    K, alphabet = model.n_cols, range(model.n_values)
+    if isinstance(prop, StretchCountProp):
+        return build_stretch_count(prop.vhat, alphabet, (K + 1) // 2)
+    if isinstance(prop, StretchLengthProp):
+        return build_stretch_length_bounds(prop.vhat, alphabet, K)
+    if len(prop.pattern) == 1:
+        return _symbol_counter(prop.pattern[0], model.n_values, K)
+    if len(prop.pattern) <= K:
+        return build_sliding_word_counter(prop.pattern, K, alphabet)
+    return None
+
+
 def _card_expr(lay, k, vset):
     vs = sorted(vset)
     if len(vs) == 1:
@@ -529,53 +547,32 @@ def _card_expr(lay, k, vset):
     return SumE([VarE(lay.cards[k][v]) for v in vs])
 
 
-def _post_measuring_rows(rec, lay, model, mode, wdfa, cross_cap):
-    """Create per-row resource variables and post the measuring automaton,
-    crossed with the row rule under cwa.  Returns the per-row id lists."""
-    R, K = model.n_rows, model.n_cols
-    ranges = achievable_totals(wdfa, K)
+def _post_measuring_rows(rec, lay, model, wdfa, cross_cap):
+    """Create per-row resource variables and post the measuring automaton
+    crossed with the row rule.  Returns the per-row id lists.  A product of
+    more than ``cross_cap`` states raises ``ProductTooLarge`` before
+    anything is created."""
+    ranges = achievable_totals(wdfa, model.n_cols)
     if ranges is None:
         raise Inconsistent("measuring automaton admits no word")
+    crossed = model.row_rule.product(wdfa, model.n_cols, max_states=cross_cap)
     rows = []
-    crossed = None
-    if mode == "cwa":
-        try:
-            crossed = model.row_rule.product(wdfa, K, max_states=cross_cap)
-        except ProductTooLarge:
-            pass
-    for i in range(R):
+    for cells, rule_z in zip(lay.cells, lay.rule_z):
         zs = tuple([rec.new_interval(lo, hi) for (lo, hi) in ranges])
         rows.append(zs)
-        if crossed is not None:
-            rec.register(Mcr(lay.cells[i], lay.rule_z[i] + zs, crossed))
-        else:
-            rec.register(Mcr(lay.cells[i], zs, wdfa))
+        rec.register(Mcr(cells, rule_z + zs, crossed))
     return rows
 
 
-def _post_property(rec, lay, model, mode, prop, cross_cap):
-    """Post ``prop``'s measuring automaton on every row and the conditions
-    tying its per-row resources (kept in ``lay.prop_z``) to the column
-    counts.  It creates no variable besides those resources: a
-    stretch-length property's windows read their box off the row minima
-    and maxima."""
+def _post_property(rec, lay, model, prop, rows):
+    """Post the conditions tying ``prop``'s per-row resources ``rows`` to
+    the column counts.  They create no variable: a stretch-length
+    property's windows read their box off the row minima and maxima."""
     R, K = model.n_rows, model.n_cols
 
     if isinstance(prop, WordProp):
         pattern = prop.pattern
         m = len(pattern)
-        if m > K:
-            return
-        if m == 1:
-            # The flag at k would be [x[i,k] in pattern[0]], so a
-            # per-position equality narrows only what the column's
-            # GccColumn narrows from the cells: the total is the whole
-            # condition, and a counter of the set measures it.
-            wd = _symbol_counter(pattern[0], model.n_values, K)
-        else:
-            wd = build_sliding_word_counter(pattern, K, range(model.n_values))
-        rows = _post_measuring_rows(rec, lay, model, mode, wd, cross_cap)
-        lay.prop_z[prop] = rows
         tot = SumE([VarE(rows[i][-1]) for i in range(R)])
         if m == 1:
             cards = SumE([_card_expr(lay, k, pattern[0]) for k in range(K)])
@@ -584,71 +581,44 @@ def _post_property(rec, lay, model, mode, prop, cross_cap):
 
         def lw(k):
             parts = [_card_expr(lay, k + j, pattern[j]) for j in range(m)]
-            return MaxE(
-                [ConstE(0), SumE(parts + [ConstE(-(m - 1) * R)])]
-            )
+            return MaxE([ConstE(0), SumE(parts + [ConstE(-(m - 1) * R)])])
 
         def uw(k):
             return MinE([_card_expr(lay, k + j, pattern[j]) for j in range(m)])
 
-        n_flags = K - m + 1
-        for k in range(n_flags):
+        starts = range(K - m + 1)
+        for k in starts:
             zsum = SumE([VarE(rows[i][k]) for i in range(R)])
             rec.register(Relation("le", lw(k), zsum))
             rec.register(Relation("le", zsum, uw(k)))
-        rec.register(
-            Relation("le", SumE([lw(k) for k in range(n_flags)]), tot)
-        )
-        rec.register(
-            Relation("le", tot, SumE([uw(k) for k in range(n_flags)]))
-        )
+        rec.register(Relation("le", SumE([lw(k) for k in starts]), tot))
+        rec.register(Relation("le", tot, SumE([uw(k) for k in starts])))
         return
 
-    if isinstance(prop, StretchCountProp):
-        vhat = prop.vhat
-        wd = build_stretch_count(vhat, range(model.n_values), (K + 1) // 2)
-        rows = _post_measuring_rows(rec, lay, model, mode, wd, cross_cap)
-        lay.prop_z[prop] = rows
-
-        cards = [_card_expr(lay, k, vhat) for k in range(K)]
-
-        def cardv(k):
-            return cards[k] if 0 <= k < K else ConstE(0)
-
-        def us(k, d):
-            overlap = MaxE(
-                [ConstE(0), SumE([cardv(k + d), cardv(k), ConstE(-R)])]
-            )
-            return SumE([cardv(k), ScaleE(-1, overlap)])
-
-        tot = SumE([VarE(rows[i][0]) for i in range(R)])
-        for d in (-1, 1):
-            edges = SumE([stretch_edge(cards, k, d) for k in range(K)])
-            rec.register(Relation("le", edges, tot))
-            rec.register(
-                Relation("le", tot, SumE([us(k, d) for k in range(K)]))
-            )
-        return
-
+    cards = [_card_expr(lay, k, prop.vhat) for k in range(K)]
     if isinstance(prop, StretchLengthProp):
-        vhat = prop.vhat
-        wd = build_stretch_length_bounds(vhat, range(model.n_values), K)
-        rows = _post_measuring_rows(rec, lay, model, mode, wd, cross_cap)
-        lay.prop_z[prop] = rows
-        rec.register(StretchLengthWindows(
-            [_card_expr(lay, k, vhat) for k in range(K)], rows))
+        rec.register(StretchLengthWindows(cards, rows))
         return
 
-    raise ValueError(f"unknown property {prop!r}")
+    def cardv(k):
+        return cards[k] if 0 <= k < K else ConstE(0)
+
+    def us(k, d):
+        overlap = MaxE([ConstE(0), SumE([cardv(k + d), cardv(k), ConstE(-R)])])
+        return SumE([cardv(k), ScaleE(-1, overlap)])
+
+    tot = SumE([VarE(rows[i][0]) for i in range(R)])
+    for d in (-1, 1):
+        edges = SumE([stretch_edge(cards, k, d) for k in range(K)])
+        rec.register(Relation("le", edges, tot))
+        rec.register(Relation("le", tot, SumE([us(k, d) for k in range(K)])))
 
 
 def root_prune(model, mode):
     """Propagate once at the root; returns the cell domain grid or None on
     failure."""
     b = build(model, mode)
-    if b.root_infeasible:
-        return None
-    if b.store.propagate() == "failed":
+    if b.root_infeasible or b.store.propagate() == "failed":
         return None
     return b.cell_domains_snapshot()
 

@@ -6,9 +6,10 @@ should leave pruning and wakeups alone must leave them as pinned here.
 The first 6 toy rosters of ``gen_toy_rosters(4242, 25)`` run under ``cwa``
 and under ``wa`` (the ``toy-wa`` workload, run on demand), 6 instances of the
 reductions pool (3-SAT, exact cover, hitting set) under ``decomp``.  Root-pruned values count as ``bench/run.py`` counts them.
-Propagator runs include those made inside ``build``: under ``wa`` and
-``cwa`` it propagates the decomposition layer before posting the property
-layer, and the unsat rosters fail there.
+Propagator runs include those made inside ``build``: under ``cwa`` it
+propagates the decomposition layer before posting the property layer, and
+the unsat rosters fail there.  ``wa`` posts no property layer, so it runs
+the decomposition layer and its count-group equalities only.
 """
 
 import os
@@ -35,8 +36,8 @@ TOY_CWA = [
 TOY_WA = [
     (0, "toy000_u", "unsat", 0, 168, 16),
     (1, "toy001_u", "unsat", 0, 105, 13),
-    (2, "toy002_s", "sat", 32, 0, 1915),
-    (3, "toy003_s", "sat", 21, 0, 1269),
+    (2, "toy002_s", "sat", 32, 0, 410),
+    (3, "toy003_s", "sat", 21, 0, 270),
     (4, "toy004_u", "unsat", 0, 168, 16),
     (5, "toy005_u", "unsat", 0, 105, 13),
 ]

@@ -239,8 +239,11 @@ class TestParseErrors:
         ("PROPERTY stretchcount 1 0", "PROPERTY stretchcount takes one set, not 2"),
         ("PROPERTY stretchlen 0,1", "the stretch set holds every value"),
         ("PROPERTY stretchlen ,", "invalid literal"),
+        ("PROPERTY word 1 0,1\nPROPERTY word 1 1,0",
+         "PROPERTY word 1 0,1 already set on line 3"),
     ], ids=["MATRIX", "VALUES", "NAME", "LEX", "DOMAIN", "COL_GCC", "COL_SUM",
-            "LEX-flag", "stretchcount-sets", "stretchlen-full", "set-empty"])
+            "LEX-flag", "stretchcount-sets", "stretchlen-full", "set-empty",
+            "PROPERTY"])
     def test_bad_or_repeated_line_named(self, line, message):
         text = SAT_2X2.replace("ROW_DFA", line + "\nROW_DFA")
         no = 2 + line.count("\n") + 1

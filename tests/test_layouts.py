@@ -202,7 +202,8 @@ def test_a_dropped_rules_layouts_die_with_it():
     for mode in MODES:
         assert not solve(model, mode).built.root_infeasible
     layouts = list(model.row_rule._layouts.values())
-    assert len(layouts) == 3 and all(lay.properties for lay in layouts[1:])
+    # Only the cwa layout has a property layer.
+    assert [bool(lay.properties) for lay in layouts] == [False, False, True]
     posted = [weakref.ref(p) for lay in layouts
               for part in (lay.decomposition, lay.properties) if part
               for p in part.props]
@@ -252,7 +253,7 @@ def test_a_fill_queues_by_the_priorities_of_fill_time(mode, monkeypatch):
     assert sum(map(len, tiered.store._tiers)) == len(t0)
 
 
-@pytest.mark.parametrize("mode", ["wa", "cwa"])
+@pytest.mark.parametrize("mode", ["cwa"])
 def test_a_stubbed_propagate_leaves_both_layers_queued(mode, monkeypatch):
     """With ``Store.propagate`` stubbed, a build from a cached layout runs
     nothing and queues both layers, as a cold build does (``unstaged`` in

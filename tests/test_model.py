@@ -46,6 +46,8 @@ from matrixcp.roster import (
     roster_model,
 )
 
+from test_planted import planted_models
+
 
 def count_group_eqs(built):
     """The number of count-group equalities posted in a build."""
@@ -117,19 +119,23 @@ class TestMatrixModel:
         with pytest.raises(ValueError, match=f"^{problem}"):
             MatrixModel(2, 2, row_rule=universal_dfa((0, 1)), **kwargs)
 
-    @pytest.mark.parametrize("prop, problem", [
-        (WordProp((frozenset({0}), frozenset({2}))), "outside 0..1"),
-        (StretchCountProp(frozenset({3})), "outside 0..1"),
-        (WordProp(()), "the word is empty"),
-        (WordProp((frozenset(),)), "a symbol set is empty"),
-        (StretchLengthProp(frozenset()), "a symbol set is empty"),
-        (StretchCountProp(frozenset({0, 1})), "holds every value"),
-        (StretchLengthProp(frozenset({0, 1})), "holds every value"),
+    @pytest.mark.parametrize("props, problem", [
+        ([WordProp((frozenset({0}), frozenset({2})))], "outside 0..1"),
+        ([StretchCountProp(frozenset({3}))], "outside 0..1"),
+        ([WordProp(())], "the word is empty"),
+        ([WordProp((frozenset(),))], "a symbol set is empty"),
+        ([StretchLengthProp(frozenset())], "a symbol set is empty"),
+        ([StretchCountProp(frozenset({0, 1}))], "holds every value"),
+        ([StretchLengthProp(frozenset({0, 1}))], "holds every value"),
+        ([StretchCountProp({1}), WordProp(({0},)), StretchCountProp({1})],
+         "listed twice"),
     ], ids=["word-value", "stretchcount-value", "empty-word", "empty-word-set",
-            "stretchlen-empty", "stretchcount-full", "stretchlen-full"])
-    def test_malformed_property_rejected(self, prop, problem):
-        with pytest.raises(ValueError, match=f"^{type(prop).__name__}.*{problem}"):
-            MatrixModel(2, 2, (0, 1), universal_dfa((0, 1)), properties=[prop])
+            "stretchlen-empty", "stretchcount-full", "stretchlen-full",
+            "repeated"])
+    def test_malformed_property_rejected(self, props, problem):
+        name = type(props[-1]).__name__
+        with pytest.raises(ValueError, match=f"^{name}.*{problem}"):
+            MatrixModel(2, 2, (0, 1), universal_dfa((0, 1)), properties=props)
 
     @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (-1, 1)])
     def test_empty_matrix_rejected(self, shape):
@@ -351,7 +357,7 @@ class TestExplicitProperties:
         m = self.word_model(counted_total)
         want = {tuple(map(tuple, g)) for g in brute_solutions(m)}
         got = set()
-        solve(m, mode="wa",
+        solve(m, mode="cwa",
               on_solution=lambda g: (got.add(tuple(map(tuple, g))), False)[1])
         ext = {tuple(tuple(m.values[v] for v in row) for row in g) for g in want}
         assert got == ext
@@ -428,7 +434,7 @@ class TestBuilt:
         b = build(m, "decomp")
         assert len(b.branch_vars) == 4
 
-    def test_cwa_over_cross_cap_falls_back_uncrossed(self, monkeypatch):
+    def test_cwa_over_cross_cap_skips_its_property(self, monkeypatch):
         caps = []
         product = WeightedDfa.product
 
@@ -450,12 +456,19 @@ class TestBuilt:
         p = measuring_mcr(crossed)
         assert p.zs == crossed.rule_z[0] + crossed.prop_z[prop][0]
         # The product has 2 states; a cap of 1 stops its build at the
-        # second and posts the measuring automaton alone.
-        fallback = build(m, "cwa", cross_cap=1)
-        p = measuring_mcr(fallback)
-        assert p.zs == fallback.prop_z[prop][0]
-        assert p.wdfa.n_resources == 1 and p.wdfa.dfa.n_states == 2
+        # second, and the property posts nothing: no resource, no Mcr and
+        # no condition, so the store is the one a build without it makes.
+        skipped = build(m, "cwa", cross_cap=1)
         assert caps == [2, 1]
+        assert skipped.prop_z == {}
+        bare = build(MatrixModel(2, 3, (0, 1), rule, properties=[]), "cwa")
+
+        def posted(b):
+            return [(type(p).__name__, tuple(p.variables())) for p in
+                    dict.fromkeys(p for ws in b.store._watchers for p in ws)]
+
+        assert len(skipped.store.domains) == len(bare.store.domains)
+        assert posted(skipped) == posted(bare)
 
     def test_cwa_crosses_for_the_row_length(self):
         # A rule counting 1s modulo 50 crosses with the stretch counter into
@@ -581,23 +594,22 @@ def test_rosters_of_one_case_share_crossed_automata():
 
 
 def test_uncounted_symbol_counter_is_shared():
-    """A one-symbol word over a set the rule does not count posts a counter
-    of that set, one automaton for every build (under ``cwa``, one product
-    with the rule); the word over the set the rule counts posts nothing."""
+    """A one-symbol word over a set the rule does not count posts the
+    product of the rule with a counter of that set, one automaton for every
+    build; the word over the set the rule counts posts nothing."""
     rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(1, 2)])
     words = [WordProp((frozenset({v}),)) for v in (0, 1)]
     m = MatrixModel(2, 3, (0, 1), rule, properties=words)
-    for mode, n_resources in (("wa", 1), ("cwa", 2)):
-        posted = []
-        for b in [build(m, mode) for _ in range(2)]:
-            assert list(b.prop_z) == words[:1]
-            z = b.prop_z[words[0]][0][0]
-            (p,) = [p for p in b.store._watchers[z] if isinstance(p, Mcr)]
-            posted.append(p.wdfa)
-        assert posted[0] is posted[1]
-        assert posted[0].n_resources == n_resources
-        assert posted[0].dfa.n_states == 1
-        assert solve(m, mode).status == brute_solve(m)[0]
+    posted = []
+    for b in [build(m, "cwa") for _ in range(2)]:
+        assert list(b.prop_z) == words[:1]
+        z = b.prop_z[words[0]][0][0]
+        (p,) = [p for p in b.store._watchers[z] if isinstance(p, Mcr)]
+        posted.append(p.wdfa)
+    assert posted[0] is posted[1]
+    assert posted[0].n_resources == 2
+    assert posted[0].dfa.n_states == 1
+    assert solve(m, "cwa").status == brute_solve(m)[0]
 
 
 def fuzz_models():
@@ -609,16 +621,17 @@ def fuzz_models():
 
 
 def fixpoint_models():
-    """The 200 criterion-4 fuzz models plus six toy rosters."""
-    return fuzz_models() + [roster_model(inst, rules)
-                            for inst, rules in gen_toy_rosters(4242, 6)]
+    """The 200 criterion-4 fuzz models, the 94 planted models of
+    ``test_planted`` and six toy rosters."""
+    return fuzz_models() + planted_models() + [
+        roster_model(inst, rules) for inst, rules in gen_toy_rosters(4242, 6)]
 
 
 @pytest.mark.parametrize("mode", ["wa", "cwa"])
 def test_every_variable_is_a_cell_count_or_resource(mode):
     """Every variable a build posts is a cell, a column count, a rule
     resource or a property resource: the stretch-length windows read the
-    row resources themselves."""
+    row resources themselves.  Only ``cwa`` posts property resources."""
     models = fuzz_models() + [roster_model(inst, rules)
                               for inst, rules in gen_toy_rosters(4242, 25)]
     lengths = 0
@@ -630,7 +643,9 @@ def test_every_variable_is_a_cell_count_or_resource(mode):
         listed += [z for rows in b.prop_z.values() for row in rows for z in row]
         assert sorted(listed) == list(range(len(b.store.domains))), m.name
         lengths += sum(isinstance(p, StretchLengthProp) for p in b.prop_z)
-    assert lengths > 100
+        if mode == "wa":
+            assert b.prop_z == {}, m.name
+    assert lengths > 100 or mode == "wa"
 
 
 def test_root_is_a_local_fixpoint(monkeypatch):
@@ -663,7 +678,24 @@ def test_root_is_a_local_fixpoint(monkeypatch):
                     "its fixpoint")
                 st.undo()
                 reruns += 1
-    assert stable >= 100 and reruns >= 5000  # 115 and 6,449 when written
+    # 397 and 13,798 when written; 115 and 6,449 before the planted models
+    # joined, while wa still posted measuring automata.
+    assert stable >= 100 and reruns >= 5000
+
+
+def measuring_rows(store, b, mode, wdfa):
+    """Post ``wdfa`` on every row of the build ``b``: crossed with the row
+    rule under ``cwa`` (as ``build`` posts it), alone under ``wa``.
+    Returns the per-row resource ids."""
+    if mode == "cwa":
+        return matrixcp.model._post_measuring_rows(store, b, b.model, wdfa,
+                                                   20000)
+    ranges = achievable_totals(wdfa, b.model.n_cols)
+    rows = []
+    for cells in b.cells:
+        rows.append(tuple([store.new_interval(lo, hi) for lo, hi in ranges]))
+        store.register(Mcr(cells, rows[-1], wdfa))
+    return rows
 
 
 def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
@@ -673,9 +705,11 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
     rule counts posts nothing, because its count-group equality ties the
     same total to the same column counts.  On a model at its root fixpoint,
     posting the full counter of each value with those equalities, and the
-    counter of each counted group with its total equality (each crossed
-    with the rule under cwa), changes no domain of the model's own
-    variables."""
+    counter of each counted group with its total equality, changes no
+    domain of the model's own variables: under ``cwa`` each counter crossed
+    with the rule, under ``wa``, which posts no measuring automaton, each
+    counter alone.  So the uncrossed counters would add nothing to
+    ``wa``'s count-group equalities."""
     stable = groups = 0
     for m in fixpoint_models():
         R, K = m.n_rows, m.n_cols
@@ -689,8 +723,7 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
             for v in range(m.n_values):
                 counter = build_sliding_word_counter(
                     (frozenset((v,)),), K, range(m.n_values))
-                rows = matrixcp.model._post_measuring_rows(
-                    st, b, m, mode, counter, 20000)
+                rows = measuring_rows(st, b, mode, counter)
                 for k in range(K + 1):
                     flags = SumE([VarE(rows[i][k]) for i in range(R)])
                     cards = [VarE(b.cards[j][v])
@@ -698,8 +731,7 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
                     st.register(Relation("eq", SumE(cards), flags))
             for group, _ in m.row_rule.count_groups():
                 counter = matrixcp.model._symbol_counter(group, m.n_values, K)
-                rows = matrixcp.model._post_measuring_rows(
-                    st, b, m, mode, counter, 20000)
+                rows = measuring_rows(st, b, mode, counter)
                 total = SumE([VarE(rows[i][0]) for i in range(R)])
                 cards = [VarE(b.cards[k][v]) for k in range(K) for v in group]
                 st.register(Relation("eq", SumE(cards), total))
@@ -707,7 +739,7 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
             assert st.propagate() == "stable", (m.name, mode)
             assert [d.values for d in st.domains[:len(before)]] == before, (
                 m.name, mode)
-    assert stable >= 70 and groups >= 15  # 74 and 20 when written
+    assert stable >= 70 and groups >= 15  # 262 and 20 when written
 
 
 def small_reductions():
@@ -733,12 +765,13 @@ def small_reductions():
 
 def search_fixpoint_cases():
     """(model, modes) pairs: the small reductions under decomp, the
-    criterion-4 fuzz models under every mode, and six toy rosters under wa
-    and cwa (decomp searches some of them for minutes)."""
+    criterion-4 fuzz models and every fifth planted model under every
+    mode, and six toy rosters under wa and cwa (decomp searches some of
+    them for minutes)."""
     models = fixpoint_models()
     return ([(m, ("decomp",)) for m in small_reductions()]
-            + [(m, MODES) for m in models[:200]]
-            + [(m, ("wa", "cwa")) for m in models[200:]])
+            + [(m, MODES) for m in models[:200] + models[200:-6:5]]
+            + [(m, ("wa", "cwa")) for m in models[-6:]])
 
 
 def test_memo_cap_changes_no_search(monkeypatch):
@@ -837,7 +870,8 @@ def test_search_nodes_are_local_fixpoints(monkeypatch):
 
             solve(m, mode, on_solution=on_solution)
             solutions += len(found)
-    # 1,385 stable nodes, 86,188 re-runs, 11,003 replays after an undo and
-    # 255 solutions when written.
+    # 2,078 stable nodes, 67,222 re-runs, 13,293 replays after an undo and
+    # 426 solutions when written (1,385, 86,188, 11,003 and 255 before the
+    # planted models joined, while wa still posted measuring automata).
     assert stable >= 1000 and reruns >= 50000
     assert replays >= 5000 and solutions >= 150

@@ -1,5 +1,5 @@
-"""The staged build of ``wa`` and ``cwa``: ``build`` propagates the
-decomposition layer before it posts the property layer; and the queue tiers
+"""The staged build of ``cwa``: ``build`` propagates the decomposition
+layer before it posts the property layer; and the queue tiers
 (``Propagator.priority``), which order the layers at every propagation.
 
 The reference orders are built here only: ``build`` with ``Store.propagate``
@@ -52,7 +52,7 @@ def unstaged(model, mode, monkeypatch):
     return root_and_search(b)
 
 
-@pytest.mark.parametrize("mode", ["wa", "cwa"])
+@pytest.mark.parametrize("mode", ["cwa"])
 def test_staging_moves_no_root_domain_and_no_search(mode, monkeypatch):
     refuted = searched = 0
     for model in fuzz_models() + toy_models():
@@ -64,11 +64,11 @@ def test_staging_moves_no_root_domain_and_no_search(mode, monkeypatch):
         refuted += out.built.root_infeasible
         searched += out.stats.nodes > 0
     # Both sides of the staging are exercised: 177 models fail inside build
-    # and 38 search, under either mode, when written.
+    # and 38 search when written.
     assert refuted >= 170 and searched >= 30
 
 
-@pytest.mark.parametrize("mode", ["wa", "cwa"])
+@pytest.mark.parametrize("mode", ["cwa"])
 def test_overload_roster_is_refuted_inside_build(mode, monkeypatch):
     inst, rules = gen_toy_rosters(4242, 1)[0]
     assert inst.name == "toy000_u"
