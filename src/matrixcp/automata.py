@@ -267,10 +267,10 @@ class WeightedDfa:
     run length; its ``content_key``; the ``model.achievable_totals`` of each
     run length (``_totals``); its ``count_groups``; and the layouts of the
     models it is the row rule of (``_layouts``, see ``model.build``), one
-    per ``model._layout_key``.  Its ``memo_token``, a plain object made with it, stands for it in the
-    keys of the process's filter memo (``engine.MEMO``), so the memo never
-    keeps the automaton alive, and an automaton built again, equal in
-    content or not, gets a new token.
+    per ``model._layout_key``.  Its ``memo_token``, a plain object made
+    with it, stands for it in the keys of the process's filter memo
+    (``engine.MEMO``), so the memo never keeps the automaton alive, and an
+    automaton built again, equal in content or not, gets a new token.
     """
 
     __slots__ = ("dfa", "costs", "resource_bounds", "memo_token", "_tables",

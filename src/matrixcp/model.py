@@ -258,10 +258,10 @@ class Built:
     Every variable of the store is a cell, a column count (``cards``), a
     rule resource (``rule_z``) or a property resource (``prop_z``, empty
     but under ``cwa``); the property conditions are expressions over
-    these.  The id lists belong to
-    the model's layout (see ``build``), which every build of its shape
-    shares, so they are read-only.  ``layout_reused`` tells whether the
-    build posted nothing, filling its store from layouts made before."""
+    these.  The id lists belong to the model's layout (see ``build``),
+    which every build of its shape shares, so they are read-only.
+    ``layout_reused`` tells whether the build posted nothing, filling its
+    store from layouts made before."""
 
     def __init__(self, model, mode):
         self.model = model
@@ -370,8 +370,8 @@ def build(model, mode="decomp", cross_cap=20000):
 
     Each measuring automaton is crossed with the row rule for words of the
     row length K; ``cross_cap`` bounds the states of that product, and a
-    property whose product needs more is not posted (nor are the others
-    ``_post_properties`` names).  A word of two or more symbols gets one
+    property whose product needs more is not posted (``_post_properties``
+    says what else is left out).  A word of two or more symbols gets one
     pair of conditions per start position plus one on its total.
 
     Posting depends on the model's shape only (``_layout_key``), so it is

@@ -183,10 +183,10 @@ def roster_model(inst, rules):
     Shifts are external values 1..S (S = off duty); working shifts are
     1..S-1.  Stretch-length rules become row automaton filters; occurrence
     rules become counting resources; coverage becomes per-column cardinality
-    lower bounds.  The wa/cwa modes then measure, per shift, occurrence
-    counts, words of length up to two, and stretch count and length (the
-    default property set).  Rows are interchangeable, so they are
-    lex-ordered.  Raises ValueError unless the instance passes
+    lower bounds.  The wa/cwa modes tie the occurrence resources to the
+    column counts, and cwa also measures, per shift, occurrence counts,
+    words of length up to two, and stretch count and length (the default
+    property set).  Rows are interchangeable, so they are lex-ordered.  Raises ValueError unless the instance passes
     ``check_roster`` and the case gives rules for the instance's shifts.
     """
     N, D, S = inst.n_nurses, inst.n_days, inst.n_shifts
