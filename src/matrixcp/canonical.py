@@ -36,9 +36,11 @@ changed (``name_line``).  DOMAIN/COL_GCC/COL_SUM/PROPERTY
 use external values; the ROW_DFA block (the dump_automaton format) runs over
 the internal indices 0..V-1 of the ascending VALUES table.  Files without
 PROPERTY lines get the default property set, which the cwa mode measures;
-a property given twice is an error naming the repeated line.  No line
-declares which value group a row-rule resource counts: the groups are read
-off the rule (``WeightedDfa.count_groups``).
+a file whose one PROPERTY line is ``PROPERTY none`` gets no property.  A
+property given twice, or ``PROPERTY none`` next to another PROPERTY line,
+is an error naming the line.  No line declares which value group a
+row-rule resource counts: the groups are read off the rule
+(``WeightedDfa.count_groups``).
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ def dump_model(model):
             lines.append(f"COL_SUM {k} {lo} {hi}")
     if model.lex_rows:
         lines.append("LEX 1")
+    if model.properties == []:
+        lines.append("PROPERTY none")
     for prop in model.properties or []:
         lines.append(_property_line(prop, model.values))
     lines.append("ROW_DFA")
@@ -210,7 +214,7 @@ def parse_model(text):
         parts = ln.split()
         tag = parts[0]
         try:
-            if tag in MODEL_FIELDS:
+            if tag in MODEL_FIELDS and parts != ["PROPERTY", "none"]:
                 check_fields(parts, MODEL_FIELDS[tag])
             if tag in ("MATRIX", "VALUES", "NAME", "LEX", "ROW_DFA"):
                 check_once(seen, tag, no)
@@ -303,6 +307,11 @@ def parse_model(text):
         properties = []
         for no, kind, args in props:
             try:
+                if kind == "none":
+                    if args or len(props) > 1:
+                        raise ValueError("PROPERTY none takes no set and "
+                                         "is the only PROPERTY line")
+                    continue
                 if kind == "word":
                     prop = WordProp(tuple(parse_set(no, a) for a in args))
                 elif kind in ("stretchcount", "stretchlen"):

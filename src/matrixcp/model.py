@@ -6,7 +6,8 @@ A model is lowered into a propagation store in one of three modes:
 - ``decomp``: row rule + column value counts checked against their
   declared bounds only.
 - ``wa``: decomp plus the count-group equalities: each row-rule resource
-  that counts a value group against that group's column counts.
+  that counts a value group against that group's column counts.  On a
+  rule that counts no group it is decomp, and builds decomp's store.
 - ``cwa``: wa plus per-row measuring automata for string properties (word
   occurrences, stretch counts, stretch length extremes), each crossed with
   the row rule automaton so both are filtered jointly, sharing the rule's
@@ -263,12 +264,11 @@ class Built:
     ``layout_reused`` tells whether the build posted nothing, filling its
     store from layouts made before."""
 
-    def __init__(self, model, mode):
+    def __init__(self, model):
         self.model = model
-        self.mode = mode
         self.store = Store()
         self.cells = []        # R x K cell variable ids
-        self.cards = []        # K x V cardinality variable ids (wa, cwa)
+        self.cards = []        # K x V count variable ids, if read
         self.rule_z = []       # R x n_resources rule resource ids
         self.prop_z = {}       # posted property -> per-row resource ids (cwa)
         self.branch_vars = []
@@ -299,7 +299,7 @@ class Layout:
     (``WeightedDfa._layouts``) under ``_layout_key`` to fill the store of
     every model of that shape.  ``decomposition`` is the posting
     (``engine.Posting``) of the decomposition layer, whose data variables
-    are the cells and, under ``wa`` and ``cwa``, the column counts;
+    are the cells and, when they are variables, the column counts;
     ``properties`` is that of the property layer (``cwa`` only), None until
     a model of the shape first passes the decomposition layer.  The id
     lists are ``Built``'s."""
@@ -308,26 +308,28 @@ class Layout:
                  "branch_vars", "prop_z")
 
 
-def _layout_key(model, mode, cross_cap):
-    """What the propagators posted for ``model`` bake in: its size, value
-    table, mode, ``cross_cap``, lex rows, properties and column sums, and
-    under ``decomp``, where ``GccColumn`` holds them as constants, the
-    declared column counts.  Cell domains are data, as are the column
-    counts under ``wa`` and ``cwa``, where they are variables."""
-    props = model.properties
-    key = (model.n_rows, model.n_cols, model.values, mode, cross_cap,
-           bool(model.lex_rows), None if props is None else tuple(props),
+def _layout_key(model, counts, cross_cap):
+    """What the layers posted for ``model`` bake in: its size, value table,
+    lex rows and column sums; the declared column counts when ``counts`` is
+    false, since ``GccColumn`` then holds them as constants; and, when a
+    property layer follows (``cross_cap`` is not None), its properties and
+    ``cross_cap``.  Cell domains are data, as are the column counts when
+    they are variables.  The three kinds of key differ in length."""
+    key = (model.n_rows, model.n_cols, model.values, bool(model.lex_rows),
            tuple(None if s is None else tuple(s) for s in model.col_sums))
-    if mode == "decomp":
+    if not counts:
         # Equal specs listed in another order only cost a second layout.
         key += tuple([tuple(spec.items()) for spec in model.col_gcc]),
+    if cross_cap is not None:
+        props = model.properties
+        key += cross_cap, None if props is None else tuple(props)
     return key
 
 
-def _data(model, mode):
+def _data(model, counts):
     """The initial domains of the decomposition layer's data variables:
-    each cell's mask, row by row, then under ``wa`` and ``cwa`` each column
-    count's declared range, column by column."""
+    each cell's mask, row by row, then, if the column counts are variables
+    (``counts``), each one's declared range, column by column."""
     V = model.n_values
     if model.cell_domains is None:
         data = [(1 << V) - 1] * (model.n_rows * model.n_cols)
@@ -340,7 +342,7 @@ def _data(model, mode):
                 if mask is None:
                     mask = masks[d] = mask_of(d)
                 data.append(mask)
-    if mode != "decomp":
+    if counts:
         for k in range(model.n_cols):
             for v in range(V):
                 lo, hi = model.card_bounds(k, v)
@@ -351,22 +353,23 @@ def _data(model, mode):
 def build(model, mode="decomp", cross_cap=20000):
     """Lower a model into a store under the given mode.
 
-    Under ``decomp`` each column's ``GccColumn`` counts against the declared
-    bounds (``MatrixModel.card_bounds``) as constants, and ``Built.cards`` is
-    empty; under ``wa`` and ``cwa`` the counts are interval variables, which
-    the count-group equalities and property conditions read.  A declared
-    count range that is empty makes the model root-infeasible under every
-    mode.
+    On top of the decomposition layer (cells, columns, row rules and the
+    lex chain), ``wa`` and ``cwa`` post the rule's count-group equalities
+    and ``cwa`` a property layer.  The column counts are interval variables
+    exactly when one of these reads them: under ``cwa``, or under ``wa`` if
+    the rule counts a group.  Otherwise each ``GccColumn`` counts against
+    the declared bounds (``MatrixModel.card_bounds``) as constants and
+    ``Built.cards`` is empty, so ``wa`` on a rule that counts no group
+    builds ``decomp``'s store.  A declared count range that is empty makes
+    the model root-infeasible under every mode.
 
-    Under ``decomp`` and ``wa`` the build posts the decomposition layer
-    (cells, columns, row rules, the lex chain and, under ``wa``, the
-    count-group equalities) and nothing else.  Under ``cwa`` it propagates
-    that layer before it posts the property layer.  If that fails, the
-    model is root-infeasible and no measuring automaton, product or
-    property propagator is built.  Otherwise the property layer is posted
-    and its propagators stay queued for the caller.  The root fixpoint does
-    not depend on the order in which propagators run, so the staging moves
-    only where a refutation happens and how many runs it takes.
+    Under ``cwa`` the build propagates the decomposition layer before it
+    posts the property layer.  If that fails, the model is root-infeasible
+    and no measuring automaton, product or property propagator is built.
+    Otherwise the property layer is posted and its propagators stay queued
+    for the caller.  The root fixpoint does not depend on the order in
+    which propagators run, so the staging moves only where a refutation
+    happens and how many runs it takes.
 
     Each measuring automaton is crossed with the row rule for words of the
     row length K; ``cross_cap`` bounds the states of that product, and a
@@ -377,8 +380,8 @@ def build(model, mode="decomp", cross_cap=20000):
     Posting depends on the model's shape only (``_layout_key``), so it is
     done once per shape and rule: it records a layout (``Layout``), which
     the row rule keeps, and every store, the first included, is filled from
-    one with the model's data: the cell domains and under ``wa`` and
-    ``cwa`` the count ranges.  The property layer is posted when a model of
+    one with the model's data: the cell domains and, when the counts are
+    variables, their ranges.  The property layer is posted when a model of
     the shape first passes the decomposition layer.  Posting that fails
     leaves no layout or property layer behind.  A rule keeps at most
     ``SHARED_CAP`` layouts, dropping the oldest first, and frees them with
@@ -386,7 +389,7 @@ def build(model, mode="decomp", cross_cap=20000):
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    b = Built(model, mode)
+    b = Built(model)
     try:
         _build_inner(b, model, mode, cross_cap)
     except Inconsistent:
@@ -404,32 +407,36 @@ class CountGroupEq(Relation):
 
 
 def _build_inner(b, model, mode, cross_cap):
+    groups = () if mode == "decomp" else model.row_rule.count_groups()
+    props = mode == "cwa"
+    counts = props or bool(groups)  # whether a posted layer reads them
     layouts = model.row_rule._layouts
-    key = _layout_key(model, mode, cross_cap)
+    key = _layout_key(model, counts, cross_cap if props else None)
     lay = layouts.get(key)
     b._reused = lay is not None
     if lay is None:
-        lay = _post_decomposition(model, mode)
+        lay = _post_decomposition(model, groups, counts)
         while len(layouts) >= SHARED_CAP:
             del layouts[next(iter(layouts))]
         layouts[key] = lay
     b.cells, b.cards, b.rule_z = lay.cells, lay.cards, lay.rule_z
     b.branch_vars = lay.branch_vars
     store = b.store
-    store.fill(lay.decomposition, _data(model, mode))
-    if mode != "cwa":
+    store.fill(lay.decomposition, _data(model, counts))
+    if not props:
         return
     if store.propagate() == "failed":
         raise Inconsistent("the decomposition layer has no solution")
     if lay.properties is None:
         b._reused = False
-        _post_properties(lay, model, cross_cap)
+        _post_properties(lay, model, groups, cross_cap)
     b.prop_z = lay.prop_z
     store.fill(lay.properties)
 
 
-def _post_decomposition(model, mode):
-    """A new layout with the decomposition layer posted."""
+def _post_decomposition(model, groups, counts):
+    """A new layout with the decomposition layer posted: the count-group
+    equalities of ``groups`` included, the counts variables if ``counts``."""
     rec = Recorder()
     lay = Layout()
     R, K, V = model.n_rows, model.n_cols, model.n_values
@@ -440,9 +447,7 @@ def _post_decomposition(model, mode):
                  for i in range(R)]
     lay.branch_vars = range(R * K)  # the cells, row by row
     lay.cards = []
-    if mode != "decomp":
-        # The count groups and property conditions read the counts, so
-        # they are variables.
+    if counts:
         lay.cards = [tuple([rec.new_data(f"n[{v}@{k}]") for v in range(V)])
                      for k in range(K)]
 
@@ -474,30 +479,29 @@ def _post_decomposition(model, mode):
     if model.lex_rows:
         post_lex_chain(rec, lay.cells)
 
-    if mode != "decomp":
-        # The count groups read only column counts and rule resources, so
-        # they join the decomposition layer, which under cwa runs to its
-        # fixpoint before any measuring automaton or product is built.
-        for group, rj in model.row_rule.count_groups():
-            col_total = SumE(
-                [VarE(lay.cards[k][v]) for k in range(K) for v in group]
-            )
-            row_total = SumE([VarE(lay.rule_z[i][rj]) for i in range(R)])
-            rec.register(CountGroupEq("eq", col_total, row_total))
+    # The count groups read only column counts and rule resources, so they
+    # join the decomposition layer, which under cwa runs to its fixpoint
+    # before any measuring automaton or product is built.
+    for group, rj in groups:
+        col_total = SumE(
+            [VarE(lay.cards[k][v]) for k in range(K) for v in group]
+        )
+        row_total = SumE([VarE(lay.rule_z[i][rj]) for i in range(R)])
+        rec.register(CountGroupEq("eq", col_total, row_total))
 
     lay.decomposition = rec.posting()
     lay.properties = None
     return lay
 
 
-def _post_properties(lay, model, cross_cap):
-    """Post the property layer into ``lay``.  Each count-group equality
-    states the one-symbol word over its group, so that word is not posted
-    again, nor is a word longer than the row or a property whose product
-    with the rule exceeds ``cross_cap`` states."""
+def _post_properties(lay, model, groups, cross_cap):
+    """Post the property layer into ``lay``.  Each count-group equality of
+    ``groups`` states the one-symbol word over its group, so that word is
+    not posted again, nor is a word longer than the row or a property whose
+    product with the rule exceeds ``cross_cap`` states."""
     rec = Recorder(after=lay.decomposition)
     lay.prop_z = {}
-    counted = {WordProp((group,)) for group, _ in model.row_rule.count_groups()}
+    counted = {WordProp((group,)) for group, _ in groups}
     props = model.properties
     if props is None:
         props = default_properties(model.n_values)

@@ -9,12 +9,14 @@ from matrixcp.automata import (
     stretch_length_dfa,
 )
 from matrixcp.canonical import FormatError, dump_model, dump_roster, parse_model
-from matrixcp.generators import gen_hitting_set, gen_random
+from matrixcp.generators import gen_hitting_set, gen_planted, gen_random
 from matrixcp.model import (
     MatrixModel,
     StretchCountProp,
     StretchLengthProp,
     WordProp,
+    build,
+    root_prune,
     solve,
 )
 from matrixcp.oracle import brute_dc
@@ -52,13 +54,34 @@ def full_featured_model():
     )
 
 
+def no_property_model():
+    """A planted model rebuilt to measure no property, on which the default
+    set prunes more at the root under ``cwa``."""
+    m = gen_planted(5016, 3, 4, 3, n_states=3, slack=1, exact=0.3)
+    return MatrixModel(m.n_rows, m.n_cols, m.values, m.row_rule,
+                       col_gcc=m.col_gcc, col_sums=m.col_sums,
+                       cell_domains=m.cell_domains, properties=[],
+                       lex_rows=m.lex_rows, name=m.name)
+
+
 class TestModelRoundTrip:
     def test_dump_parse_dump_is_identity(self):
         for m in (full_featured_model(), gen_random(12, 3, 4, 3),
-                  gen_hitting_set(3, [{0, 1}, {1, 2}], 2, variant="sum")):
+                  gen_hitting_set(3, [{0, 1}, {1, 2}], 2, variant="sum"),
+                  no_property_model()):
             text = dump_model(m)
-            again = dump_model(parse_model(text))
-            assert again == text
+            back = parse_model(text)
+            assert dump_model(back) == text
+            assert back.properties == m.properties
+
+    def test_no_property_model_keeps_its_cwa_root(self):
+        m = no_property_model()
+        text = dump_model(m)
+        back = parse_model(text)
+        assert back.properties == [] and not build(back, "cwa").prop_z
+        assert root_prune(back, "cwa") == root_prune(m, "cwa")
+        default = parse_model(text.replace("PROPERTY none\n", ""))
+        assert root_prune(default, "cwa") != root_prune(m, "cwa")
 
     def test_parsed_model_keeps_semantics(self):
         m = full_featured_model()
@@ -241,9 +264,13 @@ class TestParseErrors:
         ("PROPERTY stretchlen ,", "invalid literal"),
         ("PROPERTY word 1 0,1\nPROPERTY word 1 1,0",
          "PROPERTY word 1 0,1 already set on line 3"),
+        ("PROPERTY word 1 0,1\nPROPERTY none",
+         "PROPERTY none takes no set and is the only PROPERTY line"),
+        ("PROPERTY none 0",
+         "PROPERTY none takes no set and is the only PROPERTY line"),
     ], ids=["MATRIX", "VALUES", "NAME", "LEX", "DOMAIN", "COL_GCC", "COL_SUM",
             "LEX-flag", "stretchcount-sets", "stretchlen-full", "set-empty",
-            "PROPERTY"])
+            "PROPERTY", "PROPERTY-none", "none-sets"])
     def test_bad_or_repeated_line_named(self, line, message):
         text = SAT_2X2.replace("ROW_DFA", line + "\nROW_DFA")
         no = 2 + line.count("\n") + 1

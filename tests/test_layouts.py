@@ -21,6 +21,8 @@ from matrixcp.automata import build_gcc_weights
 from matrixcp.engine import Inconsistent, Store
 from matrixcp.model import MODES, MatrixModel, build, root_prune, solve
 from matrixcp.oracle import brute_solve
+from test_model import permutation_model
+from test_planted import planted_models
 from test_staged_build import fuzz_models, roster_pools, single_fifo
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -125,7 +127,8 @@ def few_cases():
 @pytest.mark.parametrize("mode", MODES)
 def test_the_key_holds_the_shape_not_the_data(mode):
     """Cell domains never pick the layout, count bounds only under
-    ``decomp``; ``cross_cap`` and the properties always do."""
+    ``decomp``, where they are constants; ``cross_cap`` and the properties
+    only under ``cwa``, the one mode that posts a property layer."""
     rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(0, 3)])
 
     def model(cover, cells=None, properties=None):
@@ -136,8 +139,9 @@ def test_the_key_holds_the_shape_not_the_data(mode):
     for same in (model((0, 2)), model((0, 2), [[{0, 1}, {1}, {0}]] * 2)):
         assert build(same, mode).layout_reused
     assert build(model((1, 2)), mode).layout_reused == (mode != "decomp")
-    assert not build(model((0, 2)), mode, cross_cap=5).layout_reused
-    assert not build(model((0, 2), properties=[]), mode).layout_reused
+    for other in (build(model((0, 2)), mode, cross_cap=5),
+                  build(model((0, 2), properties=[]), mode)):
+        assert other.layout_reused == (mode != "cwa")
     for m in (model((1, 2)), model((0, 2), [[{1}, {1}, {0}]] * 2)):
         assert solve(m, mode).status == brute_solve(m)[0]
 
@@ -197,13 +201,40 @@ def test_a_property_posting_that_fails_leaves_no_property_layer(monkeypatch):
     assert outcome(out, root_prune(model, "cwa")) == want
 
 
+def test_wa_is_decomp_on_a_rule_that_counts_no_group():
+    """``wa`` adds to ``decomp`` only the count-group equalities.  On a rule
+    that counts no group it fills ``decomp``'s layout, so it ends every
+    solve as ``decomp`` does and prunes the same root; on a rule that
+    counts one it keeps its count variables and a layout of its own."""
+    plain = [m for m in fuzz_models() + planted_models()
+             if not m.row_rule.count_groups()]
+    assert len(plain) == 197 + 94
+    for m in plain:
+        m.row_rule._layouts.clear()
+        want = outcome(solve(m, "decomp"), root_prune(m, "decomp"))
+        out = solve(m, "wa")
+        assert outcome(out, root_prune(m, "wa")) == want, m.name
+        assert out.built.layout_reused == (m.name not in REFUTED_IN_POSTING)
+        assert out.built.cards == []
+    grouped = roster_pools()[:25] + [permutation_model(4)]
+    for m in grouped:
+        assert m.row_rule.count_groups()
+        m.row_rule._layouts.clear()
+        build(m, "decomp")
+        b = build(m, "wa")
+        assert not b.layout_reused and len(b.cards) == m.n_cols, m.name
+        assert build(m, "wa").layout_reused
+
+
 def test_a_dropped_rules_layouts_die_with_it():
     model = passing_model()
+    assert not model.row_rule.count_groups()
     for mode in MODES:
         assert not solve(model, mode).built.root_infeasible
     layouts = list(model.row_rule._layouts.values())
-    # Only the cwa layout has a property layer.
-    assert [bool(lay.properties) for lay in layouts] == [False, False, True]
+    # The rule counts no group, so wa fills decomp's layout; only the cwa
+    # layout has a property layer.
+    assert [bool(lay.properties) for lay in layouts] == [False, True]
     posted = [weakref.ref(p) for lay in layouts
               for part in (lay.decomposition, lay.properties) if part
               for p in part.props]

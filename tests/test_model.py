@@ -709,16 +709,23 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
     domain of the model's own variables: under ``cwa`` each counter crossed
     with the rule, under ``wa``, which posts no measuring automaton, each
     counter alone.  So the uncrossed counters would add nothing to
-    ``wa``'s count-group equalities."""
-    stable = groups = 0
-    for m in fixpoint_models():
+    ``wa``'s count-group equalities.  The ``wa`` half runs on the rules
+    that count a group, more toy rosters and permutation models among them:
+    on the others ``wa`` builds ``decomp``'s store, with no count
+    variables."""
+    grouped = [roster_model(inst, rules)
+               for inst, rules in gen_toy_rosters(4242, 25)[6:]]
+    grouped += [permutation_model(n) for n in range(2, 6)]
+    stable = groups = wa = 0
+    for m in fixpoint_models() + grouped:
         R, K = m.n_rows, m.n_cols
-        for mode in ("wa", "cwa"):
+        for mode in ("wa", "cwa") if m.row_rule.count_groups() else ("cwa",):
             b = build(m, mode)
             st = b.store
             if b.root_infeasible or st.propagate() != "stable":
                 continue
             stable += 1
+            wa += mode == "wa"
             before = [d.values for d in st.domains]
             for v in range(m.n_values):
                 counter = build_sliding_word_counter(
@@ -739,7 +746,7 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
             assert st.propagate() == "stable", (m.name, mode)
             assert [d.values for d in st.domains[:len(before)]] == before, (
                 m.name, mode)
-    assert stable >= 70 and groups >= 15  # 262 and 20 when written
+    assert stable >= 70 and groups >= 15 and wa >= 15  # 165, 116, 19
 
 
 def small_reductions():
