@@ -792,24 +792,23 @@ def _in_stretch_dfa(vhat, alphabet):
     return Dfa(2, alphabet, trans, 0, {0, 1})
 
 
-def build_stretch_count(vhat, alphabet, max_count=None):
+def build_stretch_count(vhat, alphabet):
     """Two-state automaton counting maximal runs of symbols in vhat.
 
     Cost 1 is paid on each transition that enters a run; every word is
-    accepted, so the single resource totals the number of maximal stretches.
-    Shared: one automaton per (vhat, alphabet, max_count), of the
-    ``SHARED_CAP`` most recently used.
+    accepted, so the single resource totals the number of maximal stretches
+    (``achievable_totals`` bounds it by the row length: at most ceil(n/2)).
+    Shared: one automaton per (vhat, alphabet), of the ``SHARED_CAP`` most
+    recently used, for every row length.
     """
-    return _stretch_count(frozenset(vhat), tuple(alphabet), max_count)
+    return _stretch_count(frozenset(vhat), tuple(alphabet))
 
 
 @lru_cache(maxsize=SHARED_CAP)
-def _stretch_count(vhat, alphabet, max_count):
+def _stretch_count(vhat, alphabet):
     dfa = _in_stretch_dfa(vhat, alphabet)
     base = {(0, 0, v): 1 for v in alphabet if v in vhat}
-    if max_count is None:
-        max_count = 10**9
-    return WeightedDfa(dfa, CostMatrices(1, base), [(0, max_count)])
+    return WeightedDfa(dfa, CostMatrices(1, base), [(0, 10**9)])
 
 
 def build_word_occurrence(pattern, k, n, alphabet):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .automata import (
     SHARED_CAP,
@@ -518,14 +517,6 @@ def _post_properties(lay, model, groups, cross_cap):
     lay.properties = rec.posting()
 
 
-@lru_cache(maxsize=SHARED_CAP)
-def _symbol_counter(vset, n_values, n):
-    """The one-resource counter of the symbols in ``vset`` over rows of n
-    cells.  Shared like the measuring automata of ``automata``: one per
-    argument tuple, of the ``SHARED_CAP`` most recently used."""
-    return build_gcc_weights(range(n_values), [vset], [(0, n)])
-
-
 def _measuring_automaton(prop, model):
     """The automaton measuring ``prop`` on a row, None for a word longer
     than the row.  A one-symbol word's flag at k would be [x[i,k] in S],
@@ -534,11 +525,11 @@ def _measuring_automaton(prop, model):
     condition, and a counter of S measures it."""
     K, alphabet = model.n_cols, range(model.n_values)
     if isinstance(prop, StretchCountProp):
-        return build_stretch_count(prop.vhat, alphabet, (K + 1) // 2)
+        return build_stretch_count(prop.vhat, alphabet)
     if isinstance(prop, StretchLengthProp):
         return build_stretch_length_bounds(prop.vhat, alphabet, K)
     if len(prop.pattern) == 1:
-        return _symbol_counter(prop.pattern[0], model.n_values, K)
+        return build_gcc_weights(alphabet, [prop.pattern[0]])
     if len(prop.pattern) <= K:
         return build_sliding_word_counter(prop.pattern, K, alphabet)
     return None

@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import fuzz_models, sat3_decide
 from matrixcp.automata import (
     CostMatrices,
     Dfa,
@@ -32,7 +33,6 @@ from matrixcp.generators import (
 )
 from matrixcp.model import achievable_totals, root_prune, solve
 from matrixcp.oracle import (
-    CapExceeded,
     brute_dc,
     brute_solve,
     regular2_dc,
@@ -121,13 +121,6 @@ def test_criterion_1_per_position_vs_aggregate_word_conditions():
 
 
 # -- criterion 2: reduction equivalence over exhaustive enumerations ----------
-
-
-def sat3_decide(clauses, n):
-    return any(
-        all(any(bits[abs(l) - 1] == (l > 0) for l in cl) for cl in clauses)
-        for bits in product((False, True), repeat=n)
-    )
 
 
 def cover_decide(family, n):
@@ -251,10 +244,7 @@ def fuzz_roots():
     """200 seeded instances with exact supports and per-mode root domains."""
     t0 = time.monotonic()
     out = []
-    for i in range(200):
-        m = gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
-                       random.Random(200 + i).randint(2, 4),
-                       random.Random(300 + i).randint(2, 3))
+    for m in fuzz_models():
         support = brute_dc(m, cap=5_000_000)
         doms = {mode: root_prune(m, mode) for mode in ("decomp", "wa", "cwa")}
         out.append((m, support, doms))

@@ -24,6 +24,12 @@ from matrixcp.automata import (
     sweep_forward,
     universal_dfa,
 )
+from matrixcp.model import (
+    MatrixModel,
+    StretchCountProp,
+    _measuring_automaton,
+    achievable_totals,
+)
 from matrixcp.roster import gen_toy_rosters, roster_model
 
 ABC = (0, 1, 2)
@@ -482,6 +488,14 @@ class TestSharedProducts:
                 is build_sliding_word_counter(({2}, {2}), 4, ABC))
         assert (build_sliding_word_counter(({2}, {2}), 4, ABC)
                 is not build_sliding_word_counter(({2}, {2}), 5, ABC))
+        # One stretch counter serves every row length: the count range is
+        # derived from the automaton, 0 to ceil(K/2) stretches.
+        stretches = build_stretch_count({1}, ABC)
+        for K in (4, 7):
+            m = MatrixModel(2, K, ABC, universal_dfa(ABC))
+            assert _measuring_automaton(StretchCountProp({1}), m) is stretches
+        for K in range(1, 9):
+            assert achievable_totals(stretches, K) == [(0, (K + 1) // 2)]
 
 
 class TestSweeps:

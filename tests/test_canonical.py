@@ -6,7 +6,6 @@ import pytest
 from matrixcp.automata import (
     build_gcc_weights,
     parse_automaton,
-    stretch_length_dfa,
 )
 from matrixcp.canonical import FormatError, dump_model, dump_roster, parse_model
 from matrixcp.generators import gen_hitting_set, gen_planted, gen_random

@@ -1,9 +1,10 @@
 import hashlib
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
+from conftest import sat3_decide
 from matrixcp.canonical import dump_model
 from matrixcp.generators import (
     gen_3dm_bc,
@@ -18,13 +19,6 @@ from matrixcp.oracle import brute_solve
 
 
 # -- reference deciders for the source problems --------------------------------
-
-
-def sat3_decide(clauses, n_props):
-    for bits in product((False, True), repeat=n_props):
-        if all(any(bits[abs(l) - 1] == (l > 0) for l in cl) for cl in clauses):
-            return True
-    return False
 
 
 def exact_cover_decide(family, n):

@@ -10,25 +10,23 @@ names at fill time.
 """
 
 import gc
-import os
-import sys
 import weakref
 
 import pytest
 
 import matrixcp.model
+from conftest import (
+    fuzz_models,
+    permutation_model,
+    planted_models,
+    roster_pools,
+    single_fifo,
+    workloads,
+)
 from matrixcp.automata import build_gcc_weights
 from matrixcp.engine import Inconsistent, Store
 from matrixcp.model import MODES, MatrixModel, build, root_prune, solve
 from matrixcp.oracle import brute_solve
-from test_model import permutation_model
-from test_planted import planted_models
-from test_staged_build import fuzz_models, roster_pools, single_fifo
-
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "bench")
-sys.path.insert(0, BENCH)
-import workloads  # noqa: E402
 
 # The criterion-4 fuzz models refuted while their layout is posted, under
 # every mode: the row rule admits no word within its resource bounds.  So

@@ -5,35 +5,11 @@ positional and negative costs, random cell domains and resource bounds."""
 import random
 from itertools import product
 
+from conftest import ALPHABET, random_weighted
 from matrixcp.automata import CostMatrices, Dfa, WeightedDfa
 from matrixcp.engine import MEMO, Store, clear_memo
 from matrixcp.model import achievable_totals
 from matrixcp.propagators import GccColumn, Mcr
-
-ALPHABET = (0, 1, 2)
-
-
-def random_weighted(rng, n):
-    """A random automaton with 2-3 resources whose base and positional
-    (positions 0..n-1) costs range over negative and positive values."""
-    n_res = rng.randint(2, 3)
-    n_states = rng.randint(1, 4)
-    trans = {(q, v): rng.randrange(n_states)
-             for q in range(n_states) for v in ALPHABET}
-    acc = {q for q in range(n_states) if rng.random() < 0.6} or {0}
-    base = {}
-    positional = {}
-    for r in range(n_res):
-        for q in range(n_states):
-            for v in ALPHABET:
-                if rng.random() < 0.6:
-                    base[(r, q, v)] = rng.randint(-2, 3)
-                for i in range(n):
-                    if rng.random() < 0.15:
-                        positional[(r, q, v, i)] = rng.randint(-2, 2)
-    bounds = [(-50, 50)] * n_res
-    return WeightedDfa(Dfa(n_states, ALPHABET, trans, 0, acc),
-                       CostMatrices(n_res, base, positional), bounds)
 
 
 def random_case(rng):

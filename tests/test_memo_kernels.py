@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from conftest import ALPHABET, random_weighted
 from matrixcp import propagators
 from matrixcp.automata import SHARED_CAP, WeightedDfa
 from matrixcp.engine import (
@@ -35,9 +36,7 @@ from matrixcp.engine import (
 )
 from matrixcp.generators import _random_dfa
 from matrixcp.propagators import GccColumn, Mcr, MemoFilter, SumColumn
-from test_mcr_differential import random_weighted
 
-ALPHABET = (0, 1, 2)
 COMPILED = MemoFilter.run
 
 

@@ -6,6 +6,7 @@ from collections import OrderedDict
 import pytest
 
 import matrixcp.model
+from conftest import fuzz_models, permutation_model, planted_models, toy_models
 from matrixcp import engine
 from matrixcp.automata import (
     CostMatrices,
@@ -46,20 +47,11 @@ from matrixcp.roster import (
     roster_model,
 )
 
-from test_planted import planted_models
-
 
 def count_group_eqs(built):
     """The number of count-group equalities posted in a build."""
     return len({id(p) for ws in built.store._watchers for p in ws
                 if isinstance(p, CountGroupEq)})
-
-
-def permutation_model(n):
-    """Each row places exactly one 1; each column receives exactly one."""
-    rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(1, 1)])
-    return MatrixModel(n, n, (0, 1), rule,
-                       col_gcc=[{1: (1, 1)} for _ in range(n)])
 
 
 class TestMatrixModel:
@@ -612,17 +604,9 @@ def test_uncounted_symbol_counter_is_shared():
     assert solve(m, "cwa").status == brute_solve(m)[0]
 
 
-def fuzz_models():
-    """The 200 criterion-4 fuzz models."""
-    return [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
-                       random.Random(200 + i).randint(2, 4),
-                       random.Random(300 + i).randint(2, 3))
-            for i in range(200)]
-
-
 def fixpoint_models():
-    """The 200 criterion-4 fuzz models, the 94 planted models of
-    ``test_planted`` and six toy rosters."""
+    """The 200 criterion-4 fuzz models, the 94 planted models and six toy
+    rosters."""
     return fuzz_models() + planted_models() + [
         roster_model(inst, rules) for inst, rules in gen_toy_rosters(4242, 6)]
 
@@ -632,8 +616,7 @@ def test_every_variable_is_a_cell_count_or_resource(mode):
     """Every variable a build posts is a cell, a column count, a rule
     resource or a property resource: the stretch-length windows read the
     row resources themselves.  Only ``cwa`` posts property resources."""
-    models = fuzz_models() + [roster_model(inst, rules)
-                              for inst, rules in gen_toy_rosters(4242, 25)]
+    models = fuzz_models() + toy_models()
     lengths = 0
     for m in models:
         b = build(m, mode)
@@ -713,8 +696,7 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
     that count a group, more toy rosters and permutation models among them:
     on the others ``wa`` builds ``decomp``'s store, with no count
     variables."""
-    grouped = [roster_model(inst, rules)
-               for inst, rules in gen_toy_rosters(4242, 25)[6:]]
+    grouped = toy_models()[6:]
     grouped += [permutation_model(n) for n in range(2, 6)]
     stable = groups = wa = 0
     for m in fixpoint_models() + grouped:
@@ -737,7 +719,7 @@ def test_singleton_word_positions_prune_nothing_at_the_fixpoint():
                              for j in (range(K) if k == K else (k,))]
                     st.register(Relation("eq", SumE(cards), flags))
             for group, _ in m.row_rule.count_groups():
-                counter = matrixcp.model._symbol_counter(group, m.n_values, K)
+                counter = build_gcc_weights(range(m.n_values), [group])
                 rows = measuring_rows(st, b, mode, counter)
                 total = SumE([VarE(rows[i][0]) for i in range(R)])
                 cards = [VarE(b.cards[k][v]) for k in range(K) for v in group]

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from conftest import permutation_model
 from matrixcp.automata import Dfa, build_gcc_weights, stretch_length_dfa, universal_dfa
 from matrixcp.generators import _random_dfa, gen_random
 from matrixcp.model import MatrixModel
@@ -21,12 +22,6 @@ from matrixcp.oracle import (
 def one_one_dfa():
     """Binary words containing exactly one 1."""
     return Dfa(2, (0, 1), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, 0, {1})
-
-
-def permutation_model(n):
-    rule = build_gcc_weights((0, 1), groups=[{1}], bounds=[(1, 1)])
-    return MatrixModel(n, n, (0, 1), rule,
-                       col_gcc=[{1: (1, 1)} for _ in range(n)])
 
 
 class TestCheckSolution:

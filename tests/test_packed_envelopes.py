@@ -12,24 +12,17 @@ domain it leaves, which is what ``Mcr.filter`` returns.  A replay case feeds
 it the rows that solving benchmark instances filters.
 """
 
-import os
 import random
-import sys
 from itertools import product
 
 import pytest
 
+from conftest import ALPHABET, workloads
 from matrixcp.automata import CostMatrices, Dfa, WeightedDfa
 from matrixcp.engine import Store, mask_of, members
 from matrixcp.model import achievable_totals, solve
 from matrixcp.propagators import Mcr
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "bench")
-sys.path.insert(0, BENCH)
-import workloads  # noqa: E402
-
-ALPHABET = (0, 1, 2)
 FAR = 10**9
 
 

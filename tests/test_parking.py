@@ -7,24 +7,18 @@ until the store backtracks above it; it can prune nothing there, so parking
 moves no domain, node or verdict, only the number of propagator runs.
 """
 
-import os
 import random
-import sys
 from itertools import product
 
 import pytest
 
+from conftest import fuzz_models, workloads
 from matrixcp import engine
 from matrixcp.automata import WeightedDfa
 from matrixcp.engine import ENTAILED, NO_CHANGE, Inconsistent, Propagator, Store
-from matrixcp.generators import _random_dfa, gen_random
+from matrixcp.generators import _random_dfa
 from matrixcp.model import root_prune, solve
 from matrixcp.propagators import GccColumn, Mcr, SumColumn
-
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "bench")
-sys.path.insert(0, BENCH)
-import workloads  # noqa: E402
 
 
 def random_mask(rng, n_values):
@@ -279,14 +273,6 @@ def without_entailment(monkeypatch, measure):
         out = measure()
     engine.clear_memo()
     return out
-
-
-def fuzz_models():
-    """The 200 criterion-4 fuzz models."""
-    return [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
-                       random.Random(200 + i).randint(2, 4),
-                       random.Random(300 + i).randint(2, 3))
-            for i in range(200)]
 
 
 @pytest.mark.parametrize("mode", ["decomp", "wa", "cwa"])

@@ -16,31 +16,12 @@ import time
 
 import pytest
 
-from matrixcp.generators import gen_planted
+from conftest import planted_models
 from matrixcp.model import MODES, root_prune
 from matrixcp.oracle import CapExceeded, brute_dc
 
-# (rows, columns, values, rule states, slack, chance of an exact bound)
-SHAPES = [(3, 4, 3, 3, 1, 0.3), (4, 5, 3, 4, 1, 0.3), (4, 5, 3, 4, 1, 0.0),
-          (5, 5, 2, 4, 1, 0.3), (4, 6, 3, 3, 2, 0.2)]
-SEEDS = 20  # per shape; shape j takes seeds 5000 + 100 j + 0..19
 PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "planted_roots.json")
-
-
-def planted_models():
-    """The planted models of every shape, skipping the seeds whose rule
-    accepts no word (6 of 100)."""
-    models = []
-    for j, (R, K, V, S, slack, exact) in enumerate(SHAPES):
-        for s in range(SEEDS):
-            try:
-                models.append(gen_planted(5000 + 100 * j + s, R, K, V,
-                                          n_states=S, slack=slack,
-                                          exact=exact))
-            except ValueError:
-                pass
-    return models
 
 
 def grid_text(grid):

@@ -19,7 +19,6 @@ from matrixcp.propagators import (
     LinearEq,
     MaxE,
     Mcr,
-    MinE,
     Relation,
     ScaleE,
     StretchLengthWindows,
@@ -31,7 +30,6 @@ from matrixcp.propagators import (
     stretch_edge,
 )
 from matrixcp.roster import gen_toy_rosters, roster_model
-from test_relation_differential import Program, sweep_bounds
 
 
 def no_mixing_dfa():
@@ -455,23 +453,7 @@ class TestLinearEq:
         assert st.propagate() == "failed"
 
 
-def root_bounds(e, st):
-    # The root's bounds under the reference interpreter (see
-    # test_relation_differential), which the relation kernels match.
-    lo, hi = sweep_bounds(Program(e), st)
-    return lo[0], hi[0]
-
-
 class TestExpressions:
-    def test_min_max_evaluation(self):
-        st = Store()
-        a = st.new_interval(1, 3)
-        b = st.new_interval(2, 5)
-        e = SumE([VarE(a), ScaleE(2, VarE(b)), ConstE(-1)])
-        assert root_bounds(e, st) == (4, 12)
-        assert root_bounds(MaxE([VarE(a), VarE(b)]), st) == (2, 5)
-        assert root_bounds(MinE([VarE(a), VarE(b)]), st) == (1, 3)
-
     def test_relation_le_prunes_both_sides(self):
         # max(0, a - 2) <= b with b binary caps a at 3
         st = Store()

@@ -268,6 +268,23 @@ def test_sound_against_enumeration():
                 assert all(lo <= v <= hi for v, (lo, hi) in zip(x, got))
 
 
+def root_bounds(e, st):
+    """The root's bounds under the reference interpreter, which the
+    relation kernels match."""
+    lo, hi = sweep_bounds(Program(e), st)
+    return lo[0], hi[0]
+
+
+def test_min_max_evaluation():
+    st = Store()
+    a = st.new_interval(1, 3)
+    b = st.new_interval(2, 5)
+    e = SumE([VarE(a), ScaleE(2, VarE(b)), ConstE(-1)])
+    assert root_bounds(e, st) == (4, 12)
+    assert root_bounds(MaxE([VarE(a), VarE(b)]), st) == (2, 5)
+    assert root_bounds(MinE([VarE(a), VarE(b)]), st) == (1, 3)
+
+
 def test_bounds_of_the_compiled_sweep():
     st = Store()
     a = st.new_interval(-2, 3)

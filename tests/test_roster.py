@@ -5,7 +5,6 @@ from matrixcp.model import root_prune, solve
 from matrixcp.oracle import brute_solve, check_solution
 from matrixcp.roster import (
     BenchRecord,
-    CaseRules,
     NspInstance,
     ShiftRule,
     bench_summary,

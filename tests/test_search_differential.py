@@ -8,23 +8,14 @@ build, and must agree on the status, the solution and every count,
 ``propagations`` included.
 """
 
-import os
-import random
-import sys
 import time
 
 import pytest
 
+from conftest import fuzz_models, toy_models, workloads
 from matrixcp import engine
 from matrixcp.engine import Inconsistent, SearchResult, SearchStats
-from matrixcp.generators import gen_random
 from matrixcp.model import build
-from matrixcp.roster import gen_toy_rosters, roster_model
-
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "bench")
-sys.path.insert(0, BENCH)
-import workloads  # noqa: E402
 
 
 # -- the reference: a full scan at every node ---------------------------------
@@ -115,20 +106,6 @@ def search(store, branch_vars, time_limit=None, on_solution=None):
 
 
 # -- the comparison -----------------------------------------------------------
-
-
-def fuzz_models():
-    """The 200 criterion-4 fuzz models."""
-    return [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
-                       random.Random(200 + i).randint(2, 4),
-                       random.Random(300 + i).randint(2, 3))
-            for i in range(200)]
-
-
-def toy_models():
-    """The 25 toy rosters of the ``toy-cwa`` benchmark pool."""
-    return [roster_model(inst, rules)
-            for inst, rules in gen_toy_rosters(4242, 25)]
 
 
 def outcome(searcher, model, mode, limit=None):

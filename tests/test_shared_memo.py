@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from conftest import fuzz_models
 from matrixcp import engine
 from matrixcp.automata import CostMatrices, Dfa, WeightedDfa
 from matrixcp.engine import MEMO, TOKENS, Store, clear_memo
@@ -16,7 +17,6 @@ from matrixcp.generators import gen_random
 from matrixcp.model import root_prune, solve
 from matrixcp.propagators import GccColumn, Mcr, MemoFilter
 from matrixcp.roster import gen_toy_rosters, roster_model
-from test_staged_build import fuzz_models
 
 
 def count_filters(monkeypatch):

@@ -8,29 +8,13 @@ build would, and the root propagation then runs them all together; with
 every class's ``priority`` patched to 0 the store runs one FIFO queue.
 """
 
-import random
-
 import pytest
 
+from conftest import fuzz_models, roster_pools, single_fifo, toy_models
 from matrixcp.automata import WeightedDfa
-from matrixcp.engine import Propagator, Store, search
-from matrixcp.generators import gen_random
+from matrixcp.engine import Store, search
 from matrixcp.model import build, root_prune, solve
 from matrixcp.roster import gen_toy_rosters, roster_model
-
-
-def fuzz_models():
-    """The 200 criterion-4 fuzz models."""
-    return [gen_random(9000 + i, random.Random(100 + i).randint(2, 4),
-                       random.Random(200 + i).randint(2, 4),
-                       random.Random(300 + i).randint(2, 3))
-            for i in range(200)]
-
-
-def toy_models():
-    """The first 25 toy rosters of the benchmark pool."""
-    return [roster_model(inst, rules)
-            for inst, rules in gen_toy_rosters(4242, 25)]
 
 
 def root_and_search(b):
@@ -96,23 +80,6 @@ def test_overload_roster_is_refuted_inside_build(mode, monkeypatch):
     assert second.prop_z == {} and products == []
     (layout,) = model.row_rule._layouts.values()
     assert layout.properties is None
-
-
-def single_fifo(monkeypatch):
-    """Put every propagator class in tier 0, so the store runs one FIFO."""
-    classes = [Propagator]
-    for cls in classes:  # grows while it is walked
-        classes += cls.__subclasses__()
-        if "priority" in vars(cls):
-            monkeypatch.setattr(cls, "priority", 0)
-
-
-def roster_pools():
-    """The 50 criterion-7 rosters (gen seed 4242; the first 25 are the
-    toy-cwa pool) and the 25 held-out ones (gen seed 1201)."""
-    return [roster_model(inst, rules)
-            for seed, count in ((4242, 50), (1201, 25))
-            for inst, rules in gen_toy_rosters(seed, count)]
 
 
 @pytest.mark.parametrize("mode", ["decomp", "wa", "cwa"])
